@@ -159,28 +159,9 @@ pub struct Checkpoint {
 }
 
 /// An exact-Krylov-state checkpoint (ABFT-CR): the full `(x, r, p, rᵀr)`
-/// state a CG restore needs to replay the fault-free run bit-for-bit.
-#[derive(Debug, Clone, PartialEq)]
-pub struct KrylovCheckpoint {
-    /// Iteration after which the checkpoint was taken.
-    pub iteration: usize,
-    /// The iterate.
-    pub x: Vec<f64>,
-    /// The recurrence residual.
-    pub r: Vec<f64>,
-    /// The search direction.
-    pub p: Vec<f64>,
-    /// The cached `rᵀr` scalar.
-    pub rr: f64,
-}
-
-impl KrylovCheckpoint {
-    /// Bytes one Krylov checkpoint occupies (three vectors, the scalar,
-    /// and the header) — the 3× storage premium ABFT-CR pays over CR-D.
-    pub fn checkpoint_bytes(n: usize) -> u64 {
-        3 * (n * std::mem::size_of::<f64>()) as u64 + 8 + 16
-    }
-}
+/// state a CG restore needs to replay the fault-free run bit-for-bit —
+/// exactly what [`rsls_solvers::Cg::capture_state`] snapshots.
+pub type KrylovCheckpoint = rsls_solvers::KrylovState;
 
 /// Storage backend for checkpoints.
 pub trait CheckpointStore {
@@ -376,6 +357,12 @@ impl DiskStore {
         ))
     }
 
+    /// Bytes one Krylov checkpoint occupies (three vectors, the scalar,
+    /// and the header) — the 3× storage premium ABFT-CR pays over CR-D.
+    pub fn krylov_checkpoint_bytes(n: usize) -> u64 {
+        3 * (n * std::mem::size_of::<f64>()) as u64 + 8 + 16
+    }
+
     /// Persists a full Krylov-state checkpoint (ABFT-CR), replacing any
     /// previous record.
     pub fn save_full(&mut self, state: &KrylovCheckpoint) -> std::io::Result<()> {
@@ -535,7 +522,7 @@ mod tests {
 
     #[test]
     fn krylov_checkpoint_bytes_is_triple_plus_scalar() {
-        assert_eq!(KrylovCheckpoint::checkpoint_bytes(100), 2424);
+        assert_eq!(DiskStore::krylov_checkpoint_bytes(100), 2424);
     }
 
     #[test]

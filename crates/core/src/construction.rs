@@ -124,6 +124,21 @@ pub struct ConstructionResult {
     pub fallback: bool,
 }
 
+impl ConstructionResult {
+    /// This single-rank result in the k ≥ 1 shape: one block, for `rank`.
+    pub(crate) fn into_multi(self, rank: usize) -> MultiConstructionResult {
+        MultiConstructionResult {
+            blocks: vec![(rank, self.x_block)],
+            local_flops: self.local_flops,
+            parallel_flops: self.parallel_flops,
+            gather_bytes: self.gather_bytes,
+            comm_rounds: self.comm_rounds,
+            inner_iterations: self.inner_iterations,
+            fallback: self.fallback,
+        }
+    }
+}
+
 /// Reusable scratch buffers for the reconstruction hot path.
 ///
 /// Every fault event needs an LI right-hand side and (for LSI) three
@@ -423,16 +438,7 @@ pub fn multi_li_with(
 
     if failed.len() == 1 {
         let rank = failed[0];
-        let res = li_with(ws, key, a, part, rank, x, b, method, outer_relres);
-        return MultiConstructionResult {
-            blocks: vec![(rank, res.x_block)],
-            local_flops: res.local_flops,
-            parallel_flops: res.parallel_flops,
-            gather_bytes: res.gather_bytes,
-            comm_rounds: res.comm_rounds,
-            inner_iterations: res.inner_iterations,
-            fallback: res.fallback,
-        };
+        return li_with(ws, key, a, part, rank, x, b, method, outer_relres).into_multi(rank);
     }
 
     // Sorted disjoint ranges make the global→local column map monotone,

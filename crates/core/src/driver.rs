@@ -2,26 +2,32 @@
 //!
 //! [`run`] executes one deterministic experiment: a step-wise CG on the
 //! virtual cluster, with faults injected per the schedule and repaired per
-//! the configured [`Scheme`], while the [`EnergyMeter`] integrates power
-//! over every phase. The result is a [`RunReport`] carrying the paper's
-//! three metrics (`T`, `P`, `E`), the phase breakdown, the residual
-//! history, and the power profile.
+//! the configured scheme, while the [`EnergyMeter`] integrates power over
+//! every phase. The result is a [`RunReport`] carrying the paper's three
+//! metrics (`T`, `P`, `E`), the phase breakdown, the residual history,
+//! and the power profile.
+//!
+//! The scheme is resolved **once**, at the top of [`run`], into a
+//! plain-data [`RecoveryPlan`](crate::scheme); nothing below looks at the
+//! `Scheme` value again. Every recovery path is one of three steps on the
+//! run state [`Sim`]: [`Sim::take_checkpoint`], [`Sim::rollback`] (node
+//! faults and system-wide outages alike) and [`Sim::reconstruct`] (k ≥ 1
+//! lost blocks: LI/LSI with k = 1, MNF with the whole batch).
 
 use rsls_cluster::{Cluster, MachineConfig};
-use rsls_faults::{inject, FaultEffect, FaultSchedule};
+use rsls_faults::{inject, FaultClass, FaultEffect, FaultEvent, FaultSchedule};
 use rsls_power::{CoreState, EnergyMeter, PowerModel, PowerModelConfig};
-use rsls_solvers::{Cg, KrylovState, ResidualHistory};
+use rsls_solvers::{Cg, ResidualHistory};
+use rsls_sparse::artifacts::MatrixKey;
 use rsls_sparse::{CsrMatrix, Partition};
 
-use rsls_sparse::artifacts::MatrixKey;
-
-use crate::checkpoint::{
-    CheckpointStore, CompressionModel, DiskStore, KrylovCheckpoint, LossyCompressionModel,
-    MemoryStore,
-};
+use crate::checkpoint::{CheckpointStore, CompressionModel, DiskStore, MemoryStore};
 use crate::construction::{self, ConstructionMethod, Workspace};
 use crate::report::{PhaseBreakdown, RunReport};
-use crate::scheme::{CheckpointStorage, ForwardKind, Scheme};
+use crate::scheme::{
+    CheckpointPlan, CheckpointStorage, FaultResponse, Fill, Interpolant, Payload, RecoveryPlan,
+    Scheme, OUTAGE_RESTORE_DECOMPRESSES,
+};
 use crate::DvfsPolicy;
 
 /// Configuration of one resilient run.
@@ -139,16 +145,6 @@ fn iteration_costs(a: &CsrMatrix, part: &Partition) -> IterCosts {
     }
 }
 
-/// How the configured scheme checkpoints, resolved once per run.
-enum CkptFlavor {
-    /// CR-M / CR-D / CR-ML: the solution vector via the configured tier.
-    Plain(CheckpointStorage),
-    /// CR-LC: the mantissa-truncated solution vector, always on disk.
-    Lossy(LossyCompressionModel),
-    /// ABFT-CR: the full `(x, r, p, rᵀr)` Krylov state, always on disk.
-    Krylov,
-}
-
 /// Charges one CG iteration's compute + communication to the cluster.
 fn charge_iteration(cluster: &mut Cluster, costs: &IterCosts) {
     cluster.compute_all(costs.flops_per_rank);
@@ -157,12 +153,268 @@ fn charge_iteration(cluster: &mut Cluster, costs: &IterCosts) {
     cluster.allreduce(8);
 }
 
-/// Charges the post-recovery state repair (recompute `r = b − Ax`,
-/// reset `p`): one SpMV + vector work + one reduction.
-fn charge_repair(cluster: &mut Cluster, costs: &IterCosts) {
-    cluster.compute_all(costs.flops_per_rank);
-    cluster.halo_exchange(costs.halo_bytes, 2);
-    cluster.allreduce(8);
+/// Everything one run mutates, so that each recovery step is a method
+/// instead of an inline arm per scheme.
+struct Sim<'a> {
+    a: &'a CsrMatrix,
+    b: &'a [f64],
+    cfg: &'a RunConfig,
+    plan: RecoveryPlan,
+    part: Partition,
+    costs: IterCosts,
+    cluster: Cluster,
+    meter: EnergyMeter,
+    cg: Cg<'a>,
+    x0: Vec<f64>,
+    /// Frequency every core runs at (the pinned one under a power cap).
+    f_run: f64,
+    /// Frequency of the cores that wait out a reconstruction (§4.2).
+    f_wait: f64,
+    /// Powered cores: DMR runs a full replica (TMR two) for the entire run.
+    core_count: usize,
+    mem_store: MemoryStore,
+    disk_store: DiskStore,
+    /// Bytes per rank one checkpoint stores, after compression.
+    stored_ckpt_bytes: u64,
+    /// Flops per rank to compress (or decompress) one checkpoint.
+    compress_flops: u64,
+    breakdown: PhaseBreakdown,
+    /// Virtual time up to which power has been metered.
+    seg_start: f64,
+    /// Reconstruction scratch + artifact-cache key, allocated/hashed
+    /// lazily on the first fault so fault-free runs pay nothing.
+    ws: Workspace,
+    matrix_key: Option<MatrixKey>,
+    checkpoints_taken: usize,
+    checkpoint_bytes_written: u64,
+    construction_fallbacks: usize,
+}
+
+impl Sim<'_> {
+    /// Meters everything since the last phase boundary with every powered
+    /// core in `state`, makes the current clock the new boundary, and
+    /// returns the phase's length.
+    fn close_phase(&mut self, state: CoreState) -> f64 {
+        let (t0, t1) = (self.seg_start, self.cluster.max_clock());
+        self.meter
+            .account(t0, t1, &[(state, self.f_run, self.core_count)]);
+        self.seg_start = t1;
+        t1 - t0
+    }
+
+    /// Post-recovery state repair — recompute `r = b − Ax`, reset `p`: one
+    /// SpMV + vector work + one reduction at normal-operation power.
+    /// Starts at a phase boundary.
+    fn repair_and_restart(&mut self) {
+        self.cluster.compute_all(self.costs.flops_per_rank);
+        self.cluster.halo_exchange(self.costs.halo_bytes, 2);
+        self.cluster.allreduce(8);
+        self.cg.restart();
+        self.breakdown.repair_s += self.close_phase(CoreState::Compute);
+    }
+
+    /// Corrupts what the fault takes out: the rank's block of the iterate
+    /// or, for a system-wide outage, all of it.
+    fn lose_data(&mut self, ev: &FaultEvent, iter: usize) {
+        let lost = match ev.class {
+            FaultClass::Swo => 0..self.cg.x().len(),
+            _ => self.part.range(ev.rank),
+        };
+        inject(
+            self.cg.x_slice_mut(lost),
+            FaultEffect::for_class(ev.class),
+            ev.rank as u64 ^ iter as u64,
+        );
+    }
+
+    /// Writes one periodic checkpoint: every level the tier calls for,
+    /// carrying the plan's payload.
+    ///
+    /// Checkpoint-store failures are simulation-internal: the memory store
+    /// is infallible and the disk store writes a process-private temp
+    /// file. A panic here is the designed failure path — the campaign
+    /// engine isolates it and records the unit `failed` without aborting
+    /// the batch.
+    fn take_checkpoint(&mut self, ckpt: &CheckpointPlan, iter: usize) {
+        self.close_phase(CoreState::Compute);
+        self.checkpoints_taken += 1;
+        if self.compress_flops > 0 {
+            self.cluster.compute_all(self.compress_flops);
+        }
+        // Multilevel's frequent level is memory; every `disk_every`-th
+        // checkpoint additionally goes to disk.
+        let to_memory = ckpt.tier != CheckpointStorage::Disk;
+        let to_disk = match ckpt.tier {
+            CheckpointStorage::Memory => false,
+            CheckpointStorage::Disk => true,
+            CheckpointStorage::Multilevel { disk_every } => {
+                self.checkpoints_taken.is_multiple_of(disk_every.max(1))
+            }
+        };
+        let level_bytes = self.stored_ckpt_bytes * self.cfg.num_ranks as u64;
+        if to_memory {
+            self.cluster.memory_write(self.stored_ckpt_bytes);
+            self.checkpoint_bytes_written += level_bytes;
+            self.mem_store
+                .save(iter, self.cg.x())
+                // rsls-lint: allow(no-unwrap) -- in-memory store is infallible
+                .expect("in-memory checkpoint cannot fail");
+        }
+        if to_disk {
+            self.cluster.disk_write(self.stored_ckpt_bytes);
+            self.checkpoint_bytes_written += level_bytes;
+            self.meter.account_storage_bytes(level_bytes);
+            match ckpt.payload {
+                Payload::Plain => self.disk_store.save(iter, self.cg.x()),
+                Payload::Lossy(codec) => {
+                    self.disk_store.save(iter, &codec.quantize_vec(self.cg.x()))
+                }
+                Payload::Krylov => self.disk_store.save_full(&self.cg.capture_state()),
+            }
+            // rsls-lint: allow(no-unwrap) -- temp-dir write failure is isolated by the campaign engine
+            .expect("disk checkpoint failed — temp dir unwritable?");
+        }
+        self.breakdown.checkpoint_s += self.close_phase(CoreState::StorageWait);
+    }
+
+    /// Rolls the solver back after a fault of `class`: reload whichever
+    /// checkpoint survives it (the initial guess when none does, or none
+    /// exists yet), then either continue from an exactly restored Krylov
+    /// state or `set_x` + repair + restart.
+    ///
+    /// A system-wide outage loses *all* dynamic data, including any
+    /// replica (DMR) and any in-memory checkpoint. Only a persistent
+    /// (disk) checkpoint retains progress — the paper's point that CR-M
+    /// "is not practical to common fault situations with lost data in
+    /// memory", taken to its system-level extreme.
+    fn rollback(&mut self, class: FaultClass) {
+        self.close_phase(CoreState::Compute);
+        let outage = class == FaultClass::Swo;
+        if outage {
+            // Restarting the environment reloads static data from the
+            // shared file system regardless of scheme.
+            self.cluster.disk_read(self.costs.ckpt_bytes_per_rank);
+        }
+        let mut iterate = None;
+        let mut exact = false;
+        if let Some(ckpt) = self
+            .plan
+            .checkpoint
+            .filter(|c| !outage || c.survives_outage)
+        {
+            // Multilevel restores node faults from its cheap memory level.
+            let from_memory = !outage && ckpt.tier != CheckpointStorage::Disk;
+            if from_memory {
+                self.cluster.memory_read(self.stored_ckpt_bytes);
+            } else {
+                self.cluster.disk_read(self.stored_ckpt_bytes);
+            }
+            if outage || ckpt.node_restore_metered {
+                self.meter
+                    .account_storage_bytes(self.stored_ckpt_bytes * self.cfg.num_ranks as u64);
+            }
+            if (!outage || OUTAGE_RESTORE_DECOMPRESSES) && self.compress_flops > 0 {
+                self.cluster.compute_all(self.compress_flops);
+            }
+            if !from_memory && ckpt.payload == Payload::Krylov {
+                let saved = self.disk_store.load_full();
+                // rsls-lint: allow(no-unwrap) -- temp-file read failure is isolated by the campaign engine
+                if let Some(state) = saved.expect("disk checkpoint unreadable") {
+                    // The whole Krylov state is back: no residual
+                    // recomputation and no restart — post-restore iterates
+                    // replay the fault-free sequence bit for bit.
+                    self.cg.restore_state(&state);
+                    exact = true;
+                }
+            } else {
+                let saved = if from_memory {
+                    self.mem_store.load()
+                } else {
+                    self.disk_store.load()
+                };
+                // rsls-lint: allow(no-unwrap) -- the memory store is infallible; temp-file read failure is isolated by the campaign engine
+                iterate = saved.expect("checkpoint unreadable").map(|c| c.x);
+            }
+        }
+        if !exact {
+            self.cg.set_x(iterate.as_deref().unwrap_or(&self.x0));
+        }
+        self.breakdown.restore_s += self.close_phase(CoreState::StorageWait);
+        if !exact {
+            self.repair_and_restart();
+        }
+    }
+
+    /// Reconstructs the lost blocks of `ranks` (sorted, k ≥ 1) from the
+    /// surviving data and charges gather → parallel work → local solve →
+    /// install, then repairs the CG state once for the whole set.
+    fn reconstruct(&mut self, how: Interpolant, method: ConstructionMethod, ranks: &[usize]) {
+        let (p, k) = (self.cfg.num_ranks, ranks.len());
+        self.close_phase(CoreState::Compute);
+        let t0 = self.seg_start;
+        let key = Some(*self.matrix_key.get_or_insert_with(|| MatrixKey::of(self.a)));
+        // The adaptive inner tolerance keys off the pre-fault progress: the
+        // recurrence residual still reflects the state before corruption.
+        let outer_relres = self.cg.relative_residual();
+        let (ws, a, part, x, b) = (&mut self.ws, self.a, &self.part, self.cg.x(), self.b);
+        let res = match how {
+            Interpolant::Linear => {
+                construction::multi_li_with(ws, key, a, part, ranks, x, b, method, outer_relres)
+            }
+            Interpolant::LeastSquares => {
+                assert_eq!(k, 1, "LSI reconstructs one block at a time");
+                construction::lsi_with(ws, key, a, part, ranks[0], x, b, method, outer_relres)
+                    .into_multi(ranks[0])
+            }
+        };
+
+        // Phase 1 — gather the survivors' data to each replacement rank +
+        // any parallel work (β assembly, parallel-QR rounds). All cores
+        // active: compute power.
+        let per_rank_gather = (res.gather_bytes / p as u64).max(8);
+        for &rank in ranks {
+            self.cluster.gather(rank, per_rank_gather);
+        }
+        if res.parallel_flops > 0 {
+            self.cluster.compute_all(res.parallel_flops / p as u64);
+        }
+        let max_block = ranks.iter().map(|&r| part.len(r)).max().unwrap_or(0) as u64;
+        for _ in 0..res.comm_rounds {
+            self.cluster.allreduce(max_block * 8);
+        }
+        let t1 = self.cluster.max_clock();
+        self.meter
+            .account(t0, t1, &[(CoreState::Compute, self.f_run, p)]);
+
+        // Phase 2 — the local solve, split across the k replacement ranks;
+        // everyone else waits (busy-wait at f_max under the OS policy,
+        // throttled to f_min under the paper's DVFS optimization).
+        for &rank in ranks {
+            self.cluster
+                .exclusive_compute(rank, res.local_flops / k as u64);
+        }
+        self.cluster.sync_to_max();
+        let t2 = self.cluster.max_clock();
+        if t2 > t1 {
+            let mix = [
+                (CoreState::Compute, self.f_run, k),
+                (CoreState::BusyWait, self.f_wait, p.saturating_sub(k)),
+            ];
+            self.meter.account(t1, t2, &mix);
+        }
+        self.breakdown.reconstruct_s += t2 - t0;
+        self.seg_start = t2;
+
+        for (rank, block) in &res.blocks {
+            self.cg
+                .x_slice_mut(self.part.range(*rank))
+                .copy_from_slice(block);
+        }
+        if res.fallback {
+            self.construction_fallbacks += 1;
+        }
+        self.repair_and_restart();
+    }
 }
 
 /// Executes one resilient run. Deterministic: identical inputs produce a
@@ -173,18 +425,17 @@ pub fn run(a: &CsrMatrix, b: &[f64], cfg: &RunConfig) -> RunReport {
     assert!(cfg.num_ranks >= 1);
     let n = a.nrows();
     let p = cfg.num_ranks;
+    let plan = cfg.scheme.plan();
     let part = Partition::balanced(n, p);
     let costs = iteration_costs(a, &part);
 
     let mut cluster = Cluster::new(cfg.machine.clone(), p);
     let model = PowerModel::new(cfg.power.clone());
-    let mut meter = EnergyMeter::new(model.clone());
-    let fmax = model.freq_table().max();
     // Power-capped operation: pin all cores to the requested frequency.
     let f_run = cfg
         .frequency_ghz
         .map(|f| model.freq_table().quantize(f))
-        .unwrap_or(fmax);
+        .unwrap_or(model.freq_table().max());
     let run_speed = model.speed_factor(f_run);
     if run_speed != 1.0 {
         for r in 0..p {
@@ -192,714 +443,184 @@ pub fn run(a: &CsrMatrix, b: &[f64], cfg: &RunConfig) -> RunReport {
         }
     }
 
-    // DMR runs a full replica (TMR two) — multiply powered cores for the
-    // entire run.
-    let core_count = match cfg.scheme {
-        Scheme::Dmr => 2 * p,
-        Scheme::Tmr => 3 * p,
-        _ => p,
-    };
-    let normal_mix = [(CoreState::Compute, f_run, core_count)];
-
     let x0 = cfg.initial_guess.clone().unwrap_or_else(|| vec![0.0; n]);
     assert_eq!(x0.len(), n, "initial guess length mismatch");
-    let mut cg = Cg::new(a, b, x0.clone());
-
-    // Checkpoint machinery.
-    let mut mem_store = MemoryStore::new();
-    let mut disk_store = DiskStore::in_temp_dir(&cfg.run_tag);
-    let ckpt_flavor = match &cfg.scheme {
-        Scheme::Checkpoint { storage, interval } => Some((CkptFlavor::Plain(*storage), *interval)),
-        Scheme::LossyCheckpoint {
-            interval,
-            keep_mantissa_bits,
-        } => Some((
-            CkptFlavor::Lossy(LossyCompressionModel::from_keep_bits(*keep_mantissa_bits)),
-            *interval,
-        )),
-        Scheme::AbftCheckpoint { interval } => Some((CkptFlavor::Krylov, *interval)),
-        _ => None,
-    };
 
     // Compression shrinks the stored bytes but charges per-rank CPU time.
     // CR-LC's quantizer and ABFT-CR's triple-vector state override the
     // generic compressor.
-    let (stored_ckpt_bytes, compress_cpu_s) = match &ckpt_flavor {
-        Some((CkptFlavor::Lossy(m), _)) => (
-            m.compressed_bytes(costs.ckpt_bytes_per_rank),
-            m.cpu_seconds(costs.ckpt_bytes_per_rank),
-        ),
-        Some((CkptFlavor::Krylov, _)) => (KrylovCheckpoint::checkpoint_bytes(part.max_len()), 0.0),
+    let raw = costs.ckpt_bytes_per_rank;
+    let (stored_ckpt_bytes, compress_cpu_s) = match plan.checkpoint.map(|c| c.payload) {
+        Some(Payload::Lossy(codec)) => (codec.compressed_bytes(raw), codec.cpu_seconds(raw)),
+        Some(Payload::Krylov) => (DiskStore::krylov_checkpoint_bytes(part.max_len()), 0.0),
         _ => match &cfg.checkpoint_compression {
-            Some(c) => (
-                c.compressed_bytes(costs.ckpt_bytes_per_rank),
-                c.cpu_seconds(costs.ckpt_bytes_per_rank),
-            ),
-            None => (costs.ckpt_bytes_per_rank, 0.0),
+            Some(c) => (c.compressed_bytes(raw), c.cpu_seconds(raw)),
+            None => (raw, 0.0),
         },
     };
-    let compress_flops = (compress_cpu_s * cfg.machine.flops_per_sec) as u64;
 
-    let interval_iters = ckpt_flavor.as_ref().map(|(flavor, interval)| {
+    let interval_iters = plan.checkpoint.map(|ckpt| {
         // Estimate per-iteration and per-checkpoint virtual cost on a
         // scratch cluster to resolve Young/Daly intervals.
         let mut scratch = Cluster::new(cfg.machine.clone(), p);
         charge_iteration(&mut scratch, &costs);
         let t_iter = scratch.max_clock();
-        let before = scratch.max_clock();
-        match flavor {
-            // Multilevel's frequent level is memory; the (amortized) disk
-            // copies are charged when they happen.
-            CkptFlavor::Plain(CheckpointStorage::Memory | CheckpointStorage::Multilevel { .. }) => {
-                scratch.memory_write(stored_ckpt_bytes)
-            }
-            CkptFlavor::Plain(CheckpointStorage::Disk)
-            | CkptFlavor::Lossy(_)
-            | CkptFlavor::Krylov => scratch.disk_write(stored_ckpt_bytes),
+        // Multilevel's frequent level is memory; the (amortized) disk
+        // copies are charged when they happen.
+        if ckpt.tier == CheckpointStorage::Disk {
+            scratch.disk_write(stored_ckpt_bytes);
+        } else {
+            scratch.memory_write(stored_ckpt_bytes);
         }
-        let t_ckpt = scratch.max_clock() - before;
+        let t_ckpt = scratch.max_clock() - t_iter;
         // Checkpoint-phase power relative to compute power (feeds the
         // energy-optimal interval variant).
         let p_ckpt_frac = (model.core_power(CoreState::StorageWait, f_run)
             / model.core_power(CoreState::Compute, f_run))
         .min(1.0);
-        interval.resolve_iterations(t_iter, t_ckpt, cfg.mtbf_s, p_ckpt_frac)
+        ckpt.interval
+            .resolve_iterations(t_iter, t_ckpt, cfg.mtbf_s, p_ckpt_frac)
     });
 
+    let mut sim = Sim {
+        a,
+        b,
+        cfg,
+        plan,
+        costs,
+        cluster,
+        cg: Cg::new(a, b, x0.clone()),
+        x0,
+        f_run,
+        f_wait: cfg.dvfs.waiter_frequency(model.freq_table()).min(f_run),
+        meter: EnergyMeter::new(model),
+        core_count: plan.core_multiplier() * p,
+        mem_store: MemoryStore::new(),
+        disk_store: DiskStore::in_temp_dir(&cfg.run_tag),
+        stored_ckpt_bytes,
+        compress_flops: (compress_cpu_s * cfg.machine.flops_per_sec) as u64,
+        breakdown: PhaseBreakdown::default(),
+        seg_start: 0.0,
+        ws: Workspace::new(),
+        matrix_key: None,
+        checkpoints_taken: 0,
+        checkpoint_bytes_written: 0,
+        construction_fallbacks: 0,
+        part,
+    };
     let mut history = ResidualHistory::new();
-    let mut breakdown = PhaseBreakdown::default();
-    let mut seg_start = 0.0f64;
     let mut fault_cursor = 0usize;
     let mut faults_injected = 0usize;
-    let mut construction_fallbacks = 0usize;
-    // Reconstruction scratch + artifact-cache key, allocated/hashed
-    // lazily on the first fault so fault-free runs pay nothing.
-    let mut ws = Workspace::new();
-    let mut matrix_key: Option<MatrixKey> = None;
-    let mut last_ckpt_iter = usize::MAX; // no checkpoint taken yet
-    let mut checkpoints_taken = 0usize;
-    let mut checkpoint_bytes_written = 0u64;
 
     if cfg.record_history {
-        history.push(0, cg.relative_residual());
+        history.push(0, sim.cg.relative_residual());
     }
 
-    loop {
-        if cg.converged(cfg.tolerance) || cg.iteration() >= cfg.max_iterations {
-            break;
-        }
-        let iter = cg.iteration();
-        let now = cluster.max_clock();
+    while !sim.cg.converged(cfg.tolerance) && sim.cg.iteration() < cfg.max_iterations {
+        let iter = sim.cg.iteration();
 
         // --- Periodic checkpoint (before the iteration, like the paper's
         // "checkpointed after the m-th iteration"). -----------------------
-        if let (Some(interval), Some((flavor, _))) = (interval_iters, &ckpt_flavor) {
-            if iter > 0 && iter.is_multiple_of(interval) && last_ckpt_iter != iter {
-                meter.account(seg_start, now, &normal_mix);
-                checkpoints_taken += 1;
-                if compress_flops > 0 {
-                    cluster.compute_all(compress_flops);
-                }
-                match flavor {
-                    // Checkpoint-store failures below are simulation-internal:
-                    // the memory store is infallible and the disk store writes
-                    // a process-private temp file. A panic here is the designed
-                    // failure path — the campaign engine isolates it and records
-                    // the unit `failed` without aborting the batch.
-                    CkptFlavor::Plain(CheckpointStorage::Memory) => {
-                        cluster.memory_write(stored_ckpt_bytes);
-                        checkpoint_bytes_written += stored_ckpt_bytes * p as u64;
-                        mem_store
-                            .save(iter, cg.x())
-                            // rsls-lint: allow(no-unwrap) -- in-memory store is infallible
-                            .expect("in-memory checkpoint cannot fail");
-                    }
-                    CkptFlavor::Plain(CheckpointStorage::Disk) => {
-                        cluster.disk_write(stored_ckpt_bytes);
-                        checkpoint_bytes_written += stored_ckpt_bytes * p as u64;
-                        meter.account_storage_bytes(stored_ckpt_bytes * p as u64);
-                        disk_store
-                            .save(iter, cg.x())
-                            // rsls-lint: allow(no-unwrap) -- temp-dir write failure is isolated by the campaign engine
-                            .expect("disk checkpoint failed — temp dir unwritable?");
-                    }
-                    CkptFlavor::Plain(CheckpointStorage::Multilevel { disk_every }) => {
-                        cluster.memory_write(stored_ckpt_bytes);
-                        checkpoint_bytes_written += stored_ckpt_bytes * p as u64;
-                        mem_store
-                            .save(iter, cg.x())
-                            // rsls-lint: allow(no-unwrap) -- in-memory store is infallible
-                            .expect("in-memory checkpoint cannot fail");
-                        if checkpoints_taken.is_multiple_of((*disk_every).max(1)) {
-                            cluster.disk_write(stored_ckpt_bytes);
-                            checkpoint_bytes_written += stored_ckpt_bytes * p as u64;
-                            meter.account_storage_bytes(stored_ckpt_bytes * p as u64);
-                            disk_store
-                                .save(iter, cg.x())
-                                // rsls-lint: allow(no-unwrap) -- temp-dir write failure is isolated by the campaign engine
-                                .expect("disk checkpoint failed — temp dir unwritable?");
-                        }
-                    }
-                    // CR-LC stores the quantized iterate — what lands on
-                    // disk (and therefore what a rollback restores) carries
-                    // the codec's bounded relative error.
-                    CkptFlavor::Lossy(m) => {
-                        cluster.disk_write(stored_ckpt_bytes);
-                        checkpoint_bytes_written += stored_ckpt_bytes * p as u64;
-                        meter.account_storage_bytes(stored_ckpt_bytes * p as u64);
-                        disk_store
-                            .save(iter, &m.quantize_vec(cg.x()))
-                            // rsls-lint: allow(no-unwrap) -- temp-dir write failure is isolated by the campaign engine
-                            .expect("disk checkpoint failed — temp dir unwritable?");
-                    }
-                    // ABFT-CR stores the full Krylov state: 3x the bytes,
-                    // but a restore replays the fault-free sequence exactly.
-                    CkptFlavor::Krylov => {
-                        cluster.disk_write(stored_ckpt_bytes);
-                        checkpoint_bytes_written += stored_ckpt_bytes * p as u64;
-                        meter.account_storage_bytes(stored_ckpt_bytes * p as u64);
-                        let s = cg.capture_state();
-                        disk_store
-                            .save_full(&KrylovCheckpoint {
-                                iteration: s.iteration,
-                                x: s.x,
-                                r: s.r,
-                                p: s.p,
-                                rr: s.rr,
-                            })
-                            // rsls-lint: allow(no-unwrap) -- temp-dir write failure is isolated by the campaign engine
-                            .expect("disk checkpoint failed — temp dir unwritable?");
-                    }
-                }
-                let after = cluster.max_clock();
-                meter.account(now, after, &[(CoreState::StorageWait, f_run, core_count)]);
-                breakdown.checkpoint_s += after - now;
-                seg_start = after;
-                last_ckpt_iter = iter;
+        if let (Some(interval), Some(ckpt)) = (interval_iters, &plan.checkpoint) {
+            if iter > 0 && iter.is_multiple_of(interval) {
+                sim.take_checkpoint(ckpt, iter);
             }
         }
 
         // --- Faults due at this iteration / time. -------------------------
-        let due = cfg.faults.due(&mut fault_cursor, iter, cluster.max_clock());
-        // MNF: ranks failing in this iteration are collected and recovered
-        // together in one coupled union solve after the event loop.
-        let mut mnf_batch: Vec<usize> = Vec::new();
+        let due = cfg
+            .faults
+            .due(&mut fault_cursor, iter, sim.cluster.max_clock());
+        // Ranks lost in this iteration under a batching plan, recovered
+        // together after the event loop.
+        let mut batch: Vec<usize> = Vec::new();
         for ev in due {
             faults_injected += 1;
             if cfg.record_history {
-                history.mark_fault(iter, cg.relative_residual());
+                history.mark_fault(iter, sim.cg.relative_residual());
             }
-            // System-wide outage: *all* dynamic data is lost, including any
-            // replica (DMR) and any in-memory checkpoint. Only a persistent
-            // (disk) checkpoint retains progress — the paper's point that
-            // CR-M "is not practical to common fault situations with lost
-            // data in memory", taken to its system-level extreme.
-            if ev.class == rsls_faults::FaultClass::Swo && cfg.scheme != Scheme::FaultFree {
-                let n_all = cg.x().len();
-                inject(
-                    cg.x_slice_mut(0..n_all),
-                    FaultEffect::Lost,
-                    iter as u64 ^ 0x5105,
-                );
-                let t0 = cluster.max_clock();
-                meter.account(seg_start, t0, &normal_mix);
-                // Restarting the environment reloads static data from the
-                // shared file system regardless of scheme.
-                cluster.disk_read(costs.ckpt_bytes_per_rank);
-                let survives = matches!(
-                    &cfg.scheme,
-                    Scheme::Checkpoint {
-                        storage: CheckpointStorage::Disk | CheckpointStorage::Multilevel { .. },
-                        ..
-                    } | Scheme::LossyCheckpoint { .. }
-                        | Scheme::AbftCheckpoint { .. }
-                );
-                let mut exact_restore = false;
-                if survives {
-                    cluster.disk_read(stored_ckpt_bytes);
-                    meter.account_storage_bytes(stored_ckpt_bytes * p as u64);
-                    if matches!(&cfg.scheme, Scheme::AbftCheckpoint { .. }) {
-                        // rsls-lint: allow(no-unwrap) -- temp-file read failure is isolated by the campaign engine
-                        match disk_store.load_full().expect("disk checkpoint unreadable") {
-                            Some(ck) => {
-                                cg.restore_state(&KrylovState {
-                                    iteration: ck.iteration,
-                                    x: ck.x,
-                                    r: ck.r,
-                                    p: ck.p,
-                                    rr: ck.rr,
-                                });
-                                exact_restore = true;
-                            }
-                            None => cg.set_x(&x0),
-                        }
-                    } else {
-                        // rsls-lint: allow(no-unwrap) -- temp-file read failure is isolated by the campaign engine
-                        match disk_store.load().expect("disk checkpoint unreadable") {
-                            Some(ckpt) => cg.set_x(&ckpt.x),
-                            None => cg.set_x(&x0),
-                        }
+            match (plan.response, ev.class) {
+                (FaultResponse::Ignore, _) => {}
+                (FaultResponse::Rollback, _) | (_, FaultClass::Swo) => {
+                    sim.lose_data(&ev, iter);
+                    sim.rollback(ev.class);
+                }
+                (FaultResponse::MaskByReplica, _) => {
+                    sim.close_phase(CoreState::Compute);
+                    sim.cluster.memory_read((sim.part.len(ev.rank) * 8) as u64);
+                    sim.breakdown.restore_s += sim.close_phase(CoreState::Compute);
+                }
+                (FaultResponse::Assign(fill), _) => {
+                    sim.lose_data(&ev, iter);
+                    sim.close_phase(CoreState::Compute);
+                    let range = sim.part.range(ev.rank);
+                    match fill {
+                        Fill::Zero => sim.cg.x_slice_mut(range).fill(0.0),
+                        Fill::InitialGuess => sim
+                            .cg
+                            .x_slice_mut(range.clone())
+                            .copy_from_slice(&sim.x0[range]),
                     }
-                } else {
-                    cg.set_x(&x0);
+                    sim.repair_and_restart();
                 }
-                let t1 = cluster.max_clock();
-                meter.account(t0, t1, &[(CoreState::StorageWait, f_run, core_count)]);
-                breakdown.restore_s += t1 - t0;
-                if exact_restore {
-                    // The full Krylov state is back: no residual
-                    // recomputation and no restart — the replayed sequence
-                    // is the fault-free one, bit for bit.
-                    seg_start = t1;
-                } else {
-                    charge_repair(&mut cluster, &costs);
-                    cg.restart();
-                    let t2 = cluster.max_clock();
-                    meter.account(t1, t2, &normal_mix);
-                    breakdown.repair_s += t2 - t1;
-                    seg_start = t2;
+                (FaultResponse::Interpolate(how, method), _) => {
+                    sim.lose_data(&ev, iter);
+                    sim.reconstruct(how, method, &[ev.rank]);
                 }
-                if cfg.record_history {
-                    history.mark_recovery(iter, cg.relative_residual());
-                }
-                continue;
-            }
-            match &cfg.scheme {
-                // The FF baseline measures the fault-free cost: faults in
-                // the schedule are not applied.
-                Scheme::FaultFree => {}
-                // DMR/TMR mask the fault: a replica's state is intact; only
-                // a local copy (DMR) or majority vote (TMR) is charged.
-                Scheme::Dmr | Scheme::Tmr => {
-                    let t0 = cluster.max_clock();
-                    meter.account(seg_start, t0, &normal_mix);
-                    cluster.memory_read((part.len(ev.rank) * 8) as u64);
-                    let t1 = cluster.max_clock();
-                    meter.account(t0, t1, &normal_mix);
-                    breakdown.restore_s += t1 - t0;
-                    seg_start = t1;
-                }
-                Scheme::Checkpoint { storage, .. } => {
-                    let rank_range = part.range(ev.rank);
-                    inject(
-                        cg.x_slice_mut(rank_range),
-                        FaultEffect::for_class(ev.class),
-                        ev.rank as u64 ^ iter as u64,
-                    );
-                    let t0 = cluster.max_clock();
-                    meter.account(seg_start, t0, &normal_mix);
-                    // Restore the most recent checkpoint (or the initial
-                    // guess when none exists yet).
-                    let restored = match storage {
-                        // Multilevel restores node faults from the cheap
-                        // memory level.
-                        CheckpointStorage::Memory | CheckpointStorage::Multilevel { .. } => {
-                            cluster.memory_read(stored_ckpt_bytes);
-                            // rsls-lint: allow(no-unwrap) -- in-memory store is infallible
-                            mem_store.load().expect("memory load cannot fail")
-                        }
-                        CheckpointStorage::Disk => {
-                            cluster.disk_read(stored_ckpt_bytes);
-                            // rsls-lint: allow(no-unwrap) -- temp-file read failure is isolated by the campaign engine
-                            disk_store.load().expect("disk checkpoint unreadable")
-                        }
-                    };
-                    if compress_flops > 0 {
-                        cluster.compute_all(compress_flops); // decompression
-                    }
-                    match restored {
-                        Some(ckpt) => cg.set_x(&ckpt.x),
-                        None => cg.set_x(&x0),
-                    }
-                    let t1 = cluster.max_clock();
-                    meter.account(t0, t1, &[(CoreState::StorageWait, f_run, core_count)]);
-                    breakdown.restore_s += t1 - t0;
-                    // Repair CG state.
-                    charge_repair(&mut cluster, &costs);
-                    cg.restart();
-                    let t2 = cluster.max_clock();
-                    meter.account(t1, t2, &normal_mix);
-                    breakdown.repair_s += t2 - t1;
-                    seg_start = t2;
-                }
-                Scheme::LossyCheckpoint { .. } => {
-                    let rank_range = part.range(ev.rank);
-                    inject(
-                        cg.x_slice_mut(rank_range),
-                        FaultEffect::for_class(ev.class),
-                        ev.rank as u64 ^ iter as u64,
-                    );
-                    let t0 = cluster.max_clock();
-                    meter.account(seg_start, t0, &normal_mix);
-                    cluster.disk_read(stored_ckpt_bytes);
-                    meter.account_storage_bytes(stored_ckpt_bytes * p as u64);
-                    // rsls-lint: allow(no-unwrap) -- temp-file read failure is isolated by the campaign engine
-                    let restored = disk_store.load().expect("disk checkpoint unreadable");
-                    if compress_flops > 0 {
-                        cluster.compute_all(compress_flops); // decode/dequantize
-                    }
-                    match restored {
-                        // The restored iterate carries the codec's bounded
-                        // quantization error — the reconvergence penalty
-                        // CR-LC trades against its smaller stored payload.
-                        Some(ckpt) => cg.set_x(&ckpt.x),
-                        None => cg.set_x(&x0),
-                    }
-                    let t1 = cluster.max_clock();
-                    meter.account(t0, t1, &[(CoreState::StorageWait, f_run, core_count)]);
-                    breakdown.restore_s += t1 - t0;
-                    charge_repair(&mut cluster, &costs);
-                    cg.restart();
-                    let t2 = cluster.max_clock();
-                    meter.account(t1, t2, &normal_mix);
-                    breakdown.repair_s += t2 - t1;
-                    seg_start = t2;
-                }
-                Scheme::AbftCheckpoint { .. } => {
-                    let rank_range = part.range(ev.rank);
-                    inject(
-                        cg.x_slice_mut(rank_range),
-                        FaultEffect::for_class(ev.class),
-                        ev.rank as u64 ^ iter as u64,
-                    );
-                    let t0 = cluster.max_clock();
-                    meter.account(seg_start, t0, &normal_mix);
-                    cluster.disk_read(stored_ckpt_bytes);
-                    meter.account_storage_bytes(stored_ckpt_bytes * p as u64);
-                    // rsls-lint: allow(no-unwrap) -- temp-file read failure is isolated by the campaign engine
-                    let restored = disk_store.load_full().expect("disk checkpoint unreadable");
-                    let t1 = cluster.max_clock();
-                    meter.account(t0, t1, &[(CoreState::StorageWait, f_run, core_count)]);
-                    breakdown.restore_s += t1 - t0;
-                    match restored {
-                        Some(ck) => {
-                            // The whole Krylov state is back: no residual
-                            // recomputation and no restart — post-restore
-                            // iterates replay the fault-free sequence
-                            // bit for bit.
-                            cg.restore_state(&KrylovState {
-                                iteration: ck.iteration,
-                                x: ck.x,
-                                r: ck.r,
-                                p: ck.p,
-                                rr: ck.rr,
-                            });
-                            seg_start = t1;
-                        }
-                        None => {
-                            // No checkpoint yet: plain rollback to the
-                            // initial guess.
-                            cg.set_x(&x0);
-                            charge_repair(&mut cluster, &costs);
-                            cg.restart();
-                            let t2 = cluster.max_clock();
-                            meter.account(t1, t2, &normal_mix);
-                            breakdown.repair_s += t2 - t1;
-                            seg_start = t2;
-                        }
-                    }
-                }
-                Scheme::MultiNode(_) => {
-                    let rank_range = part.range(ev.rank);
-                    inject(
-                        cg.x_slice_mut(rank_range),
-                        FaultEffect::for_class(ev.class),
-                        ev.rank as u64 ^ iter as u64,
-                    );
-                    mnf_batch.push(ev.rank);
+                (FaultResponse::InterpolateBatch(_), _) => {
+                    sim.lose_data(&ev, iter);
+                    batch.push(ev.rank);
                     // Recovery (and its history mark) happens once for the
                     // whole batch after the event loop.
                     continue;
                 }
-                Scheme::Forward(kind) => {
-                    let rank_range = part.range(ev.rank);
-                    inject(
-                        cg.x_slice_mut(rank_range.clone()),
-                        FaultEffect::for_class(ev.class),
-                        ev.rank as u64 ^ iter as u64,
-                    );
-                    let t0 = cluster.max_clock();
-                    meter.account(seg_start, t0, &normal_mix);
-                    match kind {
-                        ForwardKind::Zero => {
-                            cg.x_slice_mut(rank_range).fill(0.0);
-                        }
-                        ForwardKind::InitialGuess => {
-                            cg.x_slice_mut(rank_range.clone())
-                                .copy_from_slice(&x0[rank_range]);
-                        }
-                        ForwardKind::Linear(method) | ForwardKind::LeastSquares(method) => {
-                            let ctx = ReconstructCtx {
-                                ws: &mut ws,
-                                key: *matrix_key.get_or_insert_with(|| MatrixKey::of(a)),
-                                cluster: &mut cluster,
-                                meter: &mut meter,
-                                dvfs: &cfg.dvfs,
-                                model: &model,
-                                breakdown: &mut breakdown,
-                                p,
-                                f_run,
-                            };
-                            if reconstruct(ctx, a, &part, ev.rank, b, &mut cg, *kind, *method) {
-                                construction_fallbacks += 1;
-                            }
-                        }
-                    }
-                    // Repair CG state (all schemes). The interpolation path
-                    // accounted its own reconstruction phases; assignment
-                    // schemes (F0/FI) reach here with the clock still at t0.
-                    let t1 = cluster.max_clock();
-                    charge_repair(&mut cluster, &costs);
-                    cg.restart();
-                    let t2 = cluster.max_clock();
-                    meter.account(t1, t2, &normal_mix);
-                    breakdown.repair_s += t2 - t1;
-                    seg_start = t2;
-                }
             }
             if cfg.record_history {
-                history.mark_recovery(iter, cg.relative_residual());
+                history.mark_recovery(iter, sim.cg.relative_residual());
             }
         }
-
-        // --- MNF: one coupled recovery for every rank lost this iteration.
-        if !mnf_batch.is_empty() {
-            if let Scheme::MultiNode(method) = &cfg.scheme {
-                mnf_batch.sort_unstable();
-                mnf_batch.dedup();
-                let k = mnf_batch.len();
-                let f_wait = cfg.dvfs.waiter_frequency(model.freq_table()).min(f_run);
-                let t0 = cluster.max_clock();
-                meter.account(seg_start, t0, &normal_mix);
-                let key = *matrix_key.get_or_insert_with(|| MatrixKey::of(a));
-                // The recurrence residual still reflects pre-corruption
-                // progress — same adaptive inner tolerance as LI/LSI.
-                let outer_relres = cg.relative_residual();
-                let res = construction::multi_li_with(
-                    &mut ws,
-                    Some(key),
-                    a,
-                    &part,
-                    &mnf_batch,
-                    cg.x(),
-                    b,
-                    *method,
-                    outer_relres,
-                );
-                // Phase 1 — gather the survivors' coupled data to each
-                // replacement rank + the evenly spread right-hand-side
-                // assembly. All cores active: compute power.
-                let per_rank_gather = (res.gather_bytes / p as u64).max(8);
-                for &rank in &mnf_batch {
-                    cluster.gather(rank, per_rank_gather);
-                }
-                if res.parallel_flops > 0 {
-                    cluster.compute_all(res.parallel_flops / p as u64);
-                }
-                let max_block = mnf_batch.iter().map(|&r| part.len(r)).max().unwrap_or(0) as u64;
-                for _ in 0..res.comm_rounds {
-                    cluster.allreduce(max_block * 8);
-                }
-                let t1 = cluster.max_clock();
-                meter.account(t0, t1, &[(CoreState::Compute, f_run, p)]);
-                // Phase 2 — the coupled union solve, split across the k
-                // replacement ranks; the surviving ranks wait (throttled
-                // under the DVFS policy, exactly like LI/LSI waiters).
-                let share = res.local_flops / k as u64;
-                for &rank in &mnf_batch {
-                    cluster.compute(rank, share);
-                }
-                cluster.sync_to_max();
-                let t2 = cluster.max_clock();
-                if t2 > t1 {
-                    meter.account(
-                        t1,
-                        t2,
-                        &[
-                            (CoreState::Compute, f_run, k),
-                            (CoreState::BusyWait, f_wait, p.saturating_sub(k)),
-                        ],
-                    );
-                }
-                breakdown.reconstruct_s += t2 - t0;
-                for (rank, block) in &res.blocks {
-                    cg.x_slice_mut(part.range(*rank)).copy_from_slice(block);
-                }
-                if res.fallback {
-                    construction_fallbacks += 1;
-                }
-                // Repair CG state once for the whole batch.
-                let t3 = cluster.max_clock();
-                charge_repair(&mut cluster, &costs);
-                cg.restart();
-                let t4 = cluster.max_clock();
-                meter.account(t3, t4, &normal_mix);
-                breakdown.repair_s += t4 - t3;
-                seg_start = t4;
-                if cfg.record_history {
-                    history.mark_recovery(iter, cg.relative_residual());
-                }
+        if let (FaultResponse::InterpolateBatch(method), false) = (plan.response, batch.is_empty())
+        {
+            batch.sort_unstable();
+            batch.dedup();
+            sim.reconstruct(Interpolant::Linear, method, &batch);
+            if cfg.record_history {
+                history.mark_recovery(iter, sim.cg.relative_residual());
             }
         }
 
         // --- One normal CG iteration. --------------------------------------
-        charge_iteration(&mut cluster, &costs);
-        let relres = cg.step();
+        charge_iteration(&mut sim.cluster, &sim.costs);
+        let relres = sim.cg.step();
         if cfg.record_history {
-            history.push(cg.iteration(), relres);
+            history.push(sim.cg.iteration(), relres);
         }
     }
 
-    let end = cluster.max_clock();
-    meter.account(seg_start, end, &normal_mix);
-    breakdown.solve_s = end - breakdown.resilience_s();
+    sim.close_phase(CoreState::Compute);
+    let end = sim.seg_start;
+    sim.breakdown.solve_s = end - sim.breakdown.resilience_s();
 
-    RunReport {
-        scheme: format!(
-            "{}{}",
-            cfg.scheme.label(),
-            if uses_dvfs_label(&cfg.scheme) {
-                cfg.dvfs.label_suffix()
-            } else {
-                ""
-            }
-        ),
-        num_ranks: p,
-        iterations: cg.iteration(),
-        converged: cg.converged(cfg.tolerance),
-        final_relative_residual: cg.relative_residual(),
-        time_s: end,
-        energy_j: meter.joules(),
-        avg_power_w: meter.average_power(),
-        faults_injected,
-        construction_fallbacks,
-        checkpoint_interval_iters: interval_iters,
-        checkpoint_bytes_written,
-        breakdown,
-        history,
-        power_profile: meter.profile().to_vec(),
-    }
-}
-
-/// Only schemes with a construction phase to throttle get the "-DVFS"
-/// suffix: the interpolation schemes (F0/FI have none) and MNF, whose
-/// surviving ranks wait out the coupled union solve.
-fn uses_dvfs_label(scheme: &Scheme) -> bool {
-    matches!(
-        scheme,
-        Scheme::Forward(ForwardKind::Linear(_))
-            | Scheme::Forward(ForwardKind::LeastSquares(_))
-            | Scheme::MultiNode(_)
-    )
-}
-
-/// Mutable driver state threaded into [`reconstruct`], bundled so the
-/// call site stays readable.
-struct ReconstructCtx<'a> {
-    /// Reusable construction scratch buffers (live for the whole run).
-    ws: &'a mut Workspace,
-    /// Artifact-cache key of the operator, hashed once per run.
-    key: MatrixKey,
-    cluster: &'a mut Cluster,
-    meter: &'a mut EnergyMeter,
-    dvfs: &'a DvfsPolicy,
-    model: &'a PowerModel,
-    breakdown: &'a mut PhaseBreakdown,
-    p: usize,
-    f_run: f64,
-}
-
-/// Runs an LI/LSI reconstruction and charges gather, parallel work, and
-/// the single-rank local solve (with DVFS-dependent waiter power).
-/// Returns true when the construction degraded to its zero-fill fallback.
-#[allow(clippy::too_many_arguments)]
-fn reconstruct(
-    ctx: ReconstructCtx<'_>,
-    a: &CsrMatrix,
-    part: &Partition,
-    rank: usize,
-    b: &[f64],
-    cg: &mut Cg<'_>,
-    kind: ForwardKind,
-    method: ConstructionMethod,
-) -> bool {
-    let ReconstructCtx {
-        ws,
-        key,
-        cluster,
-        meter,
-        dvfs,
-        model,
-        breakdown,
-        p,
-        f_run,
-    } = ctx;
-    let f_wait = dvfs.waiter_frequency(model.freq_table()).min(f_run);
-    let t0 = cluster.max_clock();
-
-    // The adaptive inner tolerance keys off the pre-fault progress: the
-    // recurrence residual still reflects the state before corruption.
-    let outer_relres = cg.relative_residual();
-    let res = match kind {
-        ForwardKind::Linear(_) => construction::li_with(
-            ws,
-            Some(key),
-            a,
-            part,
-            rank,
-            cg.x(),
-            b,
-            method,
-            outer_relres,
-        ),
-        ForwardKind::LeastSquares(_) => construction::lsi_with(
-            ws,
-            Some(key),
-            a,
-            part,
-            rank,
-            cg.x(),
-            b,
-            method,
-            outer_relres,
-        ),
-        _ => unreachable!("reconstruct called for an assignment scheme"),
+    let dvfs_suffix = if plan.takes_dvfs_suffix() {
+        cfg.dvfs.label_suffix()
+    } else {
+        ""
     };
-
-    // Phase 1 — gather inputs to the failed rank + any parallel work
-    // (β assembly, parallel-QR rounds). All cores active: compute power.
-    let per_rank_gather = (res.gather_bytes / p as u64).max(8);
-    cluster.gather(rank, per_rank_gather);
-    if res.parallel_flops > 0 {
-        cluster.compute_all(res.parallel_flops / p as u64);
+    RunReport {
+        scheme: format!("{}{dvfs_suffix}", plan.label),
+        num_ranks: p,
+        iterations: sim.cg.iteration(),
+        converged: sim.cg.converged(cfg.tolerance),
+        final_relative_residual: sim.cg.relative_residual(),
+        time_s: end,
+        energy_j: sim.meter.joules(),
+        avg_power_w: sim.meter.average_power(),
+        faults_injected,
+        construction_fallbacks: sim.construction_fallbacks,
+        checkpoint_interval_iters: interval_iters,
+        checkpoint_bytes_written: sim.checkpoint_bytes_written,
+        breakdown: sim.breakdown,
+        history,
+        power_profile: sim.meter.profile().to_vec(),
     }
-    let local_len = part.len(rank) as u64;
-    for _ in 0..res.comm_rounds {
-        cluster.allreduce(local_len * 8);
-    }
-    let t1 = cluster.max_clock();
-    meter.account(t0, t1, &[(CoreState::Compute, f_run, p)]);
-
-    // Phase 2 — the local solve on the failed rank; everyone else waits
-    // (busy-wait at f_max under the OS policy, throttled to f_min under
-    // the paper's DVFS optimization).
-    cluster.exclusive_compute(rank, res.local_flops);
-    cluster.sync_to_max();
-    let t2 = cluster.max_clock();
-    if t2 > t1 {
-        meter.account(
-            t1,
-            t2,
-            &[
-                (CoreState::Compute, f_run, 1),
-                (CoreState::BusyWait, f_wait, p.saturating_sub(1)),
-            ],
-        );
-    }
-    breakdown.reconstruct_s += t2 - t0;
-
-    // Install the reconstructed block.
-    let range = part.range(rank);
-    cg.x_slice_mut(range).copy_from_slice(&res.x_block);
-    res.fallback
 }

@@ -24,6 +24,10 @@
 //! * **DVFS power reduction** — the non-reconstructing cores drop to the
 //!   lowest frequency during construction ([`DvfsPolicy`]).
 //!
+//! A scheme is defined in one place, [`scheme`]: a registry row (label,
+//! aliases, constructor) and a plain-data recovery plan the driver
+//! executes.
+//!
 //! The [`driver`] module weaves a step-wise CG, a fault schedule, a
 //! recovery scheme, the virtual cluster, and the power model into one
 //! deterministic run that yields a [`RunReport`] with time-to-solution,
@@ -81,4 +85,4 @@ pub use interval::{
     daly_interval_s, energy_optimal_interval_s, young_interval_s, CheckpointInterval,
 };
 pub use report::{PhaseBreakdown, RunReport};
-pub use scheme::{CheckpointStorage, ForwardKind, Scheme};
+pub use scheme::{CheckpointStorage, ForwardKind, ModelFamily, Scheme};

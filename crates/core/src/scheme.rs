@@ -1,7 +1,23 @@
-//! Recovery-scheme taxonomy (paper Table 2).
+//! Recovery-scheme taxonomy (paper Table 2) — the one file that defines
+//! a scheme.
+//!
+//! A scheme is three things, all here:
+//!
+//! * a [`Scheme`] value — the serialized configuration (its JSON shape is
+//!   part of every spec hash and never changes casually);
+//! * a row of [`REGISTRY`] — canonical label, accepted aliases and the
+//!   registry-default constructor. [`Scheme::label`],
+//!   [`Scheme::KNOWN_LABELS`] and [`Scheme::parse_label`] are all derived
+//!   from that table;
+//! * a [`RecoveryPlan`] — what the driver does with it, as plain data
+//!   along a few orthogonal axes (replication factor, checkpoint tier ×
+//!   payload × interval, response to a lost block). [`Scheme::plan`] is
+//!   the only place a `Scheme` variant is interpreted; the driver works
+//!   from the plan alone.
 
 use serde::{Deserialize, Serialize};
 
+use crate::checkpoint::LossyCompressionModel;
 use crate::construction::ConstructionMethod;
 use crate::interval::CheckpointInterval;
 
@@ -93,6 +109,162 @@ pub enum Scheme {
     MultiNode(ConstructionMethod),
 }
 
+/// One registry row: canonical label, accepted aliases, and the
+/// constructor of the scheme with registry-default parameters.
+type Row = (&'static str, &'static [&'static str], fn() -> Scheme);
+
+/// The scheme registry, in stable presentation order: the single source
+/// of [`Scheme::label`], [`Scheme::KNOWN_LABELS`] and
+/// [`Scheme::parse_label`] (and, through those, of the `/metrics`
+/// pre-seed and `--schemes` validation).
+const REGISTRY: [Row; 16] = [
+    ("FF", &[], || Scheme::FaultFree),
+    ("RD", &[], || Scheme::Dmr),
+    ("TMR", &[], || Scheme::Tmr),
+    ("CR-M", &[], Scheme::cr_memory),
+    ("CR-D", &[], Scheme::cr_disk),
+    ("CR-ML", &[], Scheme::cr_multilevel),
+    ("CR-LC", &[], Scheme::cr_lossy),
+    ("ABFT-CR", &[], Scheme::abft_cr),
+    ("F0", &[], || Scheme::Forward(ForwardKind::Zero)),
+    ("FI", &[], || Scheme::Forward(ForwardKind::InitialGuess)),
+    ("LI (exact)", &[], Scheme::li_exact),
+    ("LI (CG)", &["LI"], Scheme::li_local_cg),
+    ("LSI (exact)", &[], Scheme::lsi_exact),
+    ("LSI (CG)", &["LSI"], Scheme::lsi_local_cg),
+    ("MNF", &["MNF (CG)"], Scheme::mnf),
+    ("MNF (exact)", &[], Scheme::mnf_exact),
+];
+
+/// Which of the paper's §3.2 analytical models describes a scheme.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ModelFamily {
+    /// FF — the normalization base; no overhead terms.
+    Baseline,
+    /// RD / TMR — `copies` full replicas run concurrently: no time
+    /// overhead, `copies`× power (Eq. 12).
+    Replication {
+        /// Powered replicas, the original included (2 for RD, 3 for TMR).
+        copies: usize,
+    },
+    /// CR-* — periodic checkpoints plus rollback.
+    CheckpointRestart,
+    /// F0 / FI / LI / LSI / MNF — forward recovery.
+    ForwardRecovery,
+}
+
+/// What the driver does for a scheme, resolved once per run.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) struct RecoveryPlan {
+    /// Canonical registry label.
+    pub label: &'static str,
+    /// Model family; carries the replication factor.
+    pub family: ModelFamily,
+    /// Periodic checkpointing, if the scheme does any.
+    pub checkpoint: Option<CheckpointPlan>,
+    /// What happens when a rank's block of `x` is lost.
+    pub response: FaultResponse,
+}
+
+impl RecoveryPlan {
+    /// Powered cores per rank: replicas draw power for the entire run.
+    pub fn core_multiplier(&self) -> usize {
+        match self.family {
+            ModelFamily::Replication { copies } => copies,
+            _ => 1,
+        }
+    }
+
+    /// Only schemes with a construction phase whose waiters can be
+    /// throttled take the "-DVFS" label suffix (F0/FI have none).
+    pub fn takes_dvfs_suffix(&self) -> bool {
+        matches!(
+            self.response,
+            FaultResponse::Interpolate(..) | FaultResponse::InterpolateBatch(_)
+        )
+    }
+}
+
+/// What a checkpoint stores.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) enum Payload {
+    /// The iterate `x` (CR-M / CR-D / CR-ML), optionally through the
+    /// run's generic `checkpoint_compression`.
+    Plain,
+    /// CR-LC: the mantissa-truncated iterate — what lands on disk, and
+    /// therefore what a rollback restores, carries the codec's bounded
+    /// relative error.
+    Lossy(LossyCompressionModel),
+    /// ABFT-CR: the full `(x, r, p, rᵀr)` Krylov state — 3× the bytes,
+    /// but a restore replays the fault-free sequence exactly.
+    Krylov,
+}
+
+/// Periodic checkpointing: tier × payload × interval. `Lossy` and
+/// `Krylov` payloads exist on the disk tier only (their `Scheme` variants
+/// have no storage knob).
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) struct CheckpointPlan {
+    /// Where checkpoints go. Node faults restore from the memory level
+    /// when the tier has one.
+    pub tier: CheckpointStorage,
+    /// What they store.
+    pub payload: Payload,
+    /// How often.
+    pub interval: CheckpointInterval,
+    /// A copy survives a system-wide outage (any tier with a disk level);
+    /// otherwise an outage restarts from the initial guess.
+    pub survives_outage: bool,
+    /// Preserved asymmetry (DESIGN §5 ledger): the read of a node-fault
+    /// restore is charged to the storage subsystem's energy for CR-LC and
+    /// ABFT-CR but not for the plain payload. Outage restores always are.
+    pub node_restore_metered: bool,
+}
+
+/// Preserved asymmetry (DESIGN §5 ledger): a node-fault restore charges
+/// the decompression flops of a compressed checkpoint; an outage restore
+/// never does.
+pub(crate) const OUTAGE_RESTORE_DECOMPRESSES: bool = false;
+
+/// What to put in a lost block without solving for it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Fill {
+    /// F0 — zeros.
+    Zero,
+    /// FI — the initial guess.
+    InitialGuess,
+}
+
+/// Which interpolation reconstructs lost blocks.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Interpolant {
+    /// LI / MNF — the (union) diagonal-block solve, Eq. 17/19.
+    Linear,
+    /// LSI — the least-squares column-panel solve, Eq. 18/20/21.
+    LeastSquares,
+}
+
+/// What the driver does when a fault hits a rank.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) enum FaultResponse {
+    /// FF: the baseline measures the fault-free cost; scheduled faults
+    /// (outages included) are counted but not applied.
+    Ignore,
+    /// RD / TMR: a replica's state is intact; only a local copy (DMR) or
+    /// majority vote (TMR) is charged.
+    MaskByReplica,
+    /// CR-*: restore the latest checkpoint, or the initial guess when
+    /// none exists yet.
+    Rollback,
+    /// F0 / FI: overwrite the lost block.
+    Assign(Fill),
+    /// LI / LSI: reconstruct each lost block as its fault arrives.
+    Interpolate(Interpolant, ConstructionMethod),
+    /// MNF: collect every rank lost in one iteration and reconstruct the
+    /// union of their blocks in one coupled LI solve.
+    InterpolateBatch(ConstructionMethod),
+}
+
 impl Scheme {
     /// CR-M with the Young-formula interval.
     pub fn cr_memory() -> Self {
@@ -173,83 +345,122 @@ impl Scheme {
         Scheme::MultiNode(ConstructionMethod::Exact)
     }
 
-    /// Short label used in tables and reports (FF, RD, CR-M, CR-D, F0,
-    /// FI, LI, LSI).
-    pub fn label(&self) -> String {
-        match self {
-            Scheme::FaultFree => "FF".to_string(),
-            Scheme::Dmr => "RD".to_string(),
-            Scheme::Tmr => "TMR".to_string(),
-            Scheme::Checkpoint { storage, .. } => match storage {
-                CheckpointStorage::Memory => "CR-M".to_string(),
-                CheckpointStorage::Disk => "CR-D".to_string(),
-                CheckpointStorage::Multilevel { .. } => "CR-ML".to_string(),
-            },
-            Scheme::Forward(kind) => match kind {
-                ForwardKind::Zero => "F0".to_string(),
-                ForwardKind::InitialGuess => "FI".to_string(),
-                ForwardKind::Linear(m) => format!("LI ({})", m.label()),
-                ForwardKind::LeastSquares(m) => format!("LSI ({})", m.label()),
-            },
-            Scheme::LossyCheckpoint { .. } => "CR-LC".to_string(),
-            Scheme::AbftCheckpoint { .. } => "ABFT-CR".to_string(),
-            Scheme::MultiNode(m) => match m {
-                ConstructionMethod::Exact => "MNF (exact)".to_string(),
-                _ => "MNF".to_string(),
-            },
+    /// True when `self` and `other` differ at most in tunable knobs
+    /// (interval, mantissa bits, disk cadence, inner-solve tolerances) —
+    /// i.e. they belong to the same registry row.
+    fn same_row(&self, other: &Scheme) -> bool {
+        use std::mem::discriminant as tag;
+        match (self, other) {
+            (Scheme::Checkpoint { storage: a, .. }, Scheme::Checkpoint { storage: b, .. }) => {
+                tag(a) == tag(b)
+            }
+            (Scheme::Forward(ForwardKind::Linear(a)), Scheme::Forward(ForwardKind::Linear(b)))
+            | (
+                Scheme::Forward(ForwardKind::LeastSquares(a)),
+                Scheme::Forward(ForwardKind::LeastSquares(b)),
+            )
+            | (Scheme::MultiNode(a), Scheme::MultiNode(b)) => a.label() == b.label(),
+            (Scheme::Forward(a), Scheme::Forward(b)) => tag(a) == tag(b),
+            _ => tag(self) == tag(other),
         }
+    }
+
+    fn row(&self) -> &'static Row {
+        REGISTRY
+            .iter()
+            .find(|row| self.same_row(&(row.2)()))
+            // rsls-lint: allow(no-unwrap) -- a scheme shape without a registry row is a bug the table-driven unit test catches
+            .expect("every scheme shape has a registry row")
+    }
+
+    /// Short label used in tables and reports (FF, RD, CR-M, CR-D, F0,
+    /// FI, LI, LSI, …): the canonical label of this scheme's registry row.
+    pub fn label(&self) -> String {
+        self.row().0.to_string()
     }
 
     /// Every canonical scheme label, in stable presentation order — the
     /// registry behind label-keyed metrics and `--schemes` validation.
-    pub const KNOWN_LABELS: [&'static str; 16] = [
-        "FF",
-        "RD",
-        "TMR",
-        "CR-M",
-        "CR-D",
-        "CR-ML",
-        "CR-LC",
-        "ABFT-CR",
-        "F0",
-        "FI",
-        "LI (exact)",
-        "LI (CG)",
-        "LSI (exact)",
-        "LSI (CG)",
-        "MNF",
-        "MNF (exact)",
-    ];
+    pub const KNOWN_LABELS: [&'static str; 16] = {
+        let mut labels = [""; 16];
+        let mut i = 0;
+        while i < REGISTRY.len() {
+            labels[i] = REGISTRY[i].0;
+            i += 1;
+        }
+        labels
+    };
 
-    /// The inverse of [`Scheme::label`]: parses a canonical label back to
-    /// a scheme with registry-default parameters (checkpoint schemes get
-    /// the Young interval, CR-LC its default quantizer — `label()` does
-    /// not carry those knobs). Bare `LI`/`LSI`/`MNF` select the optimized
-    /// local-CG construction. Returns `None` for unknown labels.
+    /// The inverse of [`Scheme::label`]: parses a canonical label (or one
+    /// of its row's aliases — bare `LI`/`LSI`/`MNF` select the optimized
+    /// local-CG construction) back to a scheme with registry-default
+    /// parameters (checkpoint schemes get the Young interval, CR-LC its
+    /// default quantizer — `label()` does not carry those knobs). Returns
+    /// `None` for unknown labels.
     ///
     /// Round-trip guarantee: `parse_label(s.label())` succeeds for every
     /// scheme `s`, and the parsed scheme prints the same label.
     pub fn parse_label(label: &str) -> Option<Scheme> {
-        let scheme = match label.trim() {
-            "FF" => Scheme::FaultFree,
-            "RD" => Scheme::Dmr,
-            "TMR" => Scheme::Tmr,
-            "CR-M" => Scheme::cr_memory(),
-            "CR-D" => Scheme::cr_disk(),
-            "CR-ML" => Scheme::cr_multilevel(),
-            "CR-LC" => Scheme::cr_lossy(),
-            "ABFT-CR" => Scheme::abft_cr(),
-            "F0" => Scheme::Forward(ForwardKind::Zero),
-            "FI" => Scheme::Forward(ForwardKind::InitialGuess),
-            "LI" | "LI (CG)" => Scheme::li_local_cg(),
-            "LI (exact)" => Scheme::li_exact(),
-            "LSI" | "LSI (CG)" => Scheme::lsi_local_cg(),
-            "LSI (exact)" => Scheme::lsi_exact(),
-            "MNF" | "MNF (CG)" => Scheme::mnf(),
-            "MNF (exact)" => Scheme::mnf_exact(),
-            _ => return None,
+        let label = label.trim();
+        REGISTRY
+            .iter()
+            .find(|(name, aliases, _)| *name == label || aliases.contains(&label))
+            .map(|row| (row.2)())
+    }
+
+    /// Resolves the scheme into the plain-data plan the driver executes —
+    /// the only place a `Scheme` variant is interpreted.
+    pub(crate) fn plan(&self) -> RecoveryPlan {
+        use CheckpointStorage::Disk;
+        use FaultResponse as R;
+        use ModelFamily as F;
+        let forward = |response| (F::ForwardRecovery, None, response);
+        let checkpointing = |tier, payload, interval| {
+            let ckpt = CheckpointPlan {
+                tier,
+                payload,
+                interval,
+                survives_outage: tier != CheckpointStorage::Memory,
+                node_restore_metered: payload != Payload::Plain,
+            };
+            (F::CheckpointRestart, Some(ckpt), R::Rollback)
         };
-        Some(scheme)
+        let (family, checkpoint, response) = match *self {
+            Scheme::FaultFree => (F::Baseline, None, R::Ignore),
+            Scheme::Dmr => (F::Replication { copies: 2 }, None, R::MaskByReplica),
+            Scheme::Tmr => (F::Replication { copies: 3 }, None, R::MaskByReplica),
+            Scheme::Checkpoint { storage, interval } => {
+                checkpointing(storage, Payload::Plain, interval)
+            }
+            Scheme::LossyCheckpoint {
+                interval,
+                keep_mantissa_bits: keep,
+            } => {
+                let codec = LossyCompressionModel::from_keep_bits(keep);
+                checkpointing(Disk, Payload::Lossy(codec), interval)
+            }
+            Scheme::AbftCheckpoint { interval } => checkpointing(Disk, Payload::Krylov, interval),
+            Scheme::Forward(ForwardKind::Zero) => forward(R::Assign(Fill::Zero)),
+            Scheme::Forward(ForwardKind::InitialGuess) => forward(R::Assign(Fill::InitialGuess)),
+            Scheme::Forward(ForwardKind::Linear(m)) => {
+                forward(R::Interpolate(Interpolant::Linear, m))
+            }
+            Scheme::Forward(ForwardKind::LeastSquares(m)) => {
+                forward(R::Interpolate(Interpolant::LeastSquares, m))
+            }
+            Scheme::MultiNode(m) => forward(R::InterpolateBatch(m)),
+        };
+        RecoveryPlan {
+            label: self.row().0,
+            family,
+            checkpoint,
+            response,
+        }
+    }
+
+    /// The analytical-model family (paper §3.2) this scheme belongs to.
+    pub fn model_family(&self) -> ModelFamily {
+        self.plan().family
     }
 
     /// True for forward-recovery schemes (F0/FI/LI/LSI).
@@ -259,12 +470,7 @@ impl Scheme {
 
     /// True for schemes that take periodic checkpoints.
     pub fn is_checkpoint(&self) -> bool {
-        matches!(
-            self,
-            Scheme::Checkpoint { .. }
-                | Scheme::LossyCheckpoint { .. }
-                | Scheme::AbftCheckpoint { .. }
-        )
+        self.plan().checkpoint.is_some()
     }
 
     /// True for the multi-rank simultaneous-failure forward scheme.
@@ -310,29 +516,62 @@ mod tests {
 
     #[test]
     fn parse_label_inverts_label_for_every_scheme() {
-        let schemes = [
-            Scheme::FaultFree,
-            Scheme::Dmr,
-            Scheme::Tmr,
-            Scheme::cr_memory(),
-            Scheme::cr_disk(),
-            Scheme::cr_multilevel(),
-            Scheme::cr_lossy(),
+        // Every row's default scheme, plus every tunable knob moved off its
+        // default: knobs never change the row a scheme belongs to.
+        let mut schemes: Vec<Scheme> = REGISTRY.iter().map(|row| (row.2)()).collect();
+        let fixed = ConstructionMethod::local_cg_fixed(1e-8, 50);
+        schemes.extend([
             Scheme::cr_lossy_bits(16),
-            Scheme::abft_cr(),
-            Scheme::Forward(ForwardKind::Zero),
-            Scheme::Forward(ForwardKind::InitialGuess),
-            Scheme::li_local_cg(),
-            Scheme::li_exact(),
-            Scheme::lsi_local_cg(),
-            Scheme::lsi_exact(),
-            Scheme::mnf(),
-            Scheme::mnf_exact(),
-        ];
+            Scheme::Checkpoint {
+                storage: CheckpointStorage::Multilevel { disk_every: 9 },
+                interval: CheckpointInterval::EveryIterations(7),
+            },
+            Scheme::AbftCheckpoint {
+                interval: CheckpointInterval::Daly,
+            },
+            Scheme::Forward(ForwardKind::Linear(fixed)),
+            Scheme::Forward(ForwardKind::LeastSquares(fixed)),
+            Scheme::MultiNode(fixed),
+        ]);
         for s in schemes {
             let parsed = Scheme::parse_label(&s.label())
                 .unwrap_or_else(|| panic!("label {:?} must parse", s.label()));
             assert_eq!(parsed.label(), s.label(), "label round-trip");
+            assert_eq!(parsed.plan().label, s.label(), "the plan carries the label");
+        }
+    }
+
+    #[test]
+    fn registry_rows_are_distinct_and_self_consistent() {
+        for (i, (label, aliases, make)) in REGISTRY.iter().enumerate() {
+            // A row whose constructor lands in another row (a copied line,
+            // a new shape `same_row` cannot tell apart) fails here.
+            assert_eq!(make().label(), *label, "row {i} constructs its own label");
+            assert_eq!(Scheme::KNOWN_LABELS[i], *label);
+            for name in aliases.iter().chain([label]) {
+                assert_eq!(Scheme::parse_label(name), Some(make()), "{name:?}");
+                let hits = REGISTRY
+                    .iter()
+                    .filter(|(l, a, _)| l == name || a.contains(name))
+                    .count();
+                assert_eq!(hits, 1, "{name:?} names exactly one row");
+            }
+        }
+    }
+
+    #[test]
+    fn model_families_follow_table_2() {
+        for label in Scheme::KNOWN_LABELS {
+            let expected = match label {
+                "FF" => ModelFamily::Baseline,
+                "RD" => ModelFamily::Replication { copies: 2 },
+                "TMR" => ModelFamily::Replication { copies: 3 },
+                l if l.contains("CR") => ModelFamily::CheckpointRestart,
+                _ => ModelFamily::ForwardRecovery,
+            };
+            let scheme = Scheme::parse_label(label).unwrap();
+            assert_eq!(scheme.model_family(), expected, "{label}");
+            assert_eq!(scheme.is_checkpoint(), label.contains("CR"), "{label}");
         }
     }
 

@@ -549,3 +549,63 @@ fn mnf_dvfs_throttles_waiters_during_the_union_solve() {
     );
     assert!(dvfs.scheme.contains("DVFS"));
 }
+
+#[test]
+fn phases_and_energy_are_conserved_for_every_label() {
+    // For all 16 registry labels, under node faults and under an outage:
+    // the phase times sum to the total, no phase is negative, and the
+    // energy is the integral of the power profile — plus, for schemes with
+    // a disk tier only, the storage subsystem's own joules.
+    let (a, b) = system();
+    let ff = ff_report(&a, &b);
+    let shapes = [
+        faults(3, ff.iterations),
+        FaultSchedule::single_at_iteration(ff.iterations / 2, 1, FaultClass::Swo),
+    ];
+    for label in Scheme::KNOWN_LABELS {
+        let scheme = Scheme::parse_label(label).expect("registry label");
+        for (i, shape) in shapes.iter().enumerate() {
+            let mut cfg = RunConfig::new(scheme, RANKS).with_faults(shape.clone());
+            // Short MTBF: Young resolves to a few iterations on every
+            // tier, so checkpoints and restores actually happen.
+            cfg.mtbf_s = Some(1.0e-5);
+            let r = run(&a, &b, &cfg);
+            let what = format!("{label} / shape {i}");
+            assert!(r.converged, "{what}");
+
+            let bd = r.breakdown;
+            for phase in [
+                bd.solve_s,
+                bd.checkpoint_s,
+                bd.restore_s,
+                bd.reconstruct_s,
+                bd.repair_s,
+            ] {
+                assert!(phase >= 0.0, "{what}: negative phase in {bd:?}");
+            }
+            assert!(
+                (bd.total_s() - r.time_s).abs() <= 1e-12 * r.time_s,
+                "{what}: phases sum to {} but the run took {}",
+                bd.total_s(),
+                r.time_s
+            );
+
+            let integral: f64 = r
+                .power_profile
+                .iter()
+                .map(|s| s.watts * (s.t1 - s.t0))
+                .sum();
+            let storage_j = r.energy_j - integral;
+            let disk_tier = scheme.is_checkpoint() && label != "CR-M";
+            if disk_tier {
+                assert!(storage_j > 0.0, "{what}: disk traffic must cost energy");
+            } else {
+                assert!(
+                    storage_j.abs() <= 1e-9 * r.energy_j,
+                    "{what}: energy {} vs profile integral {integral}",
+                    r.energy_j
+                );
+            }
+        }
+    }
+}
