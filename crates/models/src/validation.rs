@@ -2,7 +2,7 @@
 
 use serde::{Deserialize, Serialize};
 
-use rsls_core::RunReport;
+use rsls_core::{ModelFamily, RunReport, Scheme};
 
 use crate::fit::FittedParams;
 use crate::schemes::{CrModel, FwModel};
@@ -40,58 +40,66 @@ pub fn validate(scheme_run: &RunReport, ff: &RunReport) -> ValidationRow {
     let norm = scheme_run.normalized_vs(ff);
     let label = scheme_run.scheme.clone();
 
-    let (model_t_res, model_p, model_e_res) = if label == "FF" {
-        (0.0, 1.0, 0.0)
-    } else if label == "RD" {
-        // Eq. 12: no time overhead, double power and energy.
-        (0.0, 2.0, 1.0)
-    } else if label.starts_with("CR") {
-        let interval_s = scheme_run
-            .checkpoint_interval_iters
-            .map(|i| i as f64 * params.t_iter_s)
-            .unwrap_or(100.0 * params.t_iter_s);
-        // Fold the measured restore cost into the effective per-checkpoint
-        // overhead so the model sees all storage traffic.
-        let m = CrModel {
-            t_c_s: params.t_c_s + params.t_restore_per_fault_s * params.lambda_per_s * interval_s,
-            interval_s,
-            p_ckpt_frac: 0.8,
-        };
-        match m.total_time_s(ff.time_s, params.lambda_per_s) {
-            Some(total) => {
-                let t_res = (total - ff.time_s) / ff.time_s;
-                let p = m.avg_power_frac(params.lambda_per_s);
-                let e_res = m
-                    .e_res_j(ff.time_s, params.lambda_per_s, ff.avg_power_w)
-                    .unwrap_or(0.0)
-                    / ff.energy_j;
-                (t_res, p, e_res)
+    // A report's label is a registry label plus, for schemes with a
+    // throttleable construction phase, the DVFS suffix. Labels outside the
+    // registry keep the historical default, forward recovery.
+    let family = Scheme::parse_label(label.strip_suffix("-DVFS").unwrap_or(&label))
+        .map_or(ModelFamily::ForwardRecovery, |s| s.model_family());
+
+    let (model_t_res, model_p, model_e_res) = match family {
+        ModelFamily::Baseline => (0.0, 1.0, 0.0),
+        // Eq. 12: no time overhead; `copies`× power, hence `copies − 1`
+        // fault-free energies of overhead (RD doubles, TMR triples).
+        ModelFamily::Replication { copies } => (0.0, copies as f64, copies as f64 - 1.0),
+        ModelFamily::CheckpointRestart => {
+            let interval_s = scheme_run
+                .checkpoint_interval_iters
+                .map(|i| i as f64 * params.t_iter_s)
+                .unwrap_or(100.0 * params.t_iter_s);
+            // Fold the measured restore cost into the effective per-checkpoint
+            // overhead so the model sees all storage traffic.
+            let m = CrModel {
+                t_c_s: params.t_c_s
+                    + params.t_restore_per_fault_s * params.lambda_per_s * interval_s,
+                interval_s,
+                p_ckpt_frac: 0.8,
+            };
+            match m.total_time_s(ff.time_s, params.lambda_per_s) {
+                Some(total) => {
+                    let t_res = (total - ff.time_s) / ff.time_s;
+                    let p = m.avg_power_frac(params.lambda_per_s);
+                    let e_res = m
+                        .e_res_j(ff.time_s, params.lambda_per_s, ff.avg_power_w)
+                        .unwrap_or(0.0)
+                        / ff.energy_j;
+                    (t_res, p, e_res)
+                }
+                None => (f64::INFINITY, 1.0, f64::INFINITY),
             }
-            None => (f64::INFINITY, 1.0, f64::INFINITY),
         }
-    } else {
-        // Forward recovery.
-        let n = scheme_run.num_ranks as f64;
-        let p_idle = if label.contains("DVFS") { 0.45 } else { 0.74 };
-        let m = FwModel {
-            t_const_s: params.t_const_s + params.t_restore_per_fault_s,
-            t_extra_per_fault_s: params.t_extra_per_fault_s,
-            active_frac: 1.0 / n,
-            p_idle_frac: p_idle,
-        };
-        match m.total_time_s(ff.time_s, params.lambda_per_s) {
-            Some(total) => {
-                let t_res = (total - ff.time_s) / ff.time_s;
-                let p = m
-                    .avg_power_frac(ff.time_s, params.lambda_per_s)
-                    .unwrap_or(1.0);
-                let e_res = m
-                    .e_res_j(ff.time_s, params.lambda_per_s, ff.avg_power_w)
-                    .unwrap_or(0.0)
-                    / ff.energy_j;
-                (t_res, p, e_res)
+        ModelFamily::ForwardRecovery => {
+            let n = scheme_run.num_ranks as f64;
+            let p_idle = if label.contains("DVFS") { 0.45 } else { 0.74 };
+            let m = FwModel {
+                t_const_s: params.t_const_s + params.t_restore_per_fault_s,
+                t_extra_per_fault_s: params.t_extra_per_fault_s,
+                active_frac: 1.0 / n,
+                p_idle_frac: p_idle,
+            };
+            match m.total_time_s(ff.time_s, params.lambda_per_s) {
+                Some(total) => {
+                    let t_res = (total - ff.time_s) / ff.time_s;
+                    let p = m
+                        .avg_power_frac(ff.time_s, params.lambda_per_s)
+                        .unwrap_or(1.0);
+                    let e_res = m
+                        .e_res_j(ff.time_s, params.lambda_per_s, ff.avg_power_w)
+                        .unwrap_or(0.0)
+                        / ff.energy_j;
+                    (t_res, p, e_res)
+                }
+                None => (f64::INFINITY, 1.0, f64::INFINITY),
             }
-            None => (f64::INFINITY, 1.0, f64::INFINITY),
         }
     };
 
@@ -124,7 +132,7 @@ mod tests {
             avg_power_w: energy / time,
             faults_injected: faults,
             construction_fallbacks: 0,
-            checkpoint_interval_iters: if scheme.starts_with("CR") {
+            checkpoint_interval_iters: if scheme.contains("CR") {
                 Some(100)
             } else {
                 None
@@ -132,13 +140,13 @@ mod tests {
             checkpoint_bytes_written: 0,
             breakdown: PhaseBreakdown {
                 solve_s: time * 0.9,
-                checkpoint_s: if scheme.starts_with("CR") {
+                checkpoint_s: if scheme.contains("CR") {
                     time * 0.05
                 } else {
                     0.0
                 },
                 restore_s: 0.0,
-                reconstruct_s: if scheme.starts_with("L") {
+                reconstruct_s: if scheme.starts_with(['L', 'M']) {
                     time * 0.1
                 } else {
                     0.0
@@ -161,6 +169,61 @@ mod tests {
         assert_eq!(row.exp_t_res, 0.0);
         assert!((row.exp_p - 2.0).abs() < 1e-12);
         assert!((row.exp_e_res - 1.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn tmr_row_carries_the_triple_replication_term() {
+        // TMR is replication, not forward recovery: no time overhead,
+        // 3× power, two fault-free energies of overhead.
+        let ff = report("FF", 1000, 100.0, 1000.0, 0);
+        let tmr = report("TMR", 1000, 100.0, 3000.0, 3);
+        let row = validate(&tmr, &ff);
+        assert_eq!(
+            (row.model_t_res, row.model_p, row.model_e_res),
+            (0.0, 3.0, 2.0)
+        );
+        assert!((row.exp_p - 3.0).abs() < 1e-12);
+        assert!((row.exp_e_res - 2.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn ff_row_has_no_overhead_terms() {
+        let ff = report("FF", 1000, 100.0, 1000.0, 0);
+        let row = validate(&ff, &ff);
+        assert_eq!(
+            (row.model_t_res, row.model_p, row.model_e_res),
+            (0.0, 1.0, 0.0)
+        );
+    }
+
+    #[test]
+    fn every_checkpoint_label_uses_the_cr_model() {
+        // ABFT-CR does not start with "CR" but is checkpoint/restart all
+        // the same: on identical measurements every checkpointing label
+        // must get the CrModel row, and the forward model a different one.
+        let ff = report("FF", 1000, 100.0, 1000.0, 0);
+        let cr_m = validate(&report("CR-M", 1400, 150.0, 1450.0, 5), &ff);
+        for label in ["CR-D", "CR-ML", "CR-LC", "ABFT-CR"] {
+            let row = validate(&report(label, 1400, 150.0, 1450.0, 5), &ff);
+            assert_eq!(row.model_t_res, cr_m.model_t_res, "{label}");
+            assert_eq!(row.model_p, cr_m.model_p, "{label}");
+            assert_eq!(row.model_e_res, cr_m.model_e_res, "{label}");
+            assert!(row.model_p <= 1.0, "{label}: checkpoint phases draw less");
+        }
+        let mut fw = report("CR-M", 1400, 150.0, 1450.0, 5);
+        fw.scheme = "F0".into();
+        assert_ne!(validate(&fw, &ff).model_t_res, cr_m.model_t_res);
+    }
+
+    #[test]
+    fn mnf_rows_use_the_forward_model_and_honour_dvfs() {
+        let ff = report("FF", 1000, 100.0, 1000.0, 0);
+        let li = validate(&report("LI (CG)", 1300, 150.0, 1500.0, 5), &ff);
+        let mnf = validate(&report("MNF", 1300, 150.0, 1500.0, 5), &ff);
+        assert_eq!(mnf.model_t_res, li.model_t_res);
+        assert_eq!(mnf.model_e_res, li.model_e_res);
+        let dvfs = validate(&report("MNF-DVFS", 1300, 150.0, 1500.0, 5), &ff);
+        assert!(dvfs.model_p < mnf.model_p);
     }
 
     #[test]

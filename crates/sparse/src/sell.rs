@@ -405,10 +405,12 @@ pub const SELL_MAX_PADDING: f64 = 1.25;
 /// C-chunk padded to its longest row — without materializing the
 /// conversion. Matrices whose row lengths vary so much inside a window
 /// that padding exceeds [`SELL_MAX_PADDING`] (high row-length variance)
-/// stay on CSR. A pure function of the matrix structure, so the same
-/// operator always selects the same format on every machine.
+/// stay on CSR, and so do operators with more columns than SELL's 32-bit
+/// column indices can address (the conversion would refuse them). A pure
+/// function of the matrix structure, so the same operator always selects
+/// the same format on every machine.
 pub fn select_format(a: &CsrMatrix) -> Format {
-    if a.nnz() < SELL_MIN_NNZ {
+    if a.nnz() < SELL_MIN_NNZ || a.ncols() > u32::MAX as usize {
         return Format::Csr;
     }
     let (c, sigma) = (SELL_DEFAULT_C, SELL_DEFAULT_SIGMA);
@@ -604,6 +606,33 @@ mod tests {
         let sell = SellMatrix::from_csr_with(&a, 4, 6);
         assert_eq!(sell.sigma(), 8);
         assert_eq!(sell.chunk_height(), 4);
+    }
+
+    #[test]
+    #[cfg(target_pointer_width = "64")]
+    fn select_format_keeps_operators_too_wide_for_u32_columns_on_csr() {
+        // Uniform five-entry rows: zero padding, enough nonzeros — SELL on
+        // every other count. But one column lies beyond u32 indexing, so
+        // the conversion's assert must stay unreachable from `select`.
+        let ncols = u32::MAX as usize + 1;
+        let nrows = SELL_MIN_NNZ / 5;
+        let row_ptr: Vec<usize> = (0..=nrows).map(|r| 5 * r).collect();
+        let col_idx: Vec<usize> = (0..nrows)
+            .flat_map(|r| (0..4).map(move |k| r + k).chain([ncols - 1]))
+            .collect();
+        let values = vec![1.0; col_idx.len()];
+        let wide = CsrMatrix::from_raw_parts(nrows, ncols, row_ptr.clone(), col_idx, values)
+            .expect("valid CSR");
+        assert!(wide.nnz() >= SELL_MIN_NNZ);
+        assert_eq!(select_format(&wide), Format::Csr);
+        assert_eq!(SpmvOperator::select(&wide).format(), Format::Csr);
+
+        // The same structure inside the u32 range does select SELL.
+        let col_idx: Vec<usize> = (0..nrows).flat_map(|r| r..r + 5).collect();
+        let values = vec![1.0; col_idx.len()];
+        let narrow = CsrMatrix::from_raw_parts(nrows, nrows + 4, row_ptr, col_idx, values)
+            .expect("valid CSR");
+        assert_eq!(select_format(&narrow), Format::Sell);
     }
 
     #[test]
