@@ -41,9 +41,10 @@ use rsls_sparse::sell::{SELL_DEFAULT_C, SELL_DEFAULT_SIGMA};
 use rsls_sparse::vector::{axpy, axpy_dot, dot};
 use rsls_sparse::{CsrMatrix, Format, Partition, SellMatrix};
 
-/// Schema version of the emitted report. Version 2 adds the
+/// Schema version of the emitted report. Version 2 added the
 /// threads × format SpMV matrix and the PCG warm-allocation counters;
-/// v1 baselines still load (missing sections default to empty/zero).
+/// `compare` reads v2 only (`rsls-lab`'s `kernels` view is the tolerant
+/// reader of the v1 `BENCH_PR5.json`).
 const REPORT_VERSION: u32 = 2;
 
 // ---------------------------------------------------------------------------
@@ -397,9 +398,8 @@ fn measure_kernel() -> KernelBench {
     });
     std::hint::black_box(acc);
 
-    // Legacy aggregate scalars (v1 schema) derive from the 4-thread
-    // parallel-CSR column so old and new baselines describe the same
-    // measurement.
+    // The aggregate scalars derive from the 4-thread parallel-CSR
+    // column, the measurement they have always described.
     KernelBench {
         threads: rayon::current_num_threads(),
         effective_threads: rayon::effective_num_threads(),

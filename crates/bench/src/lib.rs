@@ -1,11 +1,6 @@
 #![warn(missing_docs)]
-//! Shared workloads for the criterion benches and the `rsls-bench`
-//! regression gate.
-//!
-//! The benches regenerate every table and figure of the paper at a
-//! smoke scale (criterion needs many repetitions, so each measured body
-//! is a scaled-down — but structurally identical — version of the full
-//! experiment run by `rsls-run`).
+//! Workloads, report schema and gates of the `rsls-bench` regression
+//! gate — the workspace's one kernel-level measurement surface.
 //!
 //! The `rsls-bench` binary (see `src/bin/rsls-bench.rs`) measures the
 //! hot-path counters — the threads × format SpMV matrix (CSR and
@@ -26,21 +21,6 @@ use rsls_sparse::CsrMatrix;
 /// regime (thin band, delocalized spectrum).
 pub fn small_regular() -> (CsrMatrix, Vec<f64>) {
     let a = banded_spd(&BandedConfig::regular(1200, 7, 5e-4, 99).with_band_decay(0.3));
-    let b = rhs(&a);
-    (a, b)
-}
-
-/// A small irregular SPD system (long-range couplings).
-pub fn small_irregular() -> (CsrMatrix, Vec<f64>) {
-    let a =
-        banded_spd(&BandedConfig::irregular(1200, 13, 1e-4, 0.35, 99).with_scaling_decades(1.0));
-    let b = rhs(&a);
-    (a, b)
-}
-
-/// A small 5-point stencil system.
-pub fn small_stencil() -> (CsrMatrix, Vec<f64>) {
-    let a = stencil_2d(40, 40);
     let b = rhs(&a);
     (a, b)
 }
@@ -114,7 +94,7 @@ impl KernelCell {
 }
 
 /// Kernel-level measurements.
-#[derive(Debug, Clone, PartialEq, serde::Serialize)]
+#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
 pub struct KernelBench {
     /// Worker threads the ambient pool reported (`RAYON_NUM_THREADS`
     /// pins this to 4 in CI regardless of runner size).
@@ -131,32 +111,8 @@ pub struct KernelBench {
     /// Fused `axpy_dot` time relative to separate `axpy` + `dot`
     /// (&gt; 1 means the fused kernel is faster).
     pub axpy_dot_speedup: f64,
-    /// The threads × format SpMV matrix (v2 reports; empty in v1).
+    /// The threads × format SpMV matrix.
     pub matrix: Vec<KernelCell>,
-}
-
-// Hand-written (not derived) so v1 baselines stay loadable: the
-// vendored serde's derive errors on any missing field, and v1 reports
-// predate `effective_threads` and the cell matrix.
-impl serde::Deserialize for KernelBench {
-    fn from_value(v: &serde::Value) -> Result<Self, serde::DeError> {
-        let threads: usize = serde::helpers::field(v, "threads")?;
-        Ok(KernelBench {
-            threads,
-            effective_threads: match v.get("effective_threads") {
-                Some(e) => <usize as serde::Deserialize>::from_value(e)?,
-                None => threads,
-            },
-            spmv_serial_mflops: serde::helpers::field(v, "spmv_serial_mflops")?,
-            par_spmv_mflops: serde::helpers::field(v, "par_spmv_mflops")?,
-            par_spmv_speedup: serde::helpers::field(v, "par_spmv_speedup")?,
-            axpy_dot_speedup: serde::helpers::field(v, "axpy_dot_speedup")?,
-            matrix: match v.get("matrix") {
-                Some(m) => <Vec<KernelCell> as serde::Deserialize>::from_value(m)?,
-                None => Vec::new(),
-            },
-        })
-    }
 }
 
 impl KernelBench {
@@ -171,7 +127,7 @@ impl KernelBench {
 /// Allocation counters over fixed solver workloads (counted by the
 /// `rsls-bench` binary's instrumented global allocator — exact, not
 /// timed, so gated tightly).
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
 pub struct AllocBench {
     /// Heap allocations across 100 `Cg::step` calls (post-setup).
     pub cg_steps_allocs: u64,
@@ -185,28 +141,6 @@ pub struct AllocBench {
     /// Allocations across 100 warm `Ic0Pcg::step` calls (factor and
     /// workspace preallocated; steady state must be allocation-free).
     pub ic0_warm_allocs: u64,
-}
-
-// Hand-written for the same v1-compatibility reason as [`KernelBench`]:
-// the PCG counters default to 0 when a pre-matrix baseline omits them,
-// which keeps the zero-alloc requirement intact (the gate then allows
-// at most the +2 slack).
-impl serde::Deserialize for AllocBench {
-    fn from_value(v: &serde::Value) -> Result<Self, serde::DeError> {
-        let opt = |name: &str| -> Result<u64, serde::DeError> {
-            match v.get(name) {
-                Some(inner) => <u64 as serde::Deserialize>::from_value(inner),
-                None => Ok(0),
-            }
-        };
-        Ok(AllocBench {
-            cg_steps_allocs: serde::helpers::field(v, "cg_steps_allocs")?,
-            li_warm_allocs: serde::helpers::field(v, "li_warm_allocs")?,
-            lsi_warm_allocs: serde::helpers::field(v, "lsi_warm_allocs")?,
-            jacobi_warm_allocs: opt("jacobi_warm_allocs")?,
-            ic0_warm_allocs: opt("ic0_warm_allocs")?,
-        })
-    }
 }
 
 /// Artifact-cache effectiveness over a deterministic mini-campaign.
@@ -558,7 +492,7 @@ mod tests {
 
     #[test]
     fn workloads_are_well_formed() {
-        for (a, b) in [small_regular(), small_irregular(), small_stencil()] {
+        for (a, b) in [small_regular(), large_stencil()] {
             assert_eq!(a.nrows(), b.len());
             assert!(a.is_symmetric(1e-9));
         }
@@ -759,37 +693,6 @@ mod tests {
             .unwrap();
         assert!(!g.ok, "SELL losing to serial CSR must fail the gate");
         assert!((g.required - SELL_SERIAL_FLOOR).abs() < 1e-12);
-    }
-
-    #[test]
-    fn v1_reports_without_matrix_or_pcg_counters_still_load() {
-        // The committed BENCH_PR5.json predates the threads × format
-        // matrix and the PCG alloc counters; it must stay comparable.
-        let v1 = r#"{
-            "version": 1,
-            "kernel": {
-                "threads": 1,
-                "spmv_serial_mflops": 500.0,
-                "par_spmv_mflops": 420.0,
-                "par_spmv_speedup": 0.84,
-                "axpy_dot_speedup": 1.05
-            },
-            "alloc": {"cg_steps_allocs": 0, "li_warm_allocs": 8, "lsi_warm_allocs": 20},
-            "cache": {"artifact_hit_rate": 0.9, "workload_hit_rate": 0.85, "suite_warm_speedup": 50.0},
-            "e2e": {"campaign_cold_s": 2.0, "campaign_warm_s": 1.0, "campaign_warm_speedup": 2.0}
-        }"#;
-        let base: BenchReport = serde_json::from_str(v1).unwrap();
-        assert_eq!(base.kernel.matrix, Vec::new());
-        assert_eq!(base.kernel.effective_threads, base.kernel.threads);
-        assert_eq!(base.alloc.jacobi_warm_allocs, 0);
-        assert_eq!(base.alloc.ic0_warm_allocs, 0);
-        // A v2 report gates cleanly against it: the v1 baseline has no
-        // matrix cells to demand, and its sub-4-thread parallel
-        // measurement licenses a skip on equally small machines only.
-        let mut cur = report();
-        cur.kernel.threads = 1;
-        let gates = gate(&cur, &base);
-        assert!(gates.iter().all(|g| g.ok), "{gates:?}");
     }
 
     #[test]

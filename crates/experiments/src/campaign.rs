@@ -24,7 +24,7 @@ use rsls_sparse::CsrMatrix;
 
 use crate::Scale;
 
-static ENGINE: OnceLock<Engine> = OnceLock::new();
+static ENGINE: OnceLock<Arc<Engine>> = OnceLock::new();
 
 thread_local! {
     // Thread-local, not process-global: a unit spec is always built on
@@ -32,11 +32,11 @@ thread_local! {
     // (rsls-serve workers computing different figures at once) must not
     // relabel each other's units.
     static EXPERIMENT: RefCell<Option<String>> = const { RefCell::new(None) };
-    // A sharded caller (rsls-serve with --shards) routes each harness
-    // invocation to one of several engines, each owning a disjoint
-    // store namespace. The override is a stack so nested harness calls
-    // compose; the top engine, when present, replaces the process-wide
-    // one for `execute_units` on this thread.
+    // A caller that owns engines (rsls-serve's shard set, the
+    // benchmark) routes each harness invocation at one of them. The
+    // override is a stack so nested harness calls compose; the top
+    // engine, when present, replaces the process-wide one for
+    // `execute_units` on this thread.
     static ENGINE_OVERRIDE: RefCell<Vec<Arc<Engine>>> = const { RefCell::new(Vec::new()) };
 }
 
@@ -44,17 +44,29 @@ thread_local! {
 /// runs; later calls (or a call after the default engine materialized)
 /// fail.
 pub fn configure(opts: EngineOptions) -> io::Result<()> {
-    let engine = Engine::new(opts)?;
     ENGINE
-        .set(engine)
+        .set(Arc::new(Engine::new(opts)?))
         .map_err(|_| io::Error::other("campaign engine already configured"))
+}
+
+fn global() -> &'static Arc<Engine> {
+    ENGINE.get_or_init(|| {
+        Arc::new(
+            Engine::new(EngineOptions::default())
+                .expect("default campaign engine cannot fail to build"),
+        )
+    })
 }
 
 /// The process-wide engine (default: serial, uncached, unjournaled).
 pub fn engine() -> &'static Engine {
-    ENGINE.get_or_init(|| {
-        Engine::new(EngineOptions::default()).expect("default campaign engine cannot fail to build")
-    })
+    global()
+}
+
+/// The process-wide engine as a shareable handle — what a server that
+/// serves it as shard 0 of its engine set holds.
+pub fn engine_arc() -> Arc<Engine> {
+    Arc::clone(global())
 }
 
 /// Runs `f` with `engine` replacing the process-wide engine for
@@ -75,10 +87,12 @@ pub fn with_engine<R>(engine: Arc<Engine>, f: impl FnOnce() -> R) -> R {
     f()
 }
 
-/// The engine [`execute_units`] would use on this thread right now:
-/// the innermost [`with_engine`] override, or the process-wide engine.
-fn active_engine() -> Option<Arc<Engine>> {
-    ENGINE_OVERRIDE.with(|o| o.borrow().last().cloned())
+/// The engine [`execute_units`] uses on this thread right now: the
+/// innermost [`with_engine`] override, or the process-wide engine.
+fn active_engine() -> Arc<Engine> {
+    ENGINE_OVERRIDE
+        .with(|o| o.borrow().last().cloned())
+        .unwrap_or_else(engine_arc)
 }
 
 /// Names the experiment that unit specs subsequently built *on this
@@ -129,19 +143,16 @@ pub fn unit_spec(a: &CsrMatrix, b: &[f64], matrix: &str, scale: Scale, cfg: RunC
     }
 }
 
-/// Executes one batch of units against `(a, b)` on the process engine,
-/// returning reports in submission order.
+/// Executes one batch of units against `(a, b)` on this thread's active
+/// engine, returning reports in submission order.
 ///
 /// A failed (panicking) unit is journaled and isolated by the engine;
 /// here — where an experiment needs every report to build its table —
 /// the failure is re-raised after the whole batch has finished, so
 /// sibling units still complete and cache.
 pub fn execute_units(a: &CsrMatrix, b: &[f64], specs: &[UnitSpec]) -> Vec<RunReport> {
-    let outcomes = match active_engine() {
-        Some(shard) => shard.run_units(specs, |spec| run(a, b, &spec.config)),
-        None => engine().run_units(specs, |spec| run(a, b, &spec.config)),
-    };
-    outcomes
+    active_engine()
+        .run_units(specs, |spec| run(a, b, &spec.config))
         .into_iter()
         .map(|o| match o.report {
             Some(report) => report,

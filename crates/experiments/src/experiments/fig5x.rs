@@ -105,7 +105,7 @@ pub fn run(scale: Scale) -> Vec<Table> {
                     .dvfs(dvfs)
                     .faults(fault.clone())
                     .tag(name);
-                unit_spec(&a, &b, name, Scale::from_env(), run.config())
+                unit_spec(&a, &b, name, scale, run.config())
             })
             .collect();
         lineup.push_row(scheme_row(name, &ff, &ff));
@@ -126,7 +126,7 @@ pub fn run(scale: Scale) -> Vec<Table> {
             let run = SchemeRun::new(&a, &b, ranks, Scheme::mnf())
                 .faults(sched)
                 .tag(name);
-            let spec = unit_spec(&a, &b, name, Scale::from_env(), run.config());
+            let spec = unit_spec(&a, &b, name, scale, run.config());
             let r = &execute_units(&a, &b, &[spec])[0];
             multi.push_row(vec![
                 name.to_string(),

@@ -248,9 +248,8 @@ pub fn run_standard_lineup(
     name: &str,
     scale: Scale,
 ) -> (RunReport, Vec<RunReport>) {
-    let ff = SchemeRun::new(a, b, ranks, Scheme::FaultFree)
-        .tag(name)
-        .execute();
+    let ff_run = SchemeRun::new(a, b, ranks, Scheme::FaultFree).tag(name);
+    let ff = execute_unit(a, b, unit_spec(a, b, name, scale, ff_run.config()));
     let interval = cr_interval_for(scale, ff.iterations);
     let specs: Vec<_> = standard_schemes(interval)
         .into_iter()
@@ -261,7 +260,7 @@ pub fn run_standard_lineup(
                 .dvfs(dvfs)
                 .faults(faults)
                 .tag(name);
-            unit_spec(a, b, name, Scale::from_env(), run.config())
+            unit_spec(a, b, name, scale, run.config())
         })
         .collect();
     let mut reports = execute_units(a, b, &specs);

@@ -19,12 +19,10 @@
 
 #![warn(missing_docs)]
 
-pub mod client;
 pub mod histogram;
 pub mod mix;
 pub mod soak;
 
-pub use client::{Conn, FetchedResponse};
 pub use histogram::LatencyHistogram;
 pub use mix::{MixWeights, PlannedRequest, RequestClass, RequestPlanner, Rng};
 pub use soak::{discover_experiments, run_soak, SoakOptions, SoakOutcome};

@@ -17,8 +17,8 @@ use std::time::{Duration, Instant};
 
 use rsls_bench::{ServeBenchReport, ServeLatency};
 use rsls_chaos::ChaosInjector;
+use rsls_serve::client::{ClientResponse, Conn};
 
-use crate::client::{Conn, FetchedResponse};
 use crate::histogram::LatencyHistogram;
 use crate::mix::{MixWeights, PlannedRequest, RequestClass, RequestPlanner, Rng};
 
@@ -136,8 +136,8 @@ pub fn discover_experiments(
 /// One discovery attempt (chaos resets make the retry loop above earn
 /// its keep).
 fn discover_once(addr: SocketAddr, chaos: Option<&Arc<ChaosInjector>>) -> io::Result<Vec<String>> {
-    let mut conn = Conn::connect(addr, chaos)?;
-    let resp = conn.request("/experiments", &[])?;
+    let mut conn = Conn::connect(addr, chaos.map(Arc::as_ref))?;
+    let resp = conn.request::<&str>("/experiments", &[])?;
     if resp.status != 200 {
         return Err(io::Error::new(
             io::ErrorKind::InvalidData,
@@ -332,7 +332,7 @@ fn issue_pipelined_health(
         .map(|_| ("/healthz".to_string(), Vec::new()))
         .collect();
     let start = Instant::now();
-    let responses = (|| -> io::Result<Vec<FetchedResponse>> {
+    let responses = (|| -> io::Result<Vec<ClientResponse>> {
         if conn.is_none() {
             *conn = Some(connect_with_retry(opts, stats)?);
         }
@@ -372,7 +372,7 @@ fn fetch_once(
     path: &str,
     headers: &[(String, String)],
     stats: &mut WorkerStats,
-) -> io::Result<FetchedResponse> {
+) -> io::Result<ClientResponse> {
     let mut last_err = None;
     for _ in 0..CONNECT_ATTEMPTS {
         if conn.is_none() {
@@ -403,7 +403,7 @@ fn fetch_once(
 fn connect_with_retry(opts: &SoakOptions, stats: &mut WorkerStats) -> io::Result<Conn> {
     let mut last_err = None;
     for attempt in 0..CONNECT_ATTEMPTS {
-        match Conn::connect(opts.addr, opts.chaos.as_ref()) {
+        match Conn::connect(opts.addr, opts.chaos.as_deref()) {
             Ok(conn) => {
                 stats.opens += 1;
                 return Ok(conn);
@@ -420,7 +420,7 @@ fn connect_with_retry(opts: &SoakOptions, stats: &mut WorkerStats) -> io::Result
 /// Tallies one completed response.
 fn record_response(
     class: RequestClass,
-    resp: &FetchedResponse,
+    resp: &ClientResponse,
     elapsed: Duration,
     stats: &mut WorkerStats,
 ) {

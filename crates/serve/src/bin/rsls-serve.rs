@@ -9,10 +9,10 @@
 //! The service fronts the campaign engine: experiment requests run (or
 //! cache-load) harnesses through the same content-addressed store that
 //! `rsls-run` populates, so a campaign you ran yesterday serves today
-//! without recomputing. With `--shards N` the engine is split into `N`
-//! independent shards — each (experiment, scale) family routes to one
-//! shard's store namespace (`<cache>/shard-<k>`) through a
-//! consistent-hash ring. `--chaos-seed S` arms the aggressive fault
+//! without recomputing. The server owns `--shards N` engines (default
+//! 1, which reads and writes exactly `rsls-run`'s layout); with more,
+//! each (experiment, scale) family routes to one shard's store
+//! namespace (`<cache>/shard-<k>`) through a consistent-hash ring. `--chaos-seed S` arms the aggressive fault
 //! plan against the server's own I/O sites (accept/read/write teardown)
 //! and the store paths, with engine retries absorbing the faults.
 //! SIGTERM/ctrl-c drains gracefully: in-flight requests finish, the
@@ -24,7 +24,6 @@ use std::sync::Arc;
 
 use rsls_campaign::EngineOptions;
 use rsls_chaos::{ChaosInjector, ChaosPlan};
-use rsls_experiments::campaign;
 use rsls_serve::server::{RegistrySource, ServeOptions, Server};
 use rsls_serve::signal;
 
@@ -101,20 +100,9 @@ fn main() {
         ..EngineOptions::default()
     };
 
-    // Unsharded: configure the process-wide engine (the layout every
-    // other tool reads: <cache>/objects, sibling campaign.journal).
-    // Sharded: leave the global engine untouched and hand the server a
-    // template to derive per-shard engines from.
-    let shard_base = if shards <= 1 {
-        if let Err(e) = campaign::configure(engine_opts) {
-            eprintln!("failed to configure campaign engine: {e}");
-            std::process::exit(1);
-        }
-        None
-    } else {
-        Some(engine_opts)
-    };
-
+    // The server derives its engines from this template. One shard
+    // keeps the paths as given — the layout every other tool reads:
+    // <cache>/objects, sibling campaign.journal.
     signal::install();
     let opts = ServeOptions {
         workers: jobs,
@@ -122,45 +110,41 @@ fn main() {
         scale: rsls_experiments::Scale::from_env(),
         honor_signals: true,
         shards,
-        shard_base,
+        shard_base: Some(engine_opts),
         chaos,
     };
-    let server = match Server::bind(&addr, opts, Arc::new(RegistrySource)) {
-        Ok(server) => server,
+    let bound = Server::bind(&addr, opts, Arc::new(RegistrySource))
+        .and_then(|server| Ok((server.handle()?, server)));
+    let (handle, server) = match bound {
+        Ok(bound) => bound,
         Err(e) => {
-            eprintln!("failed to bind {addr}: {e}");
+            eprintln!("failed to start on {addr}: {e}");
             std::process::exit(1);
         }
     };
-    match server.local_addr() {
-        Ok(bound) => eprintln!(
-            "rsls-serve listening on http://{bound} ({jobs} worker{} x {shards} shard{}, queue {queue_depth}, cache {}{})",
-            if jobs == 1 { "" } else { "s" },
-            if shards == 1 { "" } else { "s" },
-            if use_cache {
-                cache_dir.display().to_string()
-            } else {
-                "disabled".to_string()
-            },
-            if chaos_seed.is_some() {
-                ", chaos armed"
-            } else {
-                ""
-            },
-        ),
-        Err(e) => eprintln!("rsls-serve listening ({e})"),
-    }
+    eprintln!(
+        "rsls-serve listening on http://{} ({jobs} worker{} x {shards} shard{}, queue {queue_depth}, cache {}{})",
+        handle.addr(),
+        if jobs == 1 { "" } else { "s" },
+        if shards == 1 { "" } else { "s" },
+        if use_cache {
+            cache_dir.display().to_string()
+        } else {
+            "disabled".to_string()
+        },
+        if chaos_seed.is_some() {
+            ", chaos armed"
+        } else {
+            ""
+        },
+    );
 
     if let Err(e) = server.run() {
         eprintln!("server error: {e}");
         std::process::exit(1);
     }
-    if shards <= 1 {
-        eprint!(
-            "rsls-serve: drained and shut down\n{}",
-            campaign::engine().summary_table()
-        );
-    } else {
-        eprintln!("rsls-serve: drained and shut down ({shards} shards)");
-    }
+    eprint!(
+        "rsls-serve: drained and shut down\n{}",
+        handle.summary_table()
+    );
 }

@@ -1,11 +1,15 @@
 //! A minimal blocking HTTP/1.1 client.
 //!
-//! Exists for the integration tests and CI smoke checks — one
-//! round-trip per connection, mirroring the server's
-//! `Connection: close` semantics. Not a general-purpose client.
+//! Exists for the integration tests, the CI smoke checks and the
+//! `rsls-load` soak harness. One [`Conn`] is one TCP connection:
+//! requests go out keep-alive ([`Conn::request`], [`Conn::pipeline`])
+//! and responses are framed with the server's own
+//! [`http::parse_response`], so both ends agree byte-for-byte on
+//! message boundaries. Not a general-purpose client.
 //!
-//! [`get`] is the raw one-shot request. [`get_with_retry`] wraps it in
-//! the resilience the chaos plan's client faults (connection reset,
+//! [`get`] is the raw one-shot request: open, send with
+//! `Connection: close`, read, drop. [`get_with_retry`] wraps it in the
+//! resilience the chaos plan's client faults (connection reset,
 //! garbled status line, delay) are absorbed by: bounded attempts under
 //! deterministic capped exponential backoff, an overall wall-clock
 //! deadline, and `Retry-After` honoring on `503` — the server tells
@@ -13,16 +17,22 @@
 //! (clamped to its own backoff cap so a test never sleeps for the
 //! server's full suggestion). Every re-attempt increments a
 //! process-wide counter exported as `rsls_serve_client_retries_total`.
+//! (The soak's reconnect/`503` loop is separate on purpose: it measures
+//! what it absorbs.)
 
 use std::collections::BTreeMap;
 use std::io::{self, BufReader, Write};
-use std::net::{TcpStream, ToSocketAddrs};
+use std::net::{Shutdown, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
 use rsls_chaos::{ChaosInjector, ChaosSite};
 
 use crate::http;
+
+/// Per-request read/write deadline. A cold experiment fetch can compute
+/// for tens of seconds; hitting this means the server is wedged.
+const IO_TIMEOUT: Duration = Duration::from_secs(120);
 
 /// Process-wide count of client re-attempts (see
 /// [`client_retries_total`]).
@@ -56,6 +66,122 @@ impl ClientResponse {
     pub fn etag(&self) -> Option<&str> {
         self.header("etag").map(|v| v.trim_matches('"'))
     }
+
+    /// True when the server signalled it will close this connection.
+    pub fn wants_close(&self) -> bool {
+        self.header("connection")
+            .is_some_and(|v| v.eq_ignore_ascii_case("close"))
+    }
+
+    /// The `Retry-After` header parsed as whole seconds.
+    pub fn retry_after_s(&self) -> Option<u64> {
+        self.header("retry-after")?.trim().parse().ok()
+    }
+}
+
+/// One TCP connection to the server, with buffered response reads.
+#[derive(Debug)]
+pub struct Conn {
+    reader: BufReader<TcpStream>,
+    /// Responses read over this connection so far; >1 proves reuse.
+    requests: u64,
+}
+
+impl Conn {
+    /// Opens a connection to `addr`. This is the only socket-creating
+    /// call in the serve and load crates and is registered as the
+    /// `client-reset` I/O site: when `chaos` arms
+    /// [`ChaosSite::ClientReset`], the freshly-opened connection is
+    /// torn down immediately so callers exercise their reconnect path
+    /// on schedule.
+    pub fn connect(addr: impl ToSocketAddrs, chaos: Option<&ChaosInjector>) -> io::Result<Conn> {
+        let stream = TcpStream::connect(addr)?;
+        stream.set_nodelay(true)?;
+        stream.set_read_timeout(Some(IO_TIMEOUT))?;
+        stream.set_write_timeout(Some(IO_TIMEOUT))?;
+        if let Some(injector) = chaos {
+            let key = format!("connect:{}", stream.peer_addr()?);
+            if injector.fire(ChaosSite::ClientReset, &key) {
+                TcpStream::shutdown(&stream, Shutdown::Both)?;
+                return Err(io::Error::new(
+                    io::ErrorKind::ConnectionReset,
+                    "chaos: client reset on connect",
+                ));
+            }
+        }
+        Ok(Conn {
+            reader: BufReader::new(stream),
+            requests: 0,
+        })
+    }
+
+    /// Responses read over this connection.
+    pub fn requests_served(&self) -> u64 {
+        self.requests
+    }
+
+    /// Issues one keep-alive GET and reads its response.
+    pub fn request<S: AsRef<str>>(
+        &mut self,
+        path: &str,
+        extra: &[(S, S)],
+    ) -> io::Result<ClientResponse> {
+        self.send(path, extra, true)
+    }
+
+    /// Writes all `reqs` back-to-back, then reads the responses in
+    /// order — exercising the server's pipelining path. The caller is
+    /// responsible for only pipelining request classes the server
+    /// answers without closing (a mid-pipeline close surfaces here as
+    /// an I/O error on the truncated tail).
+    pub fn pipeline(
+        &mut self,
+        reqs: &[(String, Vec<(String, String)>)],
+    ) -> io::Result<Vec<ClientResponse>> {
+        let mut wire = Vec::new();
+        for (path, extra) in reqs {
+            wire.extend_from_slice(&encode_request(path, extra, true));
+        }
+        self.reader.get_mut().write_all(&wire)?;
+        reqs.iter().map(|_| self.read_response()).collect()
+    }
+
+    /// One GET, asking the server to keep the connection or close it.
+    fn send<S: AsRef<str>>(
+        &mut self,
+        path: &str,
+        extra: &[(S, S)],
+        keep_alive: bool,
+    ) -> io::Result<ClientResponse> {
+        let wire = encode_request(path, extra, keep_alive);
+        self.reader.get_mut().write_all(&wire)?;
+        self.read_response()
+    }
+
+    /// Frames one response off the wire.
+    fn read_response(&mut self) -> io::Result<ClientResponse> {
+        let (status, headers, body) = http::parse_response(&mut self.reader)?;
+        self.requests += 1;
+        Ok(ClientResponse {
+            status,
+            headers,
+            body,
+        })
+    }
+}
+
+/// Serializes one GET for `path` with `extra` headers.
+fn encode_request<S: AsRef<str>>(path: &str, extra: &[(S, S)], keep_alive: bool) -> Vec<u8> {
+    let connection = if keep_alive { "keep-alive" } else { "close" };
+    let mut req = format!("GET {path} HTTP/1.1\r\nHost: rsls\r\nConnection: {connection}\r\n");
+    for (name, value) in extra {
+        req.push_str(name.as_ref());
+        req.push_str(": ");
+        req.push_str(value.as_ref());
+        req.push_str("\r\n");
+    }
+    req.push_str("\r\n");
+    req.into_bytes()
 }
 
 /// Retry/backoff/deadline policy for [`get_with_retry`].
@@ -95,29 +221,14 @@ impl RetryPolicy {
     }
 }
 
-/// Performs one `GET` with optional extra headers, reading the full
-/// response.
+/// Performs one `GET` with optional extra headers on a connection of
+/// its own (`Connection: close`), reading the full response.
 pub fn get(
     addr: impl ToSocketAddrs,
     path: &str,
     headers: &[(&str, &str)],
 ) -> io::Result<ClientResponse> {
-    let stream = TcpStream::connect(addr)?;
-    stream.set_read_timeout(Some(Duration::from_secs(120)))?;
-    stream.set_write_timeout(Some(Duration::from_secs(30)))?;
-    let mut writer = stream.try_clone()?;
-    write!(writer, "GET {path} HTTP/1.1\r\nHost: rsls\r\n")?;
-    for (name, value) in headers {
-        write!(writer, "{name}: {value}\r\n")?;
-    }
-    write!(writer, "Connection: close\r\n\r\n")?;
-    writer.flush()?;
-    let (status, headers, body) = http::parse_response(&mut BufReader::new(stream))?;
-    Ok(ClientResponse {
-        status,
-        headers,
-        body,
-    })
+    Conn::connect(addr, None)?.send(path, headers, false)
 }
 
 /// [`get`] under a [`RetryPolicy`]: transport errors and `503`s are
@@ -189,7 +300,7 @@ fn attempt_once(
         if chaos.fire(ChaosSite::ClientReset, path) {
             // Connect and abandon: the server sees a probe, the client
             // sees a reset before any response bytes arrived.
-            let _ = TcpStream::connect(addr);
+            let _ = Conn::connect(addr, None);
             return Err(io::Error::new(
                 io::ErrorKind::ConnectionReset,
                 "chaos: connection reset before the response",
@@ -214,6 +325,104 @@ fn attempt_once(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::server::{ExperimentInfo, ExperimentSource, ServeOptions, Server};
+    use rsls_experiments::{Scale, Table};
+    use std::io::Read;
+    use std::sync::Arc;
+
+    #[test]
+    fn requests_serialize_with_keepalive_and_extras() {
+        let wire = encode_request("/reports/abc", &[("If-None-Match", "\"abc\"")], true);
+        let text = String::from_utf8(wire).unwrap();
+        assert!(text.starts_with("GET /reports/abc HTTP/1.1\r\n"));
+        assert!(text.contains("Connection: keep-alive\r\n"));
+        assert!(text.contains("If-None-Match: \"abc\"\r\n"));
+        assert!(text.ends_with("\r\n\r\n"));
+        let closing = String::from_utf8(encode_request::<&str>("/healthz", &[], false)).unwrap();
+        assert!(closing.contains("Connection: close\r\n"));
+    }
+
+    #[test]
+    fn fetched_response_helpers_read_canonical_headers() {
+        let mut headers = BTreeMap::new();
+        headers.insert("etag".to_string(), "\"deadbeef\"".to_string());
+        headers.insert("connection".to_string(), "close".to_string());
+        headers.insert("retry-after".to_string(), "2".to_string());
+        let resp = ClientResponse {
+            status: 503,
+            headers,
+            body: Vec::new(),
+        };
+        assert_eq!(resp.etag(), Some("deadbeef"));
+        assert!(resp.wants_close());
+        assert_eq!(resp.retry_after_s(), Some(2));
+    }
+
+    /// A source with nothing to run: the cheap routes are enough here.
+    struct EmptySource;
+
+    impl ExperimentSource for EmptySource {
+        fn list(&self) -> Vec<ExperimentInfo> {
+            Vec::new()
+        }
+        fn run(&self, _id: &str, _scale: Scale) -> Option<Vec<Table>> {
+            None
+        }
+    }
+
+    fn with_server(f: impl FnOnce(std::net::SocketAddr)) {
+        let server = Server::bind(
+            "127.0.0.1:0",
+            ServeOptions::default(),
+            Arc::new(EmptySource),
+        )
+        .expect("bind ephemeral port");
+        let handle = server.handle().expect("handle");
+        let join = std::thread::spawn(move || server.run());
+        f(handle.addr());
+        handle.shutdown();
+        join.join().expect("no panic").expect("clean shutdown");
+    }
+
+    #[test]
+    fn one_shot_get_and_kept_alive_request_agree() {
+        with_server(|addr| {
+            let mut conn = Conn::connect(addr, None).expect("connect");
+            for path in ["/healthz", "/experiments", "/nope"] {
+                let one_shot = get(addr, path, &[]).expect("one-shot");
+                let kept = conn.request::<&str>(path, &[]).expect("kept-alive");
+                assert_eq!(one_shot.status, kept.status, "{path}");
+                assert_eq!(one_shot.header("content-type"), kept.header("content-type"));
+                assert_eq!(
+                    one_shot.header("content-length"),
+                    kept.header("content-length")
+                );
+                assert_eq!(one_shot.etag(), kept.etag());
+                assert_eq!(one_shot.body, kept.body, "{path}");
+                assert!(one_shot.wants_close(), "one-shot asks for close");
+                assert_eq!(kept.wants_close(), kept.status >= 400);
+            }
+            assert_eq!(
+                conn.requests_served(),
+                3,
+                "one connection carried all three"
+            );
+        });
+    }
+
+    #[test]
+    fn get_sends_connection_close_and_the_server_closes() {
+        with_server(|addr| {
+            let mut conn = Conn::connect(addr, None).expect("connect");
+            let resp = conn.send::<&str>("/healthz", &[], false).expect("response");
+            assert_eq!(resp.status, 200);
+            assert!(resp.wants_close());
+            assert_eq!(conn.requests_served(), 1);
+            let mut rest = Vec::new();
+            let n = conn.reader.read_to_end(&mut rest).expect("clean EOF");
+            assert_eq!(n, 0, "the server closed after the one response");
+        });
+    }
 
     #[test]
     fn backoff_is_exponential_and_capped() {

@@ -51,7 +51,8 @@ pub mod shard;
 pub mod signal;
 
 pub use client::{
-    client_retries_total, get, get_with_retry, get_with_retry_chaotic, ClientResponse, RetryPolicy,
+    client_retries_total, get, get_with_retry, get_with_retry_chaotic, ClientResponse, Conn,
+    RetryPolicy,
 };
 pub use http::{Request, Response};
 pub use metrics::{LabCounters, Metrics};

@@ -194,11 +194,6 @@ impl Metrics {
         }
     }
 
-    /// Counts one harness-invoking job on shard 0 (unsharded callers).
-    pub fn job_computed(&self) {
-        self.job_computed_on(0);
-    }
-
     /// Counts one coalesced submission against `shard` (and the
     /// process-wide total).
     pub fn job_coalesced_on(&self, shard: usize) {
@@ -206,11 +201,6 @@ impl Metrics {
         if let Some(slot) = self.shard_slot(shard) {
             slot.coalesced.fetch_add(1, Ordering::Relaxed);
         }
-    }
-
-    /// Counts one coalesced submission on shard 0 (unsharded callers).
-    pub fn job_coalesced(&self) {
-        self.job_coalesced_on(0);
     }
 
     /// Adjusts the connections-open gauge by `delta`, counting opens
@@ -240,11 +230,6 @@ impl Metrics {
     /// Records one finished warehouse query or comparison.
     pub fn observe_lab_query(&self, elapsed: Duration) {
         self.lab_latency.observe(elapsed);
-    }
-
-    /// Adjusts the queued-jobs gauge by `delta` (shard 0 slice).
-    pub fn queue_depth_add(&self, delta: i64) {
-        self.queue_depth_add_on(0, delta);
     }
 
     /// Adjusts the queued-jobs gauge by `delta`, against `shard`'s
@@ -525,41 +510,34 @@ impl Metrics {
             lab.queries,
         );
 
-        let _ = writeln!(
-            out,
-            "# HELP rsls_serve_shard_queue_depth Jobs waiting, by campaign shard."
-        );
-        let _ = writeln!(out, "# TYPE rsls_serve_shard_queue_depth gauge");
-        for (k, slot) in self.shards.iter().enumerate() {
-            let _ = writeln!(
-                out,
-                "rsls_serve_shard_queue_depth{{shard=\"{k}\"}} {}",
-                slot.queue_depth.load(Ordering::Relaxed)
-            );
-        }
-        let _ = writeln!(
-            out,
-            "# HELP rsls_serve_shard_coalesced_total Coalesced submissions, by campaign shard."
-        );
-        let _ = writeln!(out, "# TYPE rsls_serve_shard_coalesced_total counter");
-        for (k, slot) in self.shards.iter().enumerate() {
-            let _ = writeln!(
-                out,
-                "rsls_serve_shard_coalesced_total{{shard=\"{k}\"}} {}",
-                slot.coalesced.load(Ordering::Relaxed)
-            );
-        }
-        let _ = writeln!(
-            out,
-            "# HELP rsls_serve_shard_computations_total Harness-invoking jobs, by campaign shard."
-        );
-        let _ = writeln!(out, "# TYPE rsls_serve_shard_computations_total counter");
-        for (k, slot) in self.shards.iter().enumerate() {
-            let _ = writeln!(
-                out,
-                "rsls_serve_shard_computations_total{{shard=\"{k}\"}} {}",
-                slot.computed.load(Ordering::Relaxed)
-            );
+        type ShardField = fn(&ShardCounters) -> &AtomicU64;
+        let shard_families: [(&str, &str, &str, ShardField); 3] = [
+            (
+                "rsls_serve_shard_queue_depth",
+                "gauge",
+                "Jobs waiting, by campaign shard.",
+                |s| &s.queue_depth,
+            ),
+            (
+                "rsls_serve_shard_coalesced_total",
+                "counter",
+                "Coalesced submissions, by campaign shard.",
+                |s| &s.coalesced,
+            ),
+            (
+                "rsls_serve_shard_computations_total",
+                "counter",
+                "Harness-invoking jobs, by campaign shard.",
+                |s| &s.computed,
+            ),
+        ];
+        for (name, kind, help, field) in shard_families {
+            let _ = writeln!(out, "# HELP {name} {help}");
+            let _ = writeln!(out, "# TYPE {name} {kind}");
+            for (k, slot) in self.shards.iter().enumerate() {
+                let value = field(slot).load(Ordering::Relaxed);
+                let _ = writeln!(out, "{name}{{shard=\"{k}\"}} {value}");
+            }
         }
 
         // Per-scheme campaign mix. Every registered scheme label is
@@ -602,55 +580,42 @@ impl Metrics {
             );
         }
 
-        let _ = writeln!(
-            out,
-            "# HELP rsls_serve_request_duration_seconds Request latency."
+        render_histogram(
+            &mut out,
+            "rsls_serve_request_duration_seconds",
+            "Request latency.",
+            &self.latency,
         );
-        let _ = writeln!(out, "# TYPE rsls_serve_request_duration_seconds histogram");
-        for (bound, counter) in BUCKETS.iter().zip(&self.latency.buckets) {
-            let _ = writeln!(
-                out,
-                "rsls_serve_request_duration_seconds_bucket{{le=\"{bound}\"}} {}",
-                counter.load(Ordering::Relaxed)
-            );
-        }
-        let count = self.latency.count.load(Ordering::Relaxed);
-        let _ = writeln!(
-            out,
-            "rsls_serve_request_duration_seconds_bucket{{le=\"+Inf\"}} {count}"
+        render_histogram(
+            &mut out,
+            "rsls_lab_query_seconds",
+            "Warehouse query/compare latency (load + execute + serialize).",
+            &self.lab_latency,
         );
-        let _ = writeln!(
-            out,
-            "rsls_serve_request_duration_seconds_sum {}",
-            self.latency.sum_micros.load(Ordering::Relaxed) as f64 / 1e6
-        );
-        let _ = writeln!(out, "rsls_serve_request_duration_seconds_count {count}");
-
-        let _ = writeln!(
-            out,
-            "# HELP rsls_lab_query_seconds Warehouse query/compare latency (load + execute + serialize)."
-        );
-        let _ = writeln!(out, "# TYPE rsls_lab_query_seconds histogram");
-        for (bound, counter) in BUCKETS.iter().zip(&self.lab_latency.buckets) {
-            let _ = writeln!(
-                out,
-                "rsls_lab_query_seconds_bucket{{le=\"{bound}\"}} {}",
-                counter.load(Ordering::Relaxed)
-            );
-        }
-        let lab_count = self.lab_latency.count.load(Ordering::Relaxed);
-        let _ = writeln!(
-            out,
-            "rsls_lab_query_seconds_bucket{{le=\"+Inf\"}} {lab_count}"
-        );
-        let _ = writeln!(
-            out,
-            "rsls_lab_query_seconds_sum {}",
-            self.lab_latency.sum_micros.load(Ordering::Relaxed) as f64 / 1e6
-        );
-        let _ = writeln!(out, "rsls_lab_query_seconds_count {lab_count}");
         out
     }
+}
+
+/// Appends one histogram family: cumulative `le` buckets, `+Inf`,
+/// `_sum` (seconds) and `_count`.
+fn render_histogram(out: &mut String, name: &str, help: &str, h: &Histogram) {
+    let _ = writeln!(out, "# HELP {name} {help}");
+    let _ = writeln!(out, "# TYPE {name} histogram");
+    for (bound, counter) in BUCKETS.iter().zip(&h.buckets) {
+        let _ = writeln!(
+            out,
+            "{name}_bucket{{le=\"{bound}\"}} {}",
+            counter.load(Ordering::Relaxed)
+        );
+    }
+    let count = h.count.load(Ordering::Relaxed);
+    let _ = writeln!(out, "{name}_bucket{{le=\"+Inf\"}} {count}");
+    let _ = writeln!(
+        out,
+        "{name}_sum {}",
+        h.sum_micros.load(Ordering::Relaxed) as f64 / 1e6
+    );
+    let _ = writeln!(out, "{name}_count {count}");
 }
 
 /// Saturating add of a possibly negative delta to a `u64` gauge.
@@ -681,9 +646,9 @@ mod tests {
         m.observe_request("experiment", 200, Duration::from_millis(50));
         m.observe_request("experiment", 503, Duration::from_micros(300));
         m.result_cache_hit();
-        m.job_computed();
-        m.queue_depth_add(3);
-        m.queue_depth_add(-1);
+        m.job_computed_on(0);
+        m.queue_depth_add_on(0, 3);
+        m.queue_depth_add_on(0, -1);
         let summary = CampaignSummary {
             total: 7,
             executed: 4,

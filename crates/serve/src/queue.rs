@@ -152,20 +152,9 @@ impl std::fmt::Debug for WorkQueue {
 impl WorkQueue {
     /// Starts `workers` worker threads draining a queue bounded at
     /// `capacity` pending jobs (executing jobs do not count against the
-    /// bound). Counters feed shard slice 0.
-    pub fn new(workers: usize, capacity: usize, metrics: Arc<Metrics>) -> WorkQueue {
-        WorkQueue::for_shard(workers, capacity, metrics, 0)
-    }
-
-    /// Like [`WorkQueue::new`], but counters feed the metric slice of
-    /// campaign shard `shard` (the sharded service runs one queue per
-    /// shard).
-    pub fn for_shard(
-        workers: usize,
-        capacity: usize,
-        metrics: Arc<Metrics>,
-        shard: usize,
-    ) -> WorkQueue {
+    /// bound). Counters feed the metric slice of campaign shard `shard`
+    /// (the service runs one queue per shard).
+    pub fn new(workers: usize, capacity: usize, metrics: Arc<Metrics>, shard: usize) -> WorkQueue {
         let inner = Arc::new(Inner {
             state: Mutex::new(QueueState::default()),
             work_cv: Condvar::new(),
@@ -316,7 +305,7 @@ mod tests {
 
     #[test]
     fn runs_a_job_and_returns_its_output() {
-        let q = WorkQueue::new(2, 4, Arc::new(Metrics::new()));
+        let q = WorkQueue::new(2, 4, Arc::new(Metrics::new()), 0);
         let submitted = q.submit("k", || Ok(output("hello"))).unwrap();
         assert!(matches!(submitted, Submitted::New(_)));
         assert_eq!(submitted.job().wait().unwrap().body, b"hello");
@@ -325,7 +314,7 @@ mod tests {
     #[test]
     fn duplicate_in_flight_submissions_coalesce() {
         let metrics = Arc::new(Metrics::new());
-        let q = WorkQueue::new(1, 4, Arc::clone(&metrics));
+        let q = WorkQueue::new(1, 4, Arc::clone(&metrics), 0);
         let runs = Arc::new(AtomicUsize::new(0));
         let (release_tx, release_rx) = mpsc::channel::<()>();
         let release_rx = Mutex::new(release_rx);
@@ -369,7 +358,7 @@ mod tests {
     #[test]
     fn full_queue_rejects_and_drains_after_space_frees() {
         let metrics = Arc::new(Metrics::new());
-        let q = WorkQueue::new(1, 1, Arc::clone(&metrics));
+        let q = WorkQueue::new(1, 1, Arc::clone(&metrics), 0);
         let (release_tx, release_rx) = mpsc::channel::<()>();
         let release_rx = Mutex::new(release_rx);
         let blocker = q
@@ -398,7 +387,7 @@ mod tests {
 
     #[test]
     fn panicking_job_fails_waiters_but_not_the_worker() {
-        let q = WorkQueue::new(1, 4, Arc::new(Metrics::new()));
+        let q = WorkQueue::new(1, 4, Arc::new(Metrics::new()), 0);
         let boom = q
             .submit("boom", || panic!("kaboom in the harness"))
             .unwrap();
@@ -411,7 +400,7 @@ mod tests {
 
     #[test]
     fn shutdown_drains_queued_jobs_and_rejects_new_ones() {
-        let q = WorkQueue::new(1, 8, Arc::new(Metrics::new()));
+        let q = WorkQueue::new(1, 8, Arc::new(Metrics::new()), 0);
         let jobs: Vec<_> = (0..4)
             .map(|i| q.submit(&format!("k{i}"), move || Ok(output(&format!("v{i}")))))
             .collect::<Result<_, _>>()

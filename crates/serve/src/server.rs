@@ -17,9 +17,10 @@
 //! warehouse work is submitted to the bounded per-shard work queues
 //! ([`crate::queue`]) and the loop polls the job latch
 //! ([`crate::queue::Job::is_done`]) while servicing other connections.
-//! With `--shards N` the campaign engine itself is sharded: result keys
-//! route through a consistent-hash ring ([`crate::shard`]) to per-shard
-//! engines with disjoint store namespaces.
+//! Every job runs under one engine of the server's engine set
+//! ([`crate::shard`]; the global engine is shard 0): result keys route
+//! through a consistent-hash ring, and with `--shards N` the engines
+//! have disjoint store namespaces.
 
 use std::collections::{BTreeMap, VecDeque};
 use std::io::{Read, Write};
@@ -118,9 +119,9 @@ pub struct ServeOptions {
     /// Campaign shards. Only meaningful with `shard_base` set; the
     /// global engine is always a single namespace.
     pub shards: usize,
-    /// Template engine options for *owned* per-shard engines. `None`
-    /// (the default) routes all compute at the process-wide campaign
-    /// engine, exactly the pre-sharding behavior.
+    /// Template engine options for *owned* per-shard engines (one
+    /// shard writes exactly the template's layout). `None` (the
+    /// default) serves the process-wide campaign engine as shard 0.
     pub shard_base: Option<EngineOptions>,
     /// Fault injector for the server-side I/O sites (accept teardown,
     /// read teardown, torn writes). `None` injects nothing.
@@ -192,6 +193,11 @@ impl ServerHandle {
     pub fn metrics(&self) -> Arc<Metrics> {
         Arc::clone(&self.shared.metrics)
     }
+
+    /// The engine set's per-unit summary tables (the drain report).
+    pub fn summary_table(&self) -> String {
+        self.shared.shards.summary_table()
+    }
 }
 
 /// The bound-but-not-yet-running service.
@@ -209,8 +215,8 @@ impl std::fmt::Debug for Server {
 }
 
 impl Server {
-    /// Binds `addr`, builds the shard engines (when `shard_base` is
-    /// set) and the per-shard worker pools. The server does not accept
+    /// Binds `addr`, builds the engine set and the per-shard worker
+    /// pools. The server does not accept
     /// connections until [`Server::run`].
     pub fn bind(
         addr: impl ToSocketAddrs,
@@ -225,7 +231,7 @@ impl Server {
         let shard_count = shards.count();
         let metrics = Arc::new(Metrics::with_shards(shard_count));
         let queues = (0..shard_count)
-            .map(|k| WorkQueue::for_shard(opts.workers, opts.queue_depth, Arc::clone(&metrics), k))
+            .map(|k| WorkQueue::new(opts.workers, opts.queue_depth, Arc::clone(&metrics), k))
             .collect();
         let chaos = opts
             .chaos
@@ -242,11 +248,6 @@ impl Server {
             stop: AtomicBool::new(false),
         });
         Ok(Server { listener, shared })
-    }
-
-    /// The bound address.
-    pub fn local_addr(&self) -> std::io::Result<SocketAddr> {
-        self.listener.local_addr()
     }
 
     /// A handle for stopping the server and reading its metrics from
@@ -970,21 +971,16 @@ fn experiment_route(shared: &Shared, req: &Request, id: &str) -> Routed {
         let scale = shared.opts.scale;
         shared.queues[shard].submit(&key, move || {
             metrics.job_computed_on(shard);
-            let compute_it = || -> JobResult {
+            // The shard's engine scopes the harness's campaign units to
+            // this shard's store namespace.
+            campaign::with_engine(engine, || -> JobResult {
                 let tables = source
                     .run(&id, scale)
                     .ok_or_else(|| format!("experiment '{id}' disappeared from the source"))?;
                 let body = compute::tables_to_json(&id, scale, tables)?;
                 let etag = compute::etag_for(&body);
                 Ok(JobOutput { body, etag })
-            };
-            // An owned shard engine scopes the harness's campaign units
-            // to this shard's store namespace; the global engine is
-            // already the thread default.
-            match engine {
-                Some(engine) => campaign::with_engine(engine, compute_it),
-                None => compute_it(),
-            }
+            })
         })
     };
     match submit {

@@ -1,13 +1,14 @@
-//! The service's view of its campaign engines: one global engine, or a
-//! consistent-hash-routed set of per-shard engines.
+//! The service's view of its campaign engines: a non-empty,
+//! consistent-hash-routed engine set.
 //!
-//! An unsharded server (the default, and every embedded test server)
-//! runs against the process-wide engine from
-//! [`rsls_experiments::campaign::engine`] — exactly the pre-PR-8
-//! behavior. A sharded server (`--shards N`) owns `N` private
-//! [`Engine`]s instead, each with a disjoint store namespace
-//! (`<cache>/shard-<k>`) and journal; request keys route to shards
-//! through [`rsls_campaign::ShardRouter`], and compute jobs run under
+//! A server bound without [`crate::ServeOptions::shard_base`] (every
+//! embedded test server) serves the process-wide engine from
+//! [`rsls_experiments::campaign::engine_arc`] as shard 0 of a
+//! one-element set. A server bound with it owns `N` private [`Engine`]s
+//! built from that template — one writes the base layout untouched,
+//! more get disjoint store namespaces (`<cache>/shard-<k>`) and
+//! journals. Request keys route to shards through
+//! [`rsls_campaign::ShardRouter`], and compute jobs run under
 //! [`rsls_experiments::campaign::with_engine`] so the harness's units
 //! land in that shard's store. Read paths that span the whole corpus
 //! (`/reports`, `/query`, `/compare`, `/metrics`) fan out across every
@@ -33,11 +34,9 @@ pub enum ReportLookup {
     Found(Vec<u8>),
 }
 
-/// The engines behind one server: the process-wide global engine, or an
-/// owned per-shard set.
+/// The engines behind one server, one per shard (never empty).
 pub struct ShardSet {
-    /// `None` routes everything at the global engine (shard 0).
-    engines: Option<Vec<Arc<Engine>>>,
+    engines: Vec<Arc<Engine>>,
     router: ShardRouter,
 }
 
@@ -45,7 +44,6 @@ impl std::fmt::Debug for ShardSet {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ShardSet")
             .field("shards", &self.count())
-            .field("owned", &self.engines.is_some())
             .finish()
     }
 }
@@ -65,10 +63,10 @@ fn shard_journal(path: &Path, shard: usize, shards: usize) -> PathBuf {
 }
 
 impl ShardSet {
-    /// A set that delegates to the process-wide engine (one shard).
+    /// The process-wide engine as a one-shard set.
     pub fn global() -> ShardSet {
         ShardSet {
-            engines: None,
+            engines: vec![campaign::engine_arc()],
             router: ShardRouter::new(1),
         }
     }
@@ -88,17 +86,14 @@ impl ShardSet {
             })
             .collect::<io::Result<Vec<_>>>()?;
         Ok(ShardSet {
-            engines: Some(engines),
+            engines,
             router: ShardRouter::new(n),
         })
     }
 
     /// Number of shards (≥ 1).
     pub fn count(&self) -> usize {
-        match &self.engines {
-            Some(engines) => engines.len().max(1),
-            None => 1,
-        }
+        self.engines.len()
     }
 
     /// Routes a result key to its shard.
@@ -106,78 +101,59 @@ impl ShardSet {
         self.router.route(key)
     }
 
-    /// The engine a compute job for `shard` must run under, or `None`
-    /// when the global engine (already the thread default) serves it.
-    pub fn engine_arc(&self, shard: usize) -> Option<Arc<Engine>> {
-        let engines = self.engines.as_ref()?;
-        engines
-            .get(shard.min(engines.len().saturating_sub(1)))
-            .cloned()
+    /// The engine a compute job for `shard` must run under
+    /// (out-of-range shards clamp to the last one).
+    pub fn engine_arc(&self, shard: usize) -> Arc<Engine> {
+        Arc::clone(&self.engines[shard.min(self.engines.len() - 1)])
     }
 
-    /// Campaign totals summed across every shard (or the global
-    /// engine's own summary).
+    /// Campaign totals summed across every shard.
     pub fn summary(&self) -> CampaignSummary {
-        match &self.engines {
-            None => campaign::engine().summary(),
-            Some(engines) => {
-                let mut total = CampaignSummary::default();
-                for engine in engines {
-                    let s = engine.summary();
-                    total.total += s.total;
-                    total.executed += s.executed;
-                    total.cache_hits += s.cache_hits;
-                    total.failed += s.failed;
-                    total.degraded += s.degraded;
-                    total.coalesced += s.coalesced;
-                    total.retries += s.retries;
-                    total.corrupt_detected += s.corrupt_detected;
-                    total.quarantined += s.quarantined;
-                    total.circuits_open += s.circuits_open;
-                    total.unit_wall_s += s.unit_wall_s;
-                    for (label, n) in s.scheme_units {
-                        *total.scheme_units.entry(label).or_insert(0) += n;
-                    }
-                }
-                total
+        let mut total = CampaignSummary::default();
+        for engine in &self.engines {
+            let s = engine.summary();
+            total.total += s.total;
+            total.executed += s.executed;
+            total.cache_hits += s.cache_hits;
+            total.failed += s.failed;
+            total.degraded += s.degraded;
+            total.coalesced += s.coalesced;
+            total.retries += s.retries;
+            total.corrupt_detected += s.corrupt_detected;
+            total.quarantined += s.quarantined;
+            total.circuits_open += s.circuits_open;
+            total.unit_wall_s += s.unit_wall_s;
+            for (label, n) in s.scheme_units {
+                *total.scheme_units.entry(label).or_insert(0) += n;
             }
         }
+        total
+    }
+
+    /// Every shard's per-unit summary table, in shard order — the
+    /// binary's drain report.
+    pub fn summary_table(&self) -> String {
+        self.engines.iter().map(|e| e.summary_table()).collect()
     }
 
     /// Threads parked on in-flight units, summed across shards.
     pub fn coalesce_waiters(&self) -> usize {
-        match &self.engines {
-            None => campaign::engine().coalesce_waiters(),
-            Some(engines) => engines.iter().map(|e| e.coalesce_waiters()).sum(),
-        }
+        self.engines.iter().map(|e| e.coalesce_waiters()).sum()
     }
 
     /// Looks `hash` up across every shard store in shard order.
     pub fn load_report(&self, hash: &str) -> ReportLookup {
-        match &self.engines {
-            None => match campaign::engine().cache() {
-                None => ReportLookup::Disabled,
-                Some(cache) => match cache.load_object(hash) {
-                    Some(bytes) => ReportLookup::Found(bytes),
-                    None => ReportLookup::Missing,
-                },
-            },
-            Some(engines) => {
-                let mut any_store = false;
-                for engine in engines {
-                    if let Some(cache) = engine.cache() {
-                        any_store = true;
-                        if let Some(bytes) = cache.load_object(hash) {
-                            return ReportLookup::Found(bytes);
-                        }
-                    }
-                }
-                if any_store {
-                    ReportLookup::Missing
-                } else {
-                    ReportLookup::Disabled
-                }
+        let mut any_store = false;
+        for cache in self.engines.iter().filter_map(|e| e.cache()) {
+            any_store = true;
+            if let Some(bytes) = cache.load_object(hash) {
+                return ReportLookup::Found(bytes);
             }
+        }
+        if any_store {
+            ReportLookup::Missing
+        } else {
+            ReportLookup::Disabled
         }
     }
 
@@ -185,28 +161,15 @@ impl ShardSet {
     /// every shard with a store, in shard order. `None` when caching is
     /// disabled everywhere (there is nothing to query).
     pub fn warehouse_stores(&self) -> Option<Vec<(PathBuf, Option<PathBuf>)>> {
-        let stores: Vec<(PathBuf, Option<PathBuf>)> = match &self.engines {
-            None => {
-                let engine = campaign::engine();
-                let cache = engine.cache()?;
-                vec![(
-                    cache.dir().to_path_buf(),
-                    engine.options().journal_path.clone(),
-                )]
-            }
-            Some(engines) => engines
-                .iter()
-                .filter_map(|e| {
-                    let cache = e.cache()?;
-                    Some((cache.dir().to_path_buf(), e.options().journal_path.clone()))
-                })
-                .collect(),
-        };
-        if stores.is_empty() {
-            None
-        } else {
-            Some(stores)
-        }
+        let stores: Vec<(PathBuf, Option<PathBuf>)> = self
+            .engines
+            .iter()
+            .filter_map(|e| {
+                let cache = e.cache()?;
+                Some((cache.dir().to_path_buf(), e.options().journal_path.clone()))
+            })
+            .collect();
+        (!stores.is_empty()).then_some(stores)
     }
 }
 
@@ -219,7 +182,10 @@ mod tests {
         let set = ShardSet::global();
         assert_eq!(set.count(), 1);
         assert_eq!(set.route("fig5@quick"), 0);
-        assert!(set.engine_arc(0).is_none(), "global set owns no engines");
+        assert!(
+            std::ptr::eq(&*set.engine_arc(0), campaign::engine()),
+            "shard 0 of the global set is the process-wide engine"
+        );
     }
 
     #[test]
@@ -234,7 +200,7 @@ mod tests {
         let set = ShardSet::build(&base, 3).unwrap();
         assert_eq!(set.count(), 3);
         for k in 0..3 {
-            let engine = set.engine_arc(k).expect("owned engine");
+            let engine = set.engine_arc(k);
             let cache = engine.cache().expect("sharded stores are cached");
             assert_eq!(cache.dir(), dir.join("cache").join(format!("shard-{k}")));
             assert_eq!(
