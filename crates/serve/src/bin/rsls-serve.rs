@@ -12,12 +12,12 @@
 //! without recomputing. The server owns `--shards N` engines (default
 //! 1, which reads and writes exactly `rsls-run`'s layout); with more,
 //! each (experiment, scale) family routes to one shard's store
-//! namespace (`<cache>/shard-<k>`) through a consistent-hash ring. `--chaos-seed S` arms the aggressive fault
-//! plan against the server's own I/O sites (accept/read/write teardown)
-//! and the store paths, with engine retries absorbing the faults.
-//! SIGTERM/ctrl-c drains gracefully: in-flight requests finish, the
-//! journals are already flushed (append-on-write), and the process
-//! exits 0.
+//! namespace (`<cache>/shard-<k>`) through a consistent-hash ring.
+//! `--chaos-seed S` arms the aggressive fault plan against the server's
+//! own I/O sites (accept/read/write teardown) and the store paths, with
+//! engine retries absorbing the faults. SIGTERM/ctrl-c drains
+//! gracefully: in-flight requests finish, the journals are already
+//! flushed (append-on-write), and the process exits 0.
 
 use std::path::PathBuf;
 use std::sync::Arc;

@@ -64,18 +64,19 @@ impl ClientResponse {
 
     /// The response `ETag`, unquoted.
     pub fn etag(&self) -> Option<&str> {
-        self.header("etag").map(|v| v.trim_matches('"'))
+        self.headers.get("etag").map(|v| v.trim_matches('"'))
     }
 
     /// True when the server signalled it will close this connection.
     pub fn wants_close(&self) -> bool {
-        self.header("connection")
+        self.headers
+            .get("connection")
             .is_some_and(|v| v.eq_ignore_ascii_case("close"))
     }
 
     /// The `Retry-After` header parsed as whole seconds.
     pub fn retry_after_s(&self) -> Option<u64> {
-        self.header("retry-after")?.trim().parse().ok()
+        self.headers.get("retry-after")?.trim().parse().ok()
     }
 }
 
