@@ -375,9 +375,9 @@ fn main() {
     // --query passthrough: load the warehouse over the store this run
     // populated (or an existing one) and print canonical JSON — the
     // same bytes `rsls-lab query` and `rsls-serve /query` produce. The
-    // committed BENCH_*.json baselines in the working directory attach
-    // as the `kernels` view, so the perf trajectory across PRs plots
-    // from the same query surface as the experiment results.
+    // run files under `benchmark/` attach as the `kernels` view (as in
+    // `rsls-lab`'s default), so the perf trajectory plots from the same
+    // query surface as the experiment results.
     if let Some(sql) = &query_sql {
         let mut warehouse = match rsls_lab::Warehouse::load(&cache_dir, Some(&journal_path)) {
             Ok(w) => w,
@@ -386,7 +386,7 @@ fn main() {
                 std::process::exit(1);
             }
         };
-        warehouse.attach_kernels(std::path::Path::new("."));
+        warehouse.attach_kernels(std::path::Path::new("benchmark"));
         match warehouse.query(sql) {
             Ok(result) => println!("{}", result.to_canonical_json()),
             Err(e) => {

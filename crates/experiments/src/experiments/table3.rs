@@ -47,7 +47,7 @@ mod tests {
     use super::*;
 
     #[test]
-    #[ignore = "runs the full suite; exercised by rsls-run and benches"]
+    #[ignore = "runs the full suite; exercised by rsls-run"]
     fn table_has_all_fourteen_rows() {
         let tables = run(Scale::Quick);
         assert_eq!(tables[0].rows.len(), 14);

@@ -33,8 +33,8 @@ fn usage() -> ! {
          options:\n\
          \x20 --cache-dir <dir>      campaign cache (default results/cache)\n\
          \x20 --journal <file>       campaign journal (default <cache-dir>/../campaign.journal)\n\
-         \x20 --bench-dir <dir>      directory of committed BENCH_*.json baselines\n\
-         \x20                        for the kernels view (default .)\n\
+         \x20 --bench-dir <dir>      directory of benchmark run files (*.json)\n\
+         \x20                        for the kernels view (default benchmark)\n\
          \x20 --format <json|table>  query output format (default json)\n\
          \x20 --ticks <n>            views-live: number of polls (default 10)\n\
          \x20 --interval-ms <ms>     views-live: delay between polls (default 500)"
@@ -82,7 +82,7 @@ fn main() {
     let mut positional: Vec<String> = Vec::new();
     let mut cache_dir = PathBuf::from("results/cache");
     let mut journal: Option<PathBuf> = None;
-    let mut bench_dir = PathBuf::from(".");
+    let mut bench_dir = PathBuf::from("benchmark");
     let mut format = "json".to_string();
     let mut filter_a: Option<String> = None;
     let mut filter_b: Option<String> = None;

@@ -73,8 +73,8 @@ const SCHEMES_COLUMNS: &[&str] = &[
 /// Column names of the `chaos` view (injection-site summaries).
 const CHAOS_COLUMNS: &[&str] = &["site", "fired"];
 
-/// Column names of the `kernels` view (committed bench baselines,
-/// long format: one row per scalar leaf of each `BENCH_*.json`).
+/// Column names of the `kernels` view (benchmark run files, long
+/// format: one row per scalar leaf of each `*.json`).
 const KERNELS_COLUMNS: &[&str] = &["source", "metric", "value"];
 
 /// Per-unit activity accumulated from the journal.
@@ -101,8 +101,8 @@ pub struct Warehouse {
     pub schemes: Table,
     /// One row per chaos site the journal recorded, in site order.
     pub chaos: Table,
-    /// One row per scalar leaf of each committed `BENCH_*.json`
-    /// baseline, in (source, metric) order — empty until
+    /// One row per scalar leaf of each benchmark run file, in
+    /// (source, metric) order — empty until
     /// [`Warehouse::attach_kernels`] points at a directory of them.
     pub kernels: Table,
     /// Objects this load ingested successfully.
@@ -240,26 +240,24 @@ impl Warehouse {
         })
     }
 
-    /// Populates the `kernels` view from the committed bench baselines
-    /// in `dir`: every `BENCH_*.json` (sorted by file name — the
-    /// canonical order, independent of directory enumeration) flattens
-    /// into long-format rows `(source, metric, value)`, one per scalar
-    /// leaf, with dotted paths for nesting and numeric indices for
-    /// arrays (`kernel.matrix.3.mflops`). Decoding is tolerant in the
-    /// warehouse tradition: a missing directory is an empty view and an
-    /// unparsable file counts as rejected, never an error — so the perf
-    /// trajectory across committed baselines (`BENCH_PR5`,
-    /// `BENCH_PR10`, …) is queryable next to the run views.
+    /// Populates the `kernels` view from the benchmark run files in
+    /// `dir` (`benchmark/baseline-run.json` and any `run --out` file
+    /// beside it): every `*.json` directly in `dir` (sorted by file name
+    /// — the canonical order, independent of directory enumeration)
+    /// flattens into long-format rows `(source, metric, value)`, one per
+    /// scalar leaf, with dotted paths for nesting and numeric indices
+    /// for arrays (`runs.0.result.metrics.ops_per_s.value`); `source` is
+    /// the file stem. The run-file schema is not known here. Decoding is
+    /// tolerant in the warehouse tradition: a missing directory is an
+    /// empty view and an unparsable file counts as rejected, never an
+    /// error — so the perf trajectory across run files is queryable next
+    /// to the run views.
     pub fn attach_kernels(&mut self, dir: &Path) {
         let mut files: Vec<std::path::PathBuf> = match std::fs::read_dir(dir) {
             Ok(entries) => entries
                 .filter_map(|e| e.ok())
                 .map(|e| e.path())
-                .filter(|p| {
-                    p.file_name()
-                        .and_then(|n| n.to_str())
-                        .is_some_and(|n| n.starts_with("BENCH_") && n.ends_with(".json"))
-                })
+                .filter(|p| p.extension().is_some_and(|ext| ext == "json"))
                 .collect(),
             Err(_) => Vec::new(),
         };

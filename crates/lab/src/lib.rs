@@ -13,9 +13,9 @@
 //!   row per unit, joining report metrics with provenance and journal
 //!   activity), `units` (journal timelines), `schemes` (per-scheme
 //!   aggregates), `chaos` (injection-site fired counts), and `kernels`
-//!   ([`Warehouse::attach_kernels`]: the committed `BENCH_*.json`
-//!   baselines flattened to long-format `(source, metric, value)` rows,
-//!   so the perf trajectory across PRs is queryable). Decoding
+//!   ([`Warehouse::attach_kernels`]: the `benchmark/` run files
+//!   flattened to long-format `(source, metric, value)` rows, so the
+//!   perf trajectory across runs is queryable). Decoding
 //!   is **tolerant**: reports or provenance written by older engine
 //!   versions read missing fields as explicit `NULL`, and an
 //!   unparsable object increments [`ingest_rejected_total`] instead of

@@ -1,6 +1,7 @@
-//! The `kernels` view: committed `BENCH_*.json` baselines flattened to
-//! long-format rows, queryable through the same SQL surface as the
-//! campaign views, with tolerant decode and deterministic bytes.
+//! The `kernels` view: the benchmark run files (`*.json`) of one
+//! directory flattened to long-format rows, queryable through the same
+//! SQL surface as the campaign views, with tolerant decode and
+//! deterministic bytes.
 
 use std::path::PathBuf;
 
@@ -26,22 +27,25 @@ fn warehouse_over(dir: &std::path::Path) -> Warehouse {
 fn bench_baselines_flatten_sorted_and_queryable() {
     let dir = tmp_dir("flatten");
     std::fs::write(
-        dir.join("BENCH_PR5.json"),
-        r#"{"version": 1, "kernel": {"threads": 1, "par_spmv_speedup": 0.8356}}"#,
+        dir.join("baseline-run.json"),
+        r#"{"version": 1, "host": {"threads": 1, "triad_gbs": 0.8356}}"#,
     )
     .unwrap();
     std::fs::write(
-        dir.join("BENCH_PR10.json"),
-        r#"{"version": 2, "kernel": {"par_spmv_speedup": 1.0,
-            "matrix": [{"format": "sell", "mflops": 900.5}]}}"#,
+        dir.join("after.json"),
+        r#"{"version": 2, "host": {"triad_gbs": 1.0},
+            "runs": [{"workload": "serve_read", "ops_per_s": 900.5}]}"#,
     )
     .unwrap();
-    // Non-bench files are ignored; unparsable bench files are rejected.
-    std::fs::write(dir.join("README.json"), "{}").unwrap();
-    std::fs::write(dir.join("BENCH_BROKEN.json"), "not json").unwrap();
+    // Non-JSON neighbours are ignored and subdirectories are not
+    // entered; an unparsable run file is rejected.
+    std::fs::write(dir.join("Cargo.toml"), "[package]").unwrap();
+    std::fs::create_dir(dir.join("src")).unwrap();
+    std::fs::write(dir.join("src").join("deeper.json"), "{\"version\": 3}").unwrap();
+    std::fs::write(dir.join("broken.json"), "not json").unwrap();
 
     let w = warehouse_over(&dir);
-    assert_eq!(w.rejected, 1, "the unparsable baseline counts as rejected");
+    assert_eq!(w.rejected, 1, "the unparsable run file counts as rejected");
     let kernels = w.view("kernels").expect("kernels view exists");
     assert_eq!(kernels.columns, vec!["source", "metric", "value"]);
     // Long-format rows in (source, metric) order; array leaves get
@@ -55,17 +59,17 @@ fn bench_baselines_flatten_sorted_and_queryable() {
         })
         .collect();
     let expected: Vec<(String, String, Datum)> = [
+        ("after", "host.triad_gbs", Datum::Float(1.0)),
+        ("after", "runs.0.ops_per_s", Datum::Float(900.5)),
         (
-            "BENCH_PR10",
-            "kernel.matrix.0.format",
-            Datum::Str("sell".to_string()),
+            "after",
+            "runs.0.workload",
+            Datum::Str("serve_read".to_string()),
         ),
-        ("BENCH_PR10", "kernel.matrix.0.mflops", Datum::Float(900.5)),
-        ("BENCH_PR10", "kernel.par_spmv_speedup", Datum::Float(1.0)),
-        ("BENCH_PR10", "version", Datum::Int(2)),
-        ("BENCH_PR5", "kernel.par_spmv_speedup", Datum::Float(0.8356)),
-        ("BENCH_PR5", "kernel.threads", Datum::Int(1)),
-        ("BENCH_PR5", "version", Datum::Int(1)),
+        ("after", "version", Datum::Int(2)),
+        ("baseline-run", "host.threads", Datum::Int(1)),
+        ("baseline-run", "host.triad_gbs", Datum::Float(0.8356)),
+        ("baseline-run", "version", Datum::Int(1)),
     ]
     .into_iter()
     .map(|(s, m, v)| (s.to_string(), m.to_string(), v))
@@ -75,10 +79,10 @@ fn bench_baselines_flatten_sorted_and_queryable() {
     // The SQL surface sees the view like any other, and repeated loads
     // return byte-identical canonical JSON (the perf-trajectory query).
     let sql = "SELECT source, value FROM kernels \
-               WHERE metric = 'kernel.par_spmv_speedup' ORDER BY source";
+               WHERE metric = 'host.triad_gbs' ORDER BY source";
     let first = w.query(sql).expect("query runs").to_canonical_json();
     assert!(
-        first.contains("BENCH_PR10") && first.contains("0.8356"),
+        first.contains("baseline-run") && first.contains("0.8356"),
         "{first}"
     );
     let again = warehouse_over(&dir)
@@ -88,6 +92,20 @@ fn bench_baselines_flatten_sorted_and_queryable() {
     assert_eq!(first, again, "kernels queries are deterministic");
 
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn committed_baseline_run_is_queryable_from_the_checkout() {
+    // The empty store lives in a temp dir: loading one creates it.
+    let store = tmp_dir("checkout");
+    let mut w = Warehouse::load(&store, None).expect("empty store loads");
+    w.attach_kernels(&PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../benchmark"));
+    let found = w.view("kernels").unwrap().rows.iter().any(|r| {
+        r[0] == Datum::Str("baseline-run".to_string())
+            && r[1] == Datum::Str("runs.0.workload".to_string())
+    });
+    assert!(found, "baseline-run.json flattens into the kernels view");
+    let _ = std::fs::remove_dir_all(&store);
 }
 
 #[test]

@@ -12,8 +12,6 @@
 //!   not apply; everything else does, plus full public docs.
 //! * **`experiments`** — application crate; it may time and print, but
 //!   must not spawn ad-hoc threads.
-//! * **`bench`** — feeds the regression gate, so in addition it may not
-//!   read the wall clock outside the pragma'd timing helper.
 //! * **artifact caches** (`sparse/src/artifacts.rs`,
 //!   `experiments/src/artifacts.rs`) — per-file tightened to the full
 //!   deterministic set: a cache hit must be bitwise-indistinguishable
@@ -150,10 +148,6 @@ pub fn crate_rules(name: &str) -> Vec<Rule> {
         "load" => vec![DefaultHasher, UnorderedParallel, NoUnwrap, MissingDocs],
         "lint" => vec![DefaultHasher, UnorderedParallel, NoUnwrap, MissingDocs],
         "experiments" => vec![UnorderedParallel],
-        // The bench library feeds the regression gate: it may not read
-        // the wall clock except where explicitly pragma'd (the timing
-        // helper), so a stray timestamp cannot leak into gated counters.
-        "bench" => vec![WallClock, UnorderedParallel],
         // A new crate gets the hygiene baseline until it is classified
         // here; add it to this table (and LINTING.md) when it lands.
         _ => vec![DefaultHasher, UnorderedParallel, NoUnwrap],

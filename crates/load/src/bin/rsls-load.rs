@@ -2,21 +2,20 @@
 //!
 //! ```text
 //! rsls-load soak --addr 127.0.0.1:8080 --requests 100000 --connections 8 --seed 1
-//! rsls-load soak --addr 127.0.0.1:8080 --requests 10000 --rps 5000 --out BENCH_SERVE.json
+//! rsls-load soak --addr 127.0.0.1:8080 --requests 10000 --rps 5000
 //! rsls-load soak --addr 127.0.0.1:8080 --chaos-seed 7 --print-metrics
 //! ```
 //!
 //! The soak replays a seed-deterministic client mix (experiment
 //! fetches, warehouse queries, report revalidations, miss storms,
-//! health probes) over persistent keep-alive connections, then writes
-//! the aggregated report as canonical JSON — the `BENCH_SERVE.json`
-//! that `rsls-bench compare-serve` gates in CI. `--chaos-seed` arms
-//! client-side connection resets so the reconnect path is exercised on
-//! a reproducible schedule; `--print-metrics` dumps the latency
-//! histogram and per-class counts in Prometheus text format.
+//! health probes) over persistent keep-alive connections, prints a
+//! summary on stderr and exits nonzero on any protocol error.
+//! `--chaos-seed` arms client-side connection resets so the reconnect
+//! path is exercised on a reproducible schedule; `--print-metrics`
+//! dumps the latency histogram and per-class counts in Prometheus text
+//! format on stdout.
 
 use std::net::{SocketAddr, ToSocketAddrs};
-use std::path::PathBuf;
 use std::sync::Arc;
 
 use rsls_chaos::{ChaosInjector, ChaosPlan};
@@ -26,7 +25,7 @@ fn usage() -> ! {
     eprintln!(
         "usage: rsls-load soak [--addr <host:port>] [--requests <n>] [--connections <n>]\n\
          \x20                     [--seed <u64>] [--rps <n>] [--pipeline <depth>]\n\
-         \x20                     [--chaos-seed <u64>] [--out <path>] [--print-metrics]\n\
+         \x20                     [--chaos-seed <u64>] [--print-metrics]\n\
          defaults: --addr 127.0.0.1:8080 --requests 100000 --connections 8 --seed 1 --pipeline 4"
     );
     std::process::exit(2);
@@ -65,7 +64,6 @@ fn main() {
         ..SoakOptions::default()
     };
     let mut chaos_seed: Option<u64> = None;
-    let mut out: Option<PathBuf> = None;
     let mut print_metrics = false;
     let mut i = 1;
     while i < args.len() {
@@ -83,7 +81,6 @@ fn main() {
                 opts.pipeline_depth = parse_arg::<usize>(&args, &mut i, "--pipeline").max(1)
             }
             "--chaos-seed" => chaos_seed = Some(parse_arg(&args, &mut i, "--chaos-seed")),
-            "--out" | "-o" => out = Some(parse_arg(&args, &mut i, "--out")),
             "--print-metrics" => print_metrics = true,
             "--help" | "-h" => usage(),
             other => {
@@ -127,19 +124,19 @@ fn main() {
         }
     };
 
-    let report = &outcome.report;
+    let hist = &outcome.histogram;
     eprintln!(
         "rsls-load: {} requests, {:.0} rps, p50 {}µs p99 {}µs p999 {}µs max {}µs, \
          {} reconnects, {} retried 503s, {} protocol errors",
-        report.requests,
-        report.throughput_rps,
-        report.latency.p50_us,
-        report.latency.p99_us,
-        report.latency.p999_us,
-        report.latency.max_us,
+        outcome.requests,
+        outcome.throughput_rps,
+        hist.quantile_us(0.50),
+        hist.quantile_us(0.99),
+        hist.quantile_us(0.999),
+        hist.max_us(),
         outcome.reconnects,
         outcome.retried_503,
-        report.protocol_errors,
+        outcome.protocol_errors,
     );
     for (status, count) in &outcome.status_counts {
         eprintln!("rsls-load:   status {status}: {count}");
@@ -149,38 +146,18 @@ fn main() {
     }
 
     if print_metrics {
-        print!(
-            "{}",
-            outcome
-                .histogram
-                .render_prometheus("rsls_load_request_latency_us")
-        );
+        print!("{}", hist.render_prometheus("rsls_load_request_latency_us"));
         for (class, count) in &outcome.class_counts {
             println!("rsls_load_requests_total{{class=\"{class}\"}} {count}");
         }
         println!("rsls_load_reconnects_total {}", outcome.reconnects);
-        println!("rsls_load_protocol_errors_total {}", report.protocol_errors);
+        println!(
+            "rsls_load_protocol_errors_total {}",
+            outcome.protocol_errors
+        );
     }
 
-    let json = match serde_json::to_string_pretty(report) {
-        Ok(json) => json,
-        Err(e) => {
-            eprintln!("rsls-load: serializing report: {e}");
-            std::process::exit(1);
-        }
-    };
-    match &out {
-        Some(path) => {
-            if let Err(e) = std::fs::write(path, format!("{json}\n")) {
-                eprintln!("rsls-load: writing {}: {e}", path.display());
-                std::process::exit(1);
-            }
-            eprintln!("rsls-load: wrote {}", path.display());
-        }
-        None => println!("{json}"),
-    }
-
-    if report.protocol_errors > 0 {
+    if outcome.protocol_errors > 0 {
         std::process::exit(1);
     }
 }

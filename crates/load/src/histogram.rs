@@ -3,8 +3,8 @@
 //! Quantiles are reported as the **upper bound of the bucket** holding
 //! the target rank, so two runs observing the same multiset of
 //! latencies report byte-identical quantiles regardless of arrival
-//! order — the property that makes `BENCH_SERVE.json` comparable
-//! across runs and machines without storing every sample.
+//! order — the property that makes two soaks comparable without
+//! storing every sample.
 
 /// Latencies above this saturate into the overflow bucket (120 s, µs).
 const MAX_TRACKED_US: u64 = 120_000_000;

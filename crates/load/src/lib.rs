@@ -7,15 +7,13 @@
 //! revalidations, deliberate cache-miss storms, and health probes —
 //! and records client-observed latency in a log-bucketed histogram
 //! whose quantiles are exact functions of the observed multiset
-//! (see [`histogram::LatencyHistogram`]). The aggregated result is a
-//! [`rsls_bench::ServeBenchReport`] serialized as canonical JSON
-//! (`BENCH_SERVE.json`) and gated in CI by `rsls-bench compare-serve`.
+//! (see [`histogram::LatencyHistogram`]). It is a correctness harness:
+//! the one number it gates is `protocol_errors`, pinned at exactly zero
+//! on every machine. Speed claims come from `benchmark/`, not from here.
 //!
 //! Determinism contract: the request *stream* per connection is a pure
 //! function of `(seed, connection index, experiment corpus)` — see
-//! [`mix`]. Timings are of course machine-dependent; the gate absorbs
-//! that with floors and a ±20% band, while `protocol_errors` is pinned
-//! at exactly zero on every machine.
+//! [`mix`]. Timings are of course machine-dependent and only reported.
 
 #![warn(missing_docs)]
 

@@ -15,15 +15,12 @@ use std::net::SocketAddr;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use rsls_bench::{ServeBenchReport, ServeLatency};
 use rsls_chaos::ChaosInjector;
 use rsls_serve::client::{ClientResponse, Conn};
 
 use crate::histogram::LatencyHistogram;
 use crate::mix::{MixWeights, PlannedRequest, RequestClass, RequestPlanner, Rng};
 
-/// Schema version stamped into [`ServeBenchReport`].
-const REPORT_VERSION: u32 = 1;
 /// Reconnect attempts per request before declaring a protocol error.
 const CONNECT_ATTEMPTS: usize = 4;
 /// Retries when the server sheds load with `503`.
@@ -70,11 +67,17 @@ impl Default for SoakOptions {
     }
 }
 
-/// Everything a finished soak learned, beyond the gateable report.
+/// Everything a finished soak learned.
 #[derive(Debug)]
 pub struct SoakOutcome {
-    /// The canonical report (`BENCH_SERVE.json` payload).
-    pub report: ServeBenchReport,
+    /// Requests completed.
+    pub requests: u64,
+    /// Persistent connections driven.
+    pub connections: usize,
+    /// Framing/transport violations observed — zero on a correct server.
+    pub protocol_errors: u64,
+    /// Sustained throughput, requests per second.
+    pub throughput_rps: f64,
     /// Requests per traffic class.
     pub class_counts: BTreeMap<&'static str, u64>,
     /// Responses per status code.
@@ -83,7 +86,7 @@ pub struct SoakOutcome {
     pub reconnects: u64,
     /// Requests that retried through at least one `503`.
     pub retried_503: u64,
-    /// The merged latency histogram (for `--print-metrics`).
+    /// The merged latency histogram.
     pub histogram: LatencyHistogram,
 }
 
@@ -116,12 +119,22 @@ impl WorkerStats {
 
 /// Fetches the `/experiments` listing once and extracts the ids, so
 /// every worker plans against the same sorted corpus.
+///
+/// Discovery is the soak's precondition, not a counted request: there
+/// is no `protocol_errors` tally to absorb a failure here, so it must
+/// outlast an armed fault plan. `client-reset` is the only site on this
+/// path and a bounded plan fires it at most `max_faults_per_site`
+/// times, so that many attempts are granted on top of the usual
+/// [`CONNECT_ATTEMPTS`] — which remain for faults the plan does not
+/// own (a server still booting, or tearing connections down under its
+/// own chaos plan).
 pub fn discover_experiments(
     addr: SocketAddr,
     chaos: Option<&Arc<ChaosInjector>>,
 ) -> io::Result<Vec<String>> {
+    let fault_budget = chaos.map_or(0, |c| c.plan().max_faults_per_site) as usize;
     let mut last_err = None;
-    for attempt in 0..CONNECT_ATTEMPTS {
+    for attempt in 0..CONNECT_ATTEMPTS + fault_budget {
         match discover_once(addr, chaos) {
             Ok(ids) => return Ok(ids),
             Err(e) => {
@@ -173,7 +186,7 @@ fn parse_listing_ids(body: &str) -> Vec<String> {
 ///
 /// Transport failures that survive [`CONNECT_ATTEMPTS`] reconnects, and
 /// any `5xx` other than a well-formed `503`, count as protocol errors —
-/// the quantity the serve gate pins at exactly zero. Plain `4xx`
+/// the quantity the soak pins at exactly zero. Plain `4xx`
 /// responses are expected traffic (miss storms exist to generate them)
 /// and only show up in `status_counts`.
 pub fn run_soak(opts: &SoakOptions) -> io::Result<SoakOutcome> {
@@ -214,25 +227,11 @@ pub fn run_soak(opts: &SoakOptions) -> io::Result<SoakOutcome> {
         stats.protocol_errors += ws.protocol_errors;
     }
 
-    let secs = elapsed.as_secs_f64().max(1e-9);
-    let report = ServeBenchReport {
-        version: REPORT_VERSION,
-        threads: std::thread::available_parallelism().map_or(1, usize::from),
+    Ok(SoakOutcome {
         requests: stats.requests,
         connections,
         protocol_errors: stats.protocol_errors,
-        throughput_rps: stats.requests as f64 / secs,
-        latency: ServeLatency {
-            p50_us: stats.hist.quantile_us(0.50),
-            p99_us: stats.hist.quantile_us(0.99),
-            p999_us: stats.hist.quantile_us(0.999),
-            max_us: stats.hist.max_us(),
-            mean_us: stats.hist.mean_us(),
-        },
-    };
-
-    Ok(SoakOutcome {
-        report,
+        throughput_rps: stats.requests as f64 / elapsed.as_secs_f64().max(1e-9),
         class_counts: stats.class_counts,
         status_counts: stats.status_counts,
         reconnects,

@@ -107,21 +107,21 @@ fn soak_completes_cleanly_across_every_request_class() {
         ..SoakOptions::default()
     };
     let outcome = run_soak(&opts).expect("soak runs");
-    let report = &outcome.report;
 
-    assert_eq!(report.requests, 1200, "every request accounted for");
+    assert_eq!(outcome.requests, 1200, "every request accounted for");
     assert_eq!(
-        report.protocol_errors, 0,
+        outcome.protocol_errors, 0,
         "status counts: {:?}",
         outcome.status_counts
     );
-    assert_eq!(report.connections, 4);
-    assert!(report.throughput_rps > 0.0);
-    assert!(report.latency.p50_us >= 1);
-    assert!(report.latency.p99_us >= report.latency.p50_us);
-    assert!(report.latency.p999_us >= report.latency.p99_us);
-    assert!(report.latency.max_us >= report.latency.p999_us);
-    assert_eq!(outcome.histogram.count(), 1200);
+    assert_eq!(outcome.connections, 4);
+    assert!(outcome.throughput_rps > 0.0);
+    let hist = &outcome.histogram;
+    assert_eq!(hist.count(), 1200);
+    assert!(hist.quantile_us(0.50) >= 1);
+    assert!(hist.quantile_us(0.99) >= hist.quantile_us(0.50));
+    assert!(hist.quantile_us(0.999) >= hist.quantile_us(0.99));
+    assert!(hist.max_us() >= hist.quantile_us(0.999));
 
     // The default mix exercises all five classes in 1200 draws.
     for class in ["experiment", "query", "revalidate", "miss-storm", "health"] {
@@ -166,11 +166,11 @@ fn same_seed_replays_the_same_request_stream() {
     // Timings differ run to run; the *traffic* must not. The second
     // soak hits warm caches, which changes latency but no status: the
     // request stream and its responses are a pure function of the seed.
-    assert_eq!(first.report.requests, second.report.requests);
+    assert_eq!(first.requests, second.requests);
     assert_eq!(first.class_counts, second.class_counts);
     assert_eq!(first.status_counts, second.status_counts);
-    assert_eq!(first.report.protocol_errors, 0);
-    assert_eq!(second.report.protocol_errors, 0);
+    assert_eq!(first.protocol_errors, 0);
+    assert_eq!(second.protocol_errors, 0);
 
     handle.shutdown();
     join.join().expect("no panic").expect("clean shutdown");
@@ -245,7 +245,7 @@ fn soak_against(base: &Path, shards: usize, chaos_seed: Option<u64>) {
         ..SoakOptions::default()
     })
     .expect("soak runs");
-    assert_eq!(outcome.report.requests, 500);
+    assert_eq!(outcome.requests, 500);
 
     handle.shutdown();
     join.join().expect("no panic").expect("clean shutdown");

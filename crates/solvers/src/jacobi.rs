@@ -1,9 +1,8 @@
 //! Jacobi-preconditioned CG.
 //!
 //! The paper evaluates plain CG; Jacobi-PCG is included as the natural
-//! extension (its related work discusses PCG variants) and is exercised by
-//! the ablation benches to show recovery behaviour is not specific to the
-//! unpreconditioned method.
+//! extension (its related work discusses PCG variants), there to show
+//! recovery behaviour is not specific to the unpreconditioned method.
 //!
 //! The workspace runs on the same fast path as [`crate::Cg`]: the
 //! operator is bound to the format the deterministic selection heuristic
@@ -74,8 +73,7 @@ impl<'a> JacobiPcg<'a> {
     /// One PCG iteration; returns the relative residual.
     ///
     /// Allocation-free: every vector it touches is preallocated by
-    /// [`JacobiPcg::new`] (the bench's `jacobi_warm_allocs` gate holds
-    /// this at zero).
+    /// [`JacobiPcg::new`] (`tests/zero_alloc.rs` holds this at zero).
     pub fn step(&mut self) -> f64 {
         self.op.apply(&self.p, &mut self.ap);
         let pap = dot(&self.p, &self.ap);

@@ -12,7 +12,7 @@
 //!   optimized LSI reconstruction (§4.1, Eq. 21: solve
 //!   `(A_{p_i,:} A_{p_i,:}ᵀ) x = A_{p_i,:} β` locally with CG).
 //! * [`jacobi`] — Jacobi-preconditioned CG (an extension beyond the
-//!   paper's plain-CG evaluation; used by ablation benches).
+//!   paper's plain-CG evaluation).
 //! * [`ic0`] — IC(0) incomplete-Cholesky preconditioned CG with
 //!   deterministic sequential triangular solves; the iteration-count
 //!   lever on the paper's stencil/banded model problems.

@@ -292,9 +292,9 @@ impl CsrMatrix {
         assert!(chunk_rows > 0, "par_spmv_chunked: chunk_rows must be > 0");
         // One effective worker cannot win anything from the chunked
         // dispatch, but its differently-shaped inner loop can lose to
-        // the serial kernel's codegen (BENCH_PR5 recorded exactly that
-        // as a 0.84x "parallel speedup" measured on one thread). Run
-        // the serial kernel itself instead.
+        // the serial kernel's codegen (measured once as a 0.84x
+        // "parallel speedup" on one thread). Run the serial kernel
+        // itself instead.
         if rayon::effective_num_threads() <= 1 {
             return self.spmv(x, y);
         }

@@ -378,16 +378,6 @@ pub enum Format {
     Sell,
 }
 
-impl Format {
-    /// Short lowercase name (`"csr"` / `"sell"`), used in bench reports.
-    pub fn name(self) -> &'static str {
-        match self {
-            Format::Csr => "csr",
-            Format::Sell => "sell",
-        }
-    }
-}
-
 /// Stored-entry count below which [`select_format`] always answers
 /// [`Format::Csr`]: small operators (local-CG diagonal blocks, test
 /// matrices) would pay conversion and cache-key hashing without enough
