@@ -4,6 +4,7 @@
 //! deterministic bytes.
 
 use std::path::PathBuf;
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 use rsls_lab::{Datum, Warehouse};
 
@@ -14,11 +15,15 @@ fn tmp_dir(tag: &str) -> PathBuf {
     dir
 }
 
-/// An empty warehouse (the store need not exist) with kernels attached
-/// from `dir`.
+/// An empty warehouse with kernels attached from `dir`. Loading a store
+/// creates its directories, so the empty one is a throwaway temp dir of
+/// its own — never under `dir`, which may be the checkout or may have to
+/// stay missing.
 fn warehouse_over(dir: &std::path::Path) -> Warehouse {
-    let missing = dir.join("no-such-store");
-    let mut w = Warehouse::load(&missing, None).expect("missing store loads empty");
+    static CALLS: AtomicUsize = AtomicUsize::new(0);
+    let store = tmp_dir(&format!("store-{}", CALLS.fetch_add(1, Ordering::Relaxed)));
+    let mut w = Warehouse::load(&store, None).expect("empty store loads");
+    let _ = std::fs::remove_dir_all(&store);
     w.attach_kernels(dir);
     w
 }
@@ -96,22 +101,20 @@ fn bench_baselines_flatten_sorted_and_queryable() {
 
 #[test]
 fn committed_baseline_run_is_queryable_from_the_checkout() {
-    // The empty store lives in a temp dir: loading one creates it.
-    let store = tmp_dir("checkout");
-    let mut w = Warehouse::load(&store, None).expect("empty store loads");
-    w.attach_kernels(&PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../benchmark"));
+    let w = warehouse_over(&PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../benchmark"));
     let found = w.view("kernels").unwrap().rows.iter().any(|r| {
         r[0] == Datum::Str("baseline-run".to_string())
             && r[1] == Datum::Str("runs.0.workload".to_string())
     });
     assert!(found, "baseline-run.json flattens into the kernels view");
-    let _ = std::fs::remove_dir_all(&store);
 }
 
 #[test]
 fn missing_bench_dir_is_an_empty_view() {
     let dir = tmp_dir("missing");
-    let w = warehouse_over(&dir.join("does-not-exist"));
+    let missing = dir.join("does-not-exist");
+    let w = warehouse_over(&missing);
+    assert!(!missing.exists(), "the loader must not create it");
     assert_eq!(w.view("kernels").unwrap().rows.len(), 0);
     assert_eq!(w.rejected, 0);
     let _ = std::fs::remove_dir_all(&dir);

@@ -24,6 +24,9 @@ fn count_one() {
     let _ = ALLOCS.try_with(|c| c.set(c.get() + 1));
 }
 
+// SAFETY: every call is forwarded unchanged to `System`, which upholds
+// the `GlobalAlloc` contract; the count beside it touches only a
+// `Cell<u64>` and cannot allocate, unwind or re-enter the allocator.
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         count_one();
