@@ -23,7 +23,7 @@
 
 use std::collections::BTreeSet;
 use std::fs::{self, File, OpenOptions};
-use std::io::{self, BufRead, BufReader, Write};
+use std::io::{self, BufRead, BufReader, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex};
 
@@ -432,6 +432,109 @@ impl Journal {
     }
 }
 
+/// How many already-consumed bytes a [`JournalCursor`] re-checks before
+/// it resumes (about two records).
+const ANCHOR_BYTES: usize = 256;
+
+/// A resumable read position in a journal file.
+///
+/// While one campaign appends to a journal, a reader that remembers how
+/// far it got only has to read what was appended since. Two things
+/// break "append-only": a campaign started without `--resume`
+/// re-creates the file ([`Journal::create`]), and
+/// [`Journal::repair_torn_tail`] truncates it. The cursor therefore
+/// keeps the last bytes it consumed and resumes only while the file
+/// still holds exactly those bytes right before its offset; a shorter
+/// file, or one with other bytes there, is read again from zero and
+/// reported as [`JournalTail::restarted`].
+#[derive(Debug, Clone, Default)]
+pub struct JournalCursor {
+    /// Bytes consumed: the offset just past the last complete line.
+    offset: u64,
+    /// The last (up to [`ANCHOR_BYTES`]) bytes before `offset`.
+    anchor: Vec<u8>,
+}
+
+/// What one [`JournalCursor::read_new`] call found.
+#[derive(Debug, Clone, PartialEq, Default)]
+pub struct JournalTail {
+    /// The cursor could not resume and read the file from its start:
+    /// whatever the caller folded from earlier reads no longer
+    /// describes this file.
+    pub restarted: bool,
+    /// The parseable events of the newline-terminated lines read, in
+    /// append order. These lines are consumed.
+    pub events: Vec<JournalEvent>,
+    /// What an unterminated last line parses to, if anything: a writer
+    /// caught between a record and its newline. The line is *not*
+    /// consumed — the next read sees it again, finished or not.
+    pub unterminated: Option<JournalEvent>,
+}
+
+impl JournalCursor {
+    /// Bytes of the journal consumed so far.
+    pub fn offset(&self) -> u64 {
+        self.offset
+    }
+
+    /// Reads what the journal at `path` holds past this cursor and
+    /// advances it over every complete line. A missing file is an empty
+    /// journal; unparsable and unknown-kind lines are skipped, exactly
+    /// as [`Journal::read_events`] skips them. On an error (unreadable
+    /// file, invalid UTF-8) the cursor does not move.
+    pub fn read_new(&mut self, path: impl AsRef<Path>) -> io::Result<JournalTail> {
+        let mut tail = JournalTail::default();
+        let mut next = JournalCursor::default();
+        let mut resumed = false;
+        match File::open(path.as_ref()) {
+            Ok(mut file) => {
+                resumed = self.still_anchored(&mut file)?;
+                if resumed {
+                    next = self.clone();
+                }
+                file.seek(SeekFrom::Start(next.offset))?;
+                let mut reader = BufReader::new(file);
+                let mut line = String::new();
+                while reader.read_line(&mut line)? > 0 {
+                    let Some(record) = line.strip_suffix('\n') else {
+                        tail.unterminated = JournalEvent::from_line(&line);
+                        break;
+                    };
+                    let record = record.strip_suffix('\r').unwrap_or(record);
+                    tail.events.extend(JournalEvent::from_line(record));
+                    next.advance(line.as_bytes());
+                    line.clear();
+                }
+            }
+            Err(e) if e.kind() == io::ErrorKind::NotFound => {}
+            Err(e) => return Err(e),
+        }
+        tail.restarted = self.offset > 0 && !resumed;
+        *self = next;
+        Ok(tail)
+    }
+
+    /// Whether `file` still holds this cursor's anchor right before its
+    /// offset (trivially true before anything was consumed).
+    fn still_anchored(&self, file: &mut File) -> io::Result<bool> {
+        let mut seen = vec![0u8; self.anchor.len()];
+        file.seek(SeekFrom::Start(self.offset - self.anchor.len() as u64))?;
+        match file.read_exact(&mut seen) {
+            Ok(()) => Ok(seen == self.anchor),
+            Err(e) if e.kind() == io::ErrorKind::UnexpectedEof => Ok(false),
+            Err(e) => Err(e),
+        }
+    }
+
+    /// Moves past one consumed line.
+    fn advance(&mut self, line: &[u8]) {
+        self.offset += line.len() as u64;
+        self.anchor.extend_from_slice(line);
+        let excess = self.anchor.len().saturating_sub(ANCHOR_BYTES);
+        self.anchor.drain(..excess);
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -634,6 +737,121 @@ mod tests {
         let back = Journal::read_events(&path).unwrap();
         assert_eq!(back, events);
         let _ = std::fs::remove_file(&path);
+    }
+
+    fn done(hash: &str, wall_s: f64) -> JournalEvent {
+        JournalEvent::Done {
+            hash: hash.into(),
+            unit: format!("e/{hash}"),
+            wall_s,
+        }
+    }
+
+    #[test]
+    fn cursor_reads_only_what_was_appended() {
+        let path = tmp_path("cursor-append");
+        let j = Journal::create(&path).unwrap();
+        let mut cursor = JournalCursor::default();
+        assert_eq!(cursor.read_new(&path).unwrap(), JournalTail::default());
+
+        j.record(&done("h1", 0.5)).unwrap();
+        j.record(&done("h2", 1.5)).unwrap();
+        let tail = cursor.read_new(&path).unwrap();
+        assert_eq!(tail.events, vec![done("h1", 0.5), done("h2", 1.5)]);
+        assert!(!tail.restarted && tail.unterminated.is_none());
+        assert_eq!(cursor.offset(), fs::metadata(&path).unwrap().len());
+
+        // Nothing new, then one more record: only that record comes back.
+        assert_eq!(cursor.read_new(&path).unwrap(), JournalTail::default());
+        j.record(&done("h3", 2.5)).unwrap();
+        assert_eq!(
+            cursor.read_new(&path).unwrap().events,
+            vec![done("h3", 2.5)]
+        );
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn cursor_leaves_an_unterminated_line_unconsumed() {
+        let path = tmp_path("cursor-torn");
+        let j = Journal::create(&path).unwrap();
+        j.record(&done("h1", 0.5)).unwrap();
+        drop(j);
+        let clean = fs::metadata(&path).unwrap().len();
+        let line = done("h2", 1.5).to_line().unwrap();
+        let mut f = OpenOptions::new().append(true).open(&path).unwrap();
+
+        // Half a record: nothing to report, nothing consumed.
+        f.write_all(&line.as_bytes()[..line.len() / 2]).unwrap();
+        let mut cursor = JournalCursor::default();
+        let tail = cursor.read_new(&path).unwrap();
+        assert_eq!(tail.events, vec![done("h1", 0.5)]);
+        assert_eq!(tail.unterminated, None);
+        assert_eq!(cursor.offset(), clean);
+
+        // The whole record but no newline yet: reported, still not
+        // consumed, and what `read_events` has always returned.
+        f.write_all(&line.as_bytes()[line.len() / 2..]).unwrap();
+        let tail = cursor.read_new(&path).unwrap();
+        assert!(tail.events.is_empty());
+        assert_eq!(tail.unterminated, Some(done("h2", 1.5)));
+        assert_eq!(cursor.offset(), clean);
+        assert_eq!(
+            Journal::read_events(&path).unwrap(),
+            vec![done("h1", 0.5), done("h2", 1.5)]
+        );
+
+        // The newline lands: consumed exactly once.
+        f.write_all(b"\n").unwrap();
+        let tail = cursor.read_new(&path).unwrap();
+        assert_eq!(tail.events, vec![done("h2", 1.5)]);
+        assert_eq!(tail.unterminated, None);
+        assert_eq!(cursor.read_new(&path).unwrap(), JournalTail::default());
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn cursor_restarts_on_a_recreated_or_truncated_journal() {
+        let path = tmp_path("cursor-recreate");
+        let j = Journal::create(&path).unwrap();
+        j.record(&done("h1", 0.5)).unwrap();
+        j.record(&done("h2", 1.5)).unwrap();
+        drop(j);
+        let mut cursor = JournalCursor::default();
+        assert_eq!(cursor.read_new(&path).unwrap().events.len(), 2);
+
+        // Re-created and already *longer* than what was consumed: the
+        // length alone would not show it, the anchor does.
+        let j = Journal::create(&path).unwrap();
+        let fresh: Vec<JournalEvent> = (0..4).map(|i| done(&format!("g{i}"), 0.25)).collect();
+        for e in &fresh {
+            j.record(e).unwrap();
+        }
+        drop(j);
+        let tail = cursor.read_new(&path).unwrap();
+        assert!(tail.restarted);
+        assert_eq!(tail.events, fresh);
+
+        // Truncated below the consumed offset.
+        OpenOptions::new()
+            .write(true)
+            .open(&path)
+            .unwrap()
+            .set_len(0)
+            .unwrap();
+        let tail = cursor.read_new(&path).unwrap();
+        assert!(tail.restarted && tail.events.is_empty());
+        assert_eq!(cursor.offset(), 0);
+
+        // Deleted after something was consumed.
+        Journal::create(&path)
+            .unwrap()
+            .record(&done("h1", 0.5))
+            .unwrap();
+        assert_eq!(cursor.read_new(&path).unwrap().events.len(), 1);
+        std::fs::remove_file(&path).unwrap();
+        let tail = cursor.read_new(&path).unwrap();
+        assert!(tail.restarted && tail.events.is_empty());
     }
 
     #[test]

@@ -93,7 +93,7 @@ pub mod spec;
 
 pub use cache::{is_sha256_hex, Lookup, ResultCache};
 pub use engine::{CampaignSummary, Engine, EngineOptions, UnitOutcome, UnitStatus};
-pub use journal::{Journal, JournalEvent};
+pub use journal::{Journal, JournalCursor, JournalEvent, JournalTail};
 pub use provenance::Provenance;
 pub use shard::{shard_dir, ShardRouter};
 pub use spec::{matrix_fingerprint, UnitSpec, ENGINE_VERSION};

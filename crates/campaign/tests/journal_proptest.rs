@@ -15,7 +15,7 @@ use std::fs;
 use std::path::PathBuf;
 
 use proptest::prelude::*;
-use rsls_campaign::{Journal, JournalEvent};
+use rsls_campaign::{Journal, JournalCursor, JournalEvent};
 
 fn tmp_path(case: u64) -> PathBuf {
     std::env::temp_dir().join(format!(
@@ -86,6 +86,47 @@ proptest! {
         let done = Journal::completed_hashes(&path).unwrap();
         prop_assert!(done.contains("post-resume"));
         prop_assert_eq!(done.len(), survivors + 1);
+
+        let _ = fs::remove_file(&path);
+    }
+
+    /// A cursor that reads the journal in two sittings — once when it
+    /// had been cut at an arbitrary byte, once after it grew back —
+    /// reports what one `read_events` over the same bytes reports, at
+    /// both points.
+    #[test]
+    fn a_cursor_read_in_two_sittings_equals_one_read_events(
+        n in 1usize..10,
+        cut_frac in 0.0f64..1.0,
+        case in 0u64..1_000_000,
+    ) {
+        let path = tmp_path(case ^ 0x5eed);
+        let journal = Journal::create(&path).unwrap();
+        for i in 0..n {
+            let (hash, unit) = (format!("hash-{i:04}"), format!("exp/unit-{i:04}"));
+            journal.record(&JournalEvent::Start { hash: hash.clone(), unit: unit.clone() }).unwrap();
+            journal.record(&JournalEvent::Done { hash, unit, wall_s: i as f64 * 0.5 + 0.25 }).unwrap();
+        }
+        drop(journal);
+        let whole = fs::read(&path).unwrap();
+        let cut = (whole.len() as f64 * cut_frac) as usize;
+
+        fs::write(&path, &whole[..cut]).unwrap();
+        let mut cursor = JournalCursor::default();
+        let first = cursor.read_new(&path).unwrap();
+        let mut seen = first.events.clone();
+        let with_tail: Vec<JournalEvent> =
+            seen.iter().cloned().chain(first.unterminated).collect();
+        prop_assert_eq!(&with_tail, &Journal::read_events(&path).unwrap());
+        prop_assert!(cursor.offset() as usize <= cut);
+
+        fs::write(&path, &whole).unwrap();
+        let second = cursor.read_new(&path).unwrap();
+        prop_assert!(!second.restarted);
+        prop_assert_eq!(&second.unterminated, &None);
+        seen.extend(second.events);
+        prop_assert_eq!(&seen, &Journal::read_events(&path).unwrap());
+        prop_assert_eq!(cursor.offset() as usize, whole.len());
 
         let _ = fs::remove_file(&path);
     }

@@ -9,10 +9,11 @@
 //! dangling ref) increments the rejected counter and is skipped —
 //! ingest never panics on store contents.
 
+use std::collections::BTreeMap;
 use std::io;
-use std::path::Path;
+use std::path::{Path, PathBuf};
 
-use rsls_campaign::{Journal, JournalEvent, ResultCache};
+use rsls_campaign::{Journal, JournalCursor, JournalEvent, JournalTail, ResultCache};
 use serde_json::Value;
 
 use crate::table::{Datum, Table};
@@ -331,6 +332,391 @@ impl Warehouse {
     }
 }
 
+/// Report-object fields behind the `runs` columns `scheme` …
+/// `checkpoint_interval`, in column order.
+const REPORT_FIELDS: [&str; 11] = [
+    "scheme",
+    "num_ranks",
+    "iterations",
+    "converged",
+    "final_relative_residual",
+    "time_s",
+    "energy_j",
+    "avg_power_w",
+    "faults_injected",
+    "construction_fallbacks",
+    "checkpoint_interval_iters",
+];
+
+/// Provenance-sidecar fields behind `runs` columns: the first
+/// [`LEADING_PROVENANCE`] open the row, the rest follow the two journal
+/// columns.
+const PROVENANCE_FIELDS: [&str; 7] = [
+    "experiment",
+    "unit",
+    "matrix",
+    "scale",
+    "engine_version",
+    "matrix_fingerprint",
+    "chaos_plan_hash",
+];
+const LEADING_PROVENANCE: usize = 4;
+
+/// The decoded `runs` cells of one verified unit pointer — what the
+/// snapshot keeps of a 24 KB report object.
+#[derive(Debug, Clone)]
+struct UnitRow {
+    /// Index of the store whose pointer was resolved.
+    store: usize,
+    report_hash: String,
+    /// One cell per [`REPORT_FIELDS`] entry.
+    report: Vec<Datum>,
+    /// One cell per [`PROVENANCE_FIELDS`] entry; `None` until a sidecar
+    /// decodes (the engine writes it after the pointer).
+    provenance: Option<Vec<Datum>>,
+}
+
+/// Everything ingest folds out of one journal, or out of several merged.
+#[derive(Debug, Clone, Default)]
+struct JournalDigest {
+    /// Per-unit activity by spec hash.
+    activity: BTreeMap<String, UnitActivity>,
+    /// Fired count by chaos site.
+    chaos: BTreeMap<String, i64>,
+}
+
+impl JournalDigest {
+    /// Folds the next event of one journal in. The journal appends a
+    /// chaos summary per campaign end, so the *last* record for a site
+    /// wins.
+    fn fold(&mut self, event: &JournalEvent) {
+        let activity = &mut self.activity;
+        match event {
+            JournalEvent::Start { hash, unit } => unit_activity(activity, hash, unit).starts += 1,
+            JournalEvent::Done { hash, unit, wall_s } => {
+                let a = unit_activity(activity, hash, unit);
+                a.dones += 1;
+                a.wall_s += wall_s;
+            }
+            JournalEvent::Failed { hash, unit, .. } => {
+                unit_activity(activity, hash, unit).failed += 1;
+            }
+            JournalEvent::Degraded { hash, unit, .. } => {
+                unit_activity(activity, hash, unit).degraded += 1;
+            }
+            JournalEvent::Retry { hash, unit, .. } => {
+                unit_activity(activity, hash, unit).retries += 1;
+            }
+            JournalEvent::CacheCorrupt { hash, unit, .. } => {
+                unit_activity(activity, hash, unit).corrupt += 1;
+            }
+            JournalEvent::Chaos { site, fired } => {
+                let fired = (*fired).min(i64::MAX as u64) as i64;
+                self.chaos.insert(site.clone(), fired);
+            }
+        }
+    }
+
+    /// Adds the next store's digest: counters of a hash seen before sum
+    /// (a unit retried on one shard and finished on another reports
+    /// both timelines) and keep the first store's unit name; chaos
+    /// counts sum per site (each shard's journal carries its own
+    /// end-of-campaign summary).
+    fn merge(&mut self, store: &JournalDigest) {
+        for (hash, a) in &store.activity {
+            match self.activity.get_mut(hash) {
+                Some(m) => {
+                    m.starts += a.starts;
+                    m.dones += a.dones;
+                    m.failed += a.failed;
+                    m.degraded += a.degraded;
+                    m.retries += a.retries;
+                    m.corrupt += a.corrupt;
+                    m.wall_s += a.wall_s;
+                }
+                None => {
+                    self.activity.insert(hash.clone(), a.clone());
+                }
+            }
+        }
+        for (site, fired) in &store.chaos {
+            let n = self.chaos.entry(site.clone()).or_insert(0);
+            *n = n.saturating_add(*fired);
+        }
+    }
+}
+
+/// The activity slot of `hash`, created on first touch under the unit
+/// name that touch carried.
+fn unit_activity<'a>(
+    activity: &'a mut BTreeMap<String, UnitActivity>,
+    hash: &str,
+    unit: &str,
+) -> &'a mut UnitActivity {
+    activity
+        .entry(hash.to_string())
+        .or_insert_with(|| UnitActivity {
+            unit: Some(unit.to_string()),
+            ..UnitActivity::default()
+        })
+}
+
+/// One store namespace of a [`Snapshot`]: its cache handle and how far
+/// its journal has been folded.
+#[derive(Debug)]
+struct StoreState {
+    cache: ResultCache,
+    journal_path: Option<PathBuf>,
+    cursor: JournalCursor,
+    /// Everything up to `cursor`.
+    digest: JournalDigest,
+    /// The journal's unterminated last line as the latest refresh saw
+    /// it: part of that refresh's views, never folded into `digest`.
+    unterminated: Option<JournalEvent>,
+}
+
+/// Incremental warehouse ingest over a fixed set of store namespaces.
+///
+/// The store is append-only and content-addressed, so what was verified
+/// once stays true: the snapshot keeps, per unit pointer it has already
+/// resolved, the decoded `runs` cells (never the report bytes), and per
+/// journal a digest with the byte offset it has consumed.
+/// [`Snapshot::refresh`] then reads only what is new — unseen
+/// `units/*.ref` → object → sidecar, sidecars that had not landed yet,
+/// and the journal tails — and [`Snapshot::warehouse`] builds the views
+/// in the order and with the bytes a from-scratch load of the same
+/// directories gives ([`Warehouse::load_shards`] *is* a fresh snapshot
+/// refreshed once; `tests/snapshot_incremental.rs` holds the two
+/// equal after every kind of store change).
+///
+/// What is deliberately not re-checked: an object that was verified
+/// once and is quarantined or rewritten later, and a pointer whose
+/// target changes — neither can happen while stores are
+/// content-addressed and byte-deterministic. A pointer that was
+/// rejected is *not* remembered; it is tried again on every refresh.
+#[derive(Debug)]
+pub struct Snapshot {
+    stores: Vec<StoreState>,
+    /// Verified rows by spec hash — the global sorted order of `runs`.
+    rows: BTreeMap<String, UnitRow>,
+    /// Pointers the latest refresh rejected.
+    rejected: u64,
+}
+
+impl Snapshot {
+    /// An empty snapshot over one `(cache dir, journal)` pair per store
+    /// namespace, in shard order. Missing directories are created empty
+    /// and missing journals read as empty, as in [`Warehouse::load`].
+    pub fn open(stores: &[(&Path, Option<&Path>)]) -> io::Result<Snapshot> {
+        let stores = stores
+            .iter()
+            .map(|(cache_dir, journal_path)| {
+                Ok(StoreState {
+                    cache: ResultCache::open(cache_dir)?,
+                    journal_path: journal_path.map(Path::to_path_buf),
+                    cursor: JournalCursor::default(),
+                    digest: JournalDigest::default(),
+                    unterminated: None,
+                })
+            })
+            .collect::<io::Result<Vec<_>>>()?;
+        Ok(Snapshot {
+            stores,
+            rows: BTreeMap::new(),
+            rejected: 0,
+        })
+    }
+
+    /// Brings the snapshot up to date with the directories and returns
+    /// whether anything [`Snapshot::warehouse`] shows has changed. Fails
+    /// only where a from-scratch load fails (an unreadable journal), and
+    /// then leaves the snapshot as it was.
+    pub fn refresh(&mut self) -> io::Result<bool> {
+        // Journals first, on copies of the cursors: the only step that
+        // can fail must not leave some stores advanced and others not.
+        let tails = self
+            .stores
+            .iter()
+            .map(|store| {
+                let mut cursor = store.cursor.clone();
+                let tail = match &store.journal_path {
+                    Some(path) => cursor.read_new(path)?,
+                    None => JournalTail::default(),
+                };
+                Ok((cursor, tail))
+            })
+            .collect::<io::Result<Vec<_>>>()?;
+        let mut changed = false;
+        for (store, (cursor, tail)) in self.stores.iter_mut().zip(tails) {
+            changed |= tail.restarted
+                || !tail.events.is_empty()
+                || tail.unterminated != store.unterminated;
+            if tail.restarted {
+                store.digest = JournalDigest::default();
+            }
+            for event in &tail.events {
+                store.digest.fold(event);
+            }
+            store.cursor = cursor;
+            store.unterminated = tail.unterminated;
+        }
+
+        // Global sorted spec-hash order across every store; a hash seen
+        // in two stores belongs to the lower one.
+        let mut pointers: Vec<(String, usize)> = Vec::new();
+        for (idx, store) in self.stores.iter().enumerate() {
+            pointers.extend(store.cache.unit_spec_hashes().into_iter().map(|h| (h, idx)));
+        }
+        pointers.sort();
+        pointers.dedup_by(|a, b| a.0 == b.0);
+
+        let mut rows = BTreeMap::new();
+        let (mut read, mut rejected) = (0u64, 0u64);
+        for (spec_hash, idx) in pointers {
+            let cache = &self.stores[idx].cache;
+            let known = self.rows.remove(&spec_hash).filter(|row| row.store == idx);
+            let row = match known {
+                Some(mut row) => {
+                    if row.provenance.is_none() {
+                        row.provenance = read_sidecar(cache, &spec_hash);
+                        changed |= row.provenance.is_some();
+                    }
+                    row
+                }
+                None => match ingest_unit(cache, &spec_hash, idx) {
+                    Some(row) => {
+                        read += 1;
+                        changed = true;
+                        row
+                    }
+                    None => {
+                        rejected += 1;
+                        continue;
+                    }
+                },
+            };
+            rows.insert(spec_hash, row);
+        }
+        // Whatever is left belonged to a pointer that is gone (or moved
+        // to a store that now rejects it).
+        changed |= !self.rows.is_empty() || rejected != self.rejected;
+        self.rows = rows;
+        self.rejected = rejected;
+        crate::note_ingested(read);
+        crate::note_rejected(rejected);
+        Ok(changed)
+    }
+
+    /// Provenance sidecar paths of ingested rows that had no decodable
+    /// sidecar at the latest refresh — what a cheap store probe has to
+    /// watch besides the pointer names and the journal lengths.
+    pub fn missing_sidecars(&self) -> Vec<PathBuf> {
+        self.rows
+            .iter()
+            .filter(|(_, row)| row.provenance.is_none())
+            .map(|(spec_hash, row)| self.stores[row.store].cache.provenance_path(spec_hash))
+            .collect()
+    }
+
+    /// Builds the views of the latest refresh.
+    pub fn warehouse(&self) -> Warehouse {
+        let mut journal = JournalDigest::default();
+        for store in &self.stores {
+            match &store.unterminated {
+                None => journal.merge(&store.digest),
+                Some(event) => {
+                    let mut digest = store.digest.clone();
+                    digest.fold(event);
+                    journal.merge(&digest);
+                }
+            }
+        }
+
+        let mut runs = Table::new("runs", RUNS_COLUMNS);
+        for (spec_hash, row) in &self.rows {
+            let acts = journal.activity.get(spec_hash);
+            let (retries, degraded) = acts.map_or((0, 0), |a| (a.retries, a.degraded));
+            let no_sidecar = vec![Datum::Null; PROVENANCE_FIELDS.len()];
+            let provenance = row.provenance.as_ref().unwrap_or(&no_sidecar);
+            let mut cells = Vec::with_capacity(RUNS_COLUMNS.len());
+            cells.extend_from_slice(&provenance[..LEADING_PROVENANCE]);
+            cells.extend_from_slice(&row.report);
+            cells.push(Datum::Int(retries));
+            cells.push(Datum::Int(degraded));
+            cells.extend_from_slice(&provenance[LEADING_PROVENANCE..]);
+            cells.push(Datum::Str(spec_hash.clone()));
+            cells.push(Datum::Str(row.report_hash.clone()));
+            runs.rows.push(cells);
+        }
+
+        let mut units = Table::new("units", UNITS_COLUMNS);
+        for (hash, a) in &journal.activity {
+            units.rows.push(vec![
+                a.unit.clone().map_or(Datum::Null, Datum::Str),
+                Datum::Str(hash.clone()),
+                Datum::Int(a.starts),
+                Datum::Int(a.dones),
+                Datum::Int(a.failed),
+                Datum::Int(a.degraded),
+                Datum::Int(a.retries),
+                Datum::Int(a.corrupt),
+                Datum::Float(a.wall_s),
+            ]);
+        }
+
+        let mut chaos = Table::new("chaos", CHAOS_COLUMNS);
+        for (site, fired) in &journal.chaos {
+            chaos
+                .rows
+                .push(vec![Datum::Str(site.clone()), Datum::Int(*fired)]);
+        }
+
+        Warehouse {
+            schemes: derive_schemes(&runs),
+            ingested: runs.rows.len() as u64,
+            runs,
+            units,
+            chaos,
+            kernels: Table::new("kernels", KERNELS_COLUMNS),
+            rejected: self.rejected,
+        }
+    }
+}
+
+/// The cell for `key` of a decoded JSON object (`NULL` when absent).
+fn field(v: &Value, key: &str) -> Datum {
+    v.get(key).map_or(Datum::Null, Datum::from_json)
+}
+
+/// Resolves one unit pointer through the self-verifying cache and
+/// decodes its row; `None` rejects the pointer (garbage or dangling
+/// ref, unparsable object).
+fn ingest_unit(cache: &ResultCache, spec_hash: &str, store: usize) -> Option<UnitRow> {
+    let report_hash = cache.object_hash(spec_hash)?;
+    let bytes = cache.load_object(&report_hash)?;
+    let report = serde_json::from_slice::<Value>(&bytes).ok()?;
+    Some(UnitRow {
+        store,
+        report_hash,
+        report: REPORT_FIELDS.iter().map(|k| field(&report, k)).collect(),
+        provenance: read_sidecar(cache, spec_hash),
+    })
+}
+
+/// Tolerant read of a provenance sidecar: a missing file, unreadable
+/// bytes or anything but a JSON object is `None` (every provenance
+/// column of the row then reads `NULL`).
+fn read_sidecar(cache: &ResultCache, spec_hash: &str) -> Option<Vec<Datum>> {
+    let bytes = std::fs::read(cache.provenance_path(spec_hash)).ok()?;
+    let sidecar = serde_json::from_slice::<Value>(&bytes).ok()?;
+    matches!(sidecar, Value::Object(_)).then(|| {
+        PROVENANCE_FIELDS
+            .iter()
+            .map(|k| field(&sidecar, k))
+            .collect()
+    })
+}
+
 /// Depth-first walk over a JSON tree emitting `(dotted.path, datum)`
 /// for every scalar leaf. Objects keep insertion order (the vendored
 /// parser preserves it), arrays contribute numeric path segments, and
@@ -427,12 +813,12 @@ fn merge_chaos(merged: &mut Vec<(String, i64)>, shard: Vec<(String, i64)>) {
 }
 
 /// Per-spec-hash activity rows paired with per-site chaos counts.
-type JournalDigest = (Vec<(String, UnitActivity)>, Vec<(String, i64)>);
+type DigestPair = (Vec<(String, UnitActivity)>, Vec<(String, i64)>);
 
 /// Folds journal events into per-hash activity (sorted by hash) and
 /// per-site chaos fired counts (sorted by site; the journal appends a
 /// summary per campaign end, so the *last* record for a site wins).
-fn digest_journal(events: &[JournalEvent]) -> JournalDigest {
+fn digest_journal(events: &[JournalEvent]) -> DigestPair {
     let mut activity: Vec<(String, UnitActivity)> = Vec::new();
     let mut chaos: Vec<(String, i64)> = Vec::new();
     for event in events {

@@ -61,7 +61,7 @@ pub mod table;
 
 pub use compare::{compare_filtered, compare_warehouses};
 pub use exec::{execute, QueryResult};
-pub use ingest::Warehouse;
+pub use ingest::{Snapshot, Warehouse};
 pub use scoreboard::render_scoreboard;
 pub use sql::{parse, parse_filter, Query, SqlError};
 pub use table::{Datum, Table};
