@@ -413,21 +413,14 @@ impl Journal {
     }
 
     /// Reads every parseable event from the journal at `path`, in
-    /// append order. Missing files mean an empty list; unparsable or
-    /// unknown-kind lines are skipped (crash tolerance) — this is the
-    /// accessor warehouse ingest builds unit timelines from.
+    /// append order: one [`JournalCursor`] read from the start. Missing
+    /// files mean an empty list; unparsable or unknown-kind lines are
+    /// skipped (crash tolerance), and a last line whose newline has not
+    /// landed counts if it parses.
     pub fn read_events(path: impl AsRef<Path>) -> io::Result<Vec<JournalEvent>> {
-        let file = match File::open(path.as_ref()) {
-            Ok(f) => f,
-            Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(Vec::new()),
-            Err(e) => return Err(e),
-        };
-        let mut events = Vec::new();
-        for line in BufReader::new(file).lines() {
-            if let Some(event) = JournalEvent::from_line(&line?) {
-                events.push(event);
-            }
-        }
+        let tail = JournalCursor::default().read_new(path)?;
+        let mut events = tail.events;
+        events.extend(tail.unterminated);
         Ok(events)
     }
 }

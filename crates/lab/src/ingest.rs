@@ -8,12 +8,17 @@
 //! as [`Datum::Null`]; an object that fails to parse (or a garbage or
 //! dangling ref) increments the rejected counter and is skipped —
 //! ingest never panics on store contents.
+//!
+//! There is one ingest loop, [`Snapshot::refresh`], and it is
+//! incremental: a one-shot [`Warehouse::load`] is an empty snapshot
+//! refreshed once, a long-lived reader (`rsls-serve`) keeps its
+//! snapshot and pays only for what the store gained.
 
 use std::collections::BTreeMap;
 use std::io;
 use std::path::{Path, PathBuf};
 
-use rsls_campaign::{Journal, JournalCursor, JournalEvent, JournalTail, ResultCache};
+use rsls_campaign::{JournalCursor, JournalEvent, JournalTail, ResultCache};
 use serde_json::Value;
 
 use crate::table::{Datum, Table};
@@ -81,7 +86,8 @@ const KERNELS_COLUMNS: &[&str] = &["source", "metric", "value"];
 /// Per-unit activity accumulated from the journal.
 #[derive(Debug, Default, Clone)]
 struct UnitActivity {
-    unit: Option<String>,
+    /// Unit name of the first journal record that named the hash.
+    unit: String,
     starts: i64,
     dones: i64,
     failed: i64,
@@ -131,114 +137,9 @@ impl Warehouse {
     /// Ingesting `N` shards therefore prints exactly the bytes a
     /// single-store campaign over the same units would have printed.
     pub fn load_shards(stores: &[(&Path, Option<&Path>)]) -> io::Result<Warehouse> {
-        let mut caches = Vec::with_capacity(stores.len());
-        let mut activity: Vec<(String, UnitActivity)> = Vec::new();
-        let mut chaos: Vec<(String, i64)> = Vec::new();
-        for (cache_dir, journal_path) in stores {
-            caches.push(ResultCache::open(cache_dir)?);
-            let events = match journal_path {
-                Some(path) => Journal::read_events(path)?,
-                None => Vec::new(),
-            };
-            let (shard_activity, shard_chaos) = digest_journal(&events);
-            merge_activity(&mut activity, shard_activity);
-            merge_chaos(&mut chaos, shard_chaos);
-        }
-        activity.sort_by(|(a, _), (b, _)| a.cmp(b));
-        chaos.sort_by(|(a, _), (b, _)| a.cmp(b));
-
-        // Global sorted spec-hash order across every shard; a hash seen
-        // in two shards ingests once, from the lower shard.
-        let mut pointers: Vec<(String, usize)> = Vec::new();
-        for (idx, cache) in caches.iter().enumerate() {
-            pointers.extend(cache.unit_spec_hashes().into_iter().map(|h| (h, idx)));
-        }
-        pointers.sort();
-        pointers.dedup_by(|a, b| a.0 == b.0);
-
-        let mut runs = Table::new("runs", RUNS_COLUMNS);
-        let mut ingested = 0u64;
-        let mut rejected = 0u64;
-        for (spec_hash, cache_idx) in pointers {
-            let cache = &caches[cache_idx];
-            let Some(report_hash) = cache.object_hash(&spec_hash) else {
-                rejected += 1;
-                continue;
-            };
-            let Some(bytes) = cache.load_object(&report_hash) else {
-                rejected += 1;
-                continue;
-            };
-            let Ok(report) = serde_json::from_slice::<Value>(&bytes) else {
-                rejected += 1;
-                continue;
-            };
-            let prov = read_provenance(cache, &spec_hash);
-            let acts = activity.iter().find(|(h, _)| *h == spec_hash);
-            let (retries, degraded) = acts.map_or((0, 0), |(_, a)| (a.retries, a.degraded));
-            let field = |v: &Value, key: &str| v.get(key).map_or(Datum::Null, Datum::from_json);
-            runs.rows.push(vec![
-                field(&prov, "experiment"),
-                field(&prov, "unit"),
-                field(&prov, "matrix"),
-                field(&prov, "scale"),
-                field(&report, "scheme"),
-                field(&report, "num_ranks"),
-                field(&report, "iterations"),
-                field(&report, "converged"),
-                field(&report, "final_relative_residual"),
-                field(&report, "time_s"),
-                field(&report, "energy_j"),
-                field(&report, "avg_power_w"),
-                field(&report, "faults_injected"),
-                field(&report, "construction_fallbacks"),
-                field(&report, "checkpoint_interval_iters"),
-                Datum::Int(retries),
-                Datum::Int(degraded),
-                field(&prov, "engine_version"),
-                field(&prov, "matrix_fingerprint"),
-                field(&prov, "chaos_plan_hash"),
-                Datum::Str(spec_hash.clone()),
-                Datum::Str(report_hash),
-            ]);
-            ingested += 1;
-        }
-
-        let mut units = Table::new("units", UNITS_COLUMNS);
-        for (hash, a) in &activity {
-            units.rows.push(vec![
-                a.unit.clone().map_or(Datum::Null, Datum::Str),
-                Datum::Str(hash.clone()),
-                Datum::Int(a.starts),
-                Datum::Int(a.dones),
-                Datum::Int(a.failed),
-                Datum::Int(a.degraded),
-                Datum::Int(a.retries),
-                Datum::Int(a.corrupt),
-                Datum::Float(a.wall_s),
-            ]);
-        }
-
-        let schemes = derive_schemes(&runs);
-
-        let mut chaos_table = Table::new("chaos", CHAOS_COLUMNS);
-        for (site, fired) in &chaos {
-            chaos_table
-                .rows
-                .push(vec![Datum::Str(site.clone()), Datum::Int(*fired)]);
-        }
-
-        crate::note_ingested(ingested);
-        crate::note_rejected(rejected);
-        Ok(Warehouse {
-            runs,
-            units,
-            schemes,
-            chaos: chaos_table,
-            kernels: Table::new("kernels", KERNELS_COLUMNS),
-            ingested,
-            rejected,
-        })
+        let mut snapshot = Snapshot::open(stores)?;
+        snapshot.refresh()?;
+        Ok(snapshot.warehouse())
     }
 
     /// Populates the `kernels` view from the benchmark run files in
@@ -456,7 +357,7 @@ fn unit_activity<'a>(
     activity
         .entry(hash.to_string())
         .or_insert_with(|| UnitActivity {
-            unit: Some(unit.to_string()),
+            unit: unit.to_string(),
             ..UnitActivity::default()
         })
 }
@@ -633,10 +534,10 @@ impl Snapshot {
         }
 
         let mut runs = Table::new("runs", RUNS_COLUMNS);
+        let no_sidecar = vec![Datum::Null; PROVENANCE_FIELDS.len()];
         for (spec_hash, row) in &self.rows {
             let acts = journal.activity.get(spec_hash);
             let (retries, degraded) = acts.map_or((0, 0), |a| (a.retries, a.degraded));
-            let no_sidecar = vec![Datum::Null; PROVENANCE_FIELDS.len()];
             let provenance = row.provenance.as_ref().unwrap_or(&no_sidecar);
             let mut cells = Vec::with_capacity(RUNS_COLUMNS.len());
             cells.extend_from_slice(&provenance[..LEADING_PROVENANCE]);
@@ -652,7 +553,7 @@ impl Snapshot {
         let mut units = Table::new("units", UNITS_COLUMNS);
         for (hash, a) in &journal.activity {
             units.rows.push(vec![
-                a.unit.clone().map_or(Datum::Null, Datum::Str),
+                Datum::Str(a.unit.clone()),
                 Datum::Str(hash.clone()),
                 Datum::Int(a.starts),
                 Datum::Int(a.dones),
@@ -744,117 +645,6 @@ fn flatten_scalars(v: &Value, prefix: String, emit: &mut impl FnMut(String, Datu
         Value::Null => {}
         leaf => emit(prefix, Datum::from_json(leaf)),
     }
-}
-
-/// Tolerant read of a provenance sidecar as raw JSON: a missing file,
-/// unreadable bytes, or a non-object all read as `Null` (every field
-/// lookup on it then yields `NULL`).
-fn read_provenance(cache: &ResultCache, spec_hash: &str) -> Value {
-    let Ok(bytes) = std::fs::read(cache.provenance_path(spec_hash)) else {
-        return Value::Null;
-    };
-    serde_json::from_slice(&bytes).unwrap_or(Value::Null)
-}
-
-/// The per-hash activity slot for `hash`, created on first touch.
-fn activity_entry<'v>(
-    activity: &'v mut Vec<(String, UnitActivity)>,
-    hash: &str,
-    unit: &str,
-) -> &'v mut UnitActivity {
-    let i = match activity.iter().position(|(h, _)| h == hash) {
-        Some(i) => i,
-        None => {
-            activity.push((
-                hash.to_string(),
-                UnitActivity {
-                    unit: Some(unit.to_string()),
-                    ..UnitActivity::default()
-                },
-            ));
-            activity.len() - 1
-        }
-    };
-    &mut activity[i].1
-}
-
-/// Folds one shard's per-hash activity into the merged tally, summing
-/// counters for hashes already present (a unit retried on one shard
-/// and finished on another reports the sum of both timelines).
-fn merge_activity(merged: &mut Vec<(String, UnitActivity)>, shard: Vec<(String, UnitActivity)>) {
-    for (hash, a) in shard {
-        match merged.iter_mut().find(|(h, _)| *h == hash) {
-            Some((_, m)) => {
-                if m.unit.is_none() {
-                    m.unit = a.unit;
-                }
-                m.starts += a.starts;
-                m.dones += a.dones;
-                m.failed += a.failed;
-                m.degraded += a.degraded;
-                m.retries += a.retries;
-                m.corrupt += a.corrupt;
-                m.wall_s += a.wall_s;
-            }
-            None => merged.push((hash, a)),
-        }
-    }
-}
-
-/// Sums one shard's per-site chaos fired counts into the merged tally
-/// (each shard's journal carries its own end-of-campaign summary).
-fn merge_chaos(merged: &mut Vec<(String, i64)>, shard: Vec<(String, i64)>) {
-    for (site, fired) in shard {
-        match merged.iter_mut().find(|(s, _)| *s == site) {
-            Some((_, n)) => *n = n.saturating_add(fired),
-            None => merged.push((site, fired)),
-        }
-    }
-}
-
-/// Per-spec-hash activity rows paired with per-site chaos counts.
-type DigestPair = (Vec<(String, UnitActivity)>, Vec<(String, i64)>);
-
-/// Folds journal events into per-hash activity (sorted by hash) and
-/// per-site chaos fired counts (sorted by site; the journal appends a
-/// summary per campaign end, so the *last* record for a site wins).
-fn digest_journal(events: &[JournalEvent]) -> DigestPair {
-    let mut activity: Vec<(String, UnitActivity)> = Vec::new();
-    let mut chaos: Vec<(String, i64)> = Vec::new();
-    for event in events {
-        match event {
-            JournalEvent::Start { hash, unit } => {
-                activity_entry(&mut activity, hash, unit).starts += 1;
-            }
-            JournalEvent::Done { hash, unit, wall_s } => {
-                let a = activity_entry(&mut activity, hash, unit);
-                a.dones += 1;
-                a.wall_s += wall_s;
-            }
-            JournalEvent::Failed { hash, unit, .. } => {
-                activity_entry(&mut activity, hash, unit).failed += 1;
-            }
-            JournalEvent::Degraded { hash, unit, .. } => {
-                activity_entry(&mut activity, hash, unit).degraded += 1;
-            }
-            JournalEvent::Retry { hash, unit, .. } => {
-                activity_entry(&mut activity, hash, unit).retries += 1;
-            }
-            JournalEvent::CacheCorrupt { hash, unit, .. } => {
-                activity_entry(&mut activity, hash, unit).corrupt += 1;
-            }
-            JournalEvent::Chaos { site, fired } => {
-                let fired = (*fired).min(i64::MAX as u64) as i64;
-                match chaos.iter_mut().find(|(s, _)| s == site) {
-                    Some(entry) => entry.1 = fired,
-                    None => chaos.push((site.clone(), fired)),
-                }
-            }
-        }
-    }
-    activity.sort_by(|(a, _), (b, _)| a.cmp(b));
-    chaos.sort_by(|(a, _), (b, _)| a.cmp(b));
-    (activity, chaos)
 }
 
 /// Materializes the `schemes` view from `runs`: per-scheme counts,

@@ -8,10 +8,11 @@
 //! `provenance/*.json` sidecars) and a JSONL journal. This crate turns
 //! that store into an *analysis platform*:
 //!
-//! * **Ingest** ([`Warehouse::load`]) walks the store in sorted
-//!   spec-hash order and materializes relational views — `runs` (one
-//!   row per unit, joining report metrics with provenance and journal
-//!   activity), `units` (journal timelines), `schemes` (per-scheme
+//! * **Ingest** ([`Warehouse::load`], or a long-lived [`Snapshot`]
+//!   that reads only what the store gained since its last refresh)
+//!   walks the store in sorted spec-hash order and materializes
+//!   relational views — `runs` (one row per unit, joining report
+//!   metrics with provenance and journal activity), `units` (journal timelines), `schemes` (per-scheme
 //!   aggregates), `chaos` (injection-site fired counts), and `kernels`
 //!   ([`Warehouse::attach_kernels`]: the `benchmark/` run files
 //!   flattened to long-format `(source, metric, value)` rows, so the
@@ -110,8 +111,10 @@ static INGEST_REJECTED: AtomicU64 = AtomicU64::new(0);
 /// Queries executed (parse successes), process-wide.
 static QUERIES: AtomicU64 = AtomicU64::new(0);
 
-/// Total objects ingested into warehouses by this process — the
-/// `rsls_lab_ingested_objects_total` metric.
+/// Total objects read and ingested into warehouses by this process —
+/// the `rsls_lab_ingested_objects_total` metric. It counts reads, not
+/// rows: a [`Snapshot`] refresh adds only the objects it had not
+/// verified before, so a refresh that finds nothing new adds none.
 pub fn ingested_objects_total() -> u64 {
     INGESTED_OBJECTS.load(Ordering::Relaxed)
 }

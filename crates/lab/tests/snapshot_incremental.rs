@@ -18,6 +18,10 @@
 //!   not landed yet; a journal truncated at an arbitrary byte,
 //!   re-created empty, and replaced in one step by a longer one.
 //!
+//! `load_shards` is itself a fresh snapshot refreshed once; in the
+//! commit that introduced [`Snapshot`] it was still the earlier
+//! from-scratch loop, and this file passed against that unchanged.
+//!
 //! After every step the snapshot's views, `ingested` and `rejected`
 //! must print the same bytes as the fresh load, a second refresh with
 //! nothing in between must report "unchanged" and read no object, and
