@@ -46,6 +46,7 @@ pub mod compute;
 pub mod http;
 pub mod metrics;
 pub mod queue;
+mod routes;
 pub mod server;
 pub mod shard;
 pub mod signal;
