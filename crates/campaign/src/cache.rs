@@ -141,7 +141,8 @@ impl ResultCache {
     /// Sorted content hashes of every unit pointer in `units/` — the
     /// stable enumeration order warehouse ingest (`rsls-lab`) walks so
     /// query results are byte-identical regardless of directory
-    /// iteration order or job count.
+    /// iteration order or job count, and (one `read_dir`, no file
+    /// opened) the main part of `rsls-serve`'s store-generation probe.
     pub fn unit_spec_hashes(&self) -> Vec<String> {
         Self::hashes_in(&self.dir.join("units"), "ref")
     }
@@ -154,7 +155,7 @@ impl ResultCache {
     /// Sorted sha256 stems of `<dir>/*.<ext>` entries; missing or
     /// unreadable directories are simply empty.
     fn hashes_in(dir: &Path, ext: &str) -> Vec<String> {
-        // rsls-lint: allow(unguarded-io) -- enumeration for stats/tests only; per-object read faults are injected in read_object
+        // rsls-lint: allow(unguarded-io) -- name enumeration only (warehouse ingest order, rsls-serve's generation probe, stats); an unreadable directory is an empty listing, and per-object read faults are injected in read_object
         let Ok(entries) = fs::read_dir(dir) else {
             return Vec::new();
         };

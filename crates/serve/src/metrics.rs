@@ -39,11 +39,13 @@ pub struct ArtifactCounters {
 
 /// Snapshot of the `rsls-lab` warehouse counters (process-wide,
 /// gathered at scrape time from [`rsls_lab`]'s atomics): how many
-/// store objects ingest accepted and rejected, and how many queries
-/// the warehouse executed.
+/// store objects ingest read and accepted, how many entries it
+/// rejected, and how many queries the warehouse executed. A request
+/// answered from the memo moves none of them, and a snapshot refresh
+/// counts only the objects it had not read before.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct LabCounters {
-    /// Reports ingested into warehouse views.
+    /// Report objects read and ingested into warehouse views.
     pub ingested_objects: u64,
     /// Store entries tolerant decode rejected (counted, not fatal).
     pub ingest_rejected: u64,
@@ -116,6 +118,10 @@ pub struct Metrics {
     /// In-memory result-body cache (`/experiments/{id}`).
     result_hits: AtomicU64,
     result_misses: AtomicU64,
+    /// In-memory answer memo (`/query`, `/compare`), per store
+    /// generation.
+    query_hits: AtomicU64,
+    query_misses: AtomicU64,
     /// On-disk report-object cache (`/reports/{sha256}`).
     report_hits: AtomicU64,
     report_misses: AtomicU64,
@@ -177,6 +183,8 @@ impl Metrics {
     counters! {
         result_cache_hit => result_hits,
         result_cache_miss => result_misses,
+        query_cache_hit => query_hits,
+        query_cache_miss => query_misses,
         report_cache_hit => report_hits,
         report_cache_miss => report_misses,
         queue_rejected => rejected,
@@ -295,6 +303,18 @@ impl Metrics {
             "counter",
             "Experiment requests that needed a computation or coalesce.",
             self.result_misses.load(Ordering::Relaxed),
+        );
+        scalar(
+            "rsls_serve_query_cache_hits_total",
+            "counter",
+            "Warehouse requests answered from the memo of the current store generation.",
+            self.query_hits.load(Ordering::Relaxed),
+        );
+        scalar(
+            "rsls_serve_query_cache_misses_total",
+            "counter",
+            "Warehouse requests that needed a snapshot refresh and an execution.",
+            self.query_misses.load(Ordering::Relaxed),
         );
         scalar(
             "rsls_serve_report_cache_hits_total",

@@ -5,10 +5,18 @@
 //! cache hits, rejections) or a job submitted to a shard's work queue
 //! ([`crate::queue`]); [`finish_job`] turns that job's result into the
 //! response once its latch completes. Nothing here touches a socket.
+//!
+//! Two layers turn repeats into lookups: `Shared::results` holds every
+//! finished experiment body for good (an `(experiment, scale)` never
+//! changes), and the [`AnswerMemo`] holds `/query` and `/compare`
+//! answers for as long as the shard stores stay at the generation they
+//! were computed for ([`crate::shard::ShardSet::probe`]).
 
-use std::path::Path;
+use std::collections::BTreeMap;
 use std::sync::{Arc, PoisonError};
 use std::time::Instant;
+
+use rsls_lab::Warehouse;
 
 use rsls_campaign::is_sha256_hex;
 use rsls_experiments::campaign;
@@ -48,8 +56,66 @@ pub(crate) enum JobKind {
         /// Result key in the process-wide result map.
         key: String,
     },
-    /// `/query` and `/compare`: map `sql:` errors to `400`.
-    Warehouse,
+    /// `/query` and `/compare`: memoize the answer for its generation,
+    /// map `sql:` errors to `400`.
+    Warehouse {
+        /// Store generation the event loop probed when it routed the
+        /// request.
+        generation: u64,
+        /// Canonical request key in the answer memo.
+        key: String,
+    },
+}
+
+/// Entries the answer memo holds before it is cleared whole.
+const ANSWER_MEMO_ENTRIES: usize = 4096;
+/// Key and body bytes the answer memo holds before it is cleared whole.
+const ANSWER_MEMO_BYTES: usize = 16 << 20;
+
+/// Finished `/query` and `/compare` answers of one store generation, by
+/// canonical request key.
+///
+/// The keys are client-chosen SQL, so the memo is bounded twice over:
+/// it is dropped whole when the generation moves, and cleared whole —
+/// a deterministic, content-independent policy — when an insert would
+/// take it past [`ANSWER_MEMO_ENTRIES`] or [`ANSWER_MEMO_BYTES`].
+#[derive(Default)]
+pub(crate) struct AnswerMemo {
+    generation: u64,
+    entries: BTreeMap<String, Arc<JobOutput>>,
+    bytes: usize,
+}
+
+impl AnswerMemo {
+    /// The answer to `key` at `generation`, if it was computed already.
+    /// A new generation empties the memo.
+    fn get(&mut self, generation: u64, key: &str) -> Option<Arc<JobOutput>> {
+        if generation != self.generation {
+            *self = AnswerMemo {
+                generation,
+                ..AnswerMemo::default()
+            };
+        }
+        self.entries.get(key).cloned()
+    }
+
+    /// Keeps `out` as the answer to `key` at `generation` — unless the
+    /// event loop has moved on to another generation since, or the
+    /// answer alone is over the byte cap.
+    fn insert(&mut self, generation: u64, key: &str, out: &Arc<JobOutput>) {
+        let size = key.len() + out.body.len();
+        if generation != self.generation || size > ANSWER_MEMO_BYTES {
+            return;
+        }
+        if self.entries.len() >= ANSWER_MEMO_ENTRIES || self.bytes + size > ANSWER_MEMO_BYTES {
+            self.entries.clear();
+            self.bytes = 0;
+        }
+        if let Some(old) = self.entries.insert(key.to_string(), Arc::clone(out)) {
+            self.bytes -= key.len() + old.body.len();
+        }
+        self.bytes += size;
+    }
 }
 
 /// Turns a completed job result into its response.
@@ -73,9 +139,15 @@ pub(crate) fn finish_job(
             }
             Err(msg) => Response::text(500, format!("experiment '{id}' failed: {msg}\n")),
         },
-        JobKind::Warehouse => match result {
+        JobKind::Warehouse { generation, key } => match result {
             Ok(out) => {
                 shared.metrics.observe_lab_query(started.elapsed());
+                let out = Arc::new(out);
+                shared
+                    .answers
+                    .lock()
+                    .unwrap_or_else(PoisonError::into_inner)
+                    .insert(*generation, key, &out);
                 conditional(req, &out)
             }
             Err(msg) => match msg.strip_prefix("sql: ") {
@@ -256,37 +328,55 @@ fn report_response(shared: &Shared, req: &Request, hash: &str) -> Response {
     }
 }
 
-/// Submits a warehouse job (coalescing on `key` like experiment runs)
-/// to `key`'s shard queue. Successful bodies are canonical JSON with
-/// self-certifying `ETag`s; they are *not* inserted into the permanent
-/// result map — the store grows as campaigns run, so query results may
-/// legitimately change between requests.
+/// Answers a warehouse request: from the memo when `key` was already
+/// answered at the generation the stores are at right now — a `200` or a
+/// `304`, inline, without touching the warehouse — and otherwise through
+/// `key`'s shard queue, where a worker refreshes the snapshot and runs
+/// `answer` on its views. The job coalesces on `(generation, key)`, never
+/// on `key` alone: a request must not be handed an answer computed for
+/// an older generation than the one it was routed at.
 fn warehouse_route(
     shared: &Shared,
+    req: &Request,
     label: &'static str,
-    key: &str,
-    job: impl FnOnce() -> JobResult + Send + 'static,
+    key: String,
+    answer: impl FnOnce(&Warehouse) -> Result<Vec<u8>, String> + Send + 'static,
 ) -> Routed {
-    let shard = shared.shards.route(key);
-    match shared.queues[shard].submit(key, job) {
+    let Some(generation) = shared.shards.probe() else {
+        return Routed::Done(
+            label,
+            Response::text(404, "result caching is disabled on this server\n"),
+        );
+    };
+    let memoized = shared
+        .answers
+        .lock()
+        .unwrap_or_else(PoisonError::into_inner)
+        .get(generation, &key);
+    if let Some(out) = memoized {
+        shared.metrics.query_cache_hit();
+        return Routed::Done(label, conditional(req, &out));
+    }
+    shared.metrics.query_cache_miss();
+
+    let shards = Arc::clone(&shared.shards);
+    let job = move || -> JobResult {
+        let warehouse = shards
+            .warehouse()
+            .map_err(|e| format!("loading warehouse: {e}"))?;
+        let body = answer(&warehouse)?;
+        let etag = compute::etag_for(&body);
+        Ok(JobOutput { body, etag })
+    };
+    let shard = shared.shards.route(&key);
+    match shared.queues[shard].submit(&format!("{generation}:{key}"), job) {
         Ok(submitted) => Routed::Queued {
             label,
             job: Arc::clone(submitted.job()),
-            kind: JobKind::Warehouse,
+            kind: JobKind::Warehouse { generation, key },
         },
         Err(err) => Routed::Done(label, overload_response(err)),
     }
-}
-
-/// Borrowed view of the shard store list, as
-/// [`rsls_lab::Warehouse::load_shards`] wants it.
-fn store_refs(
-    stores: &[(std::path::PathBuf, Option<std::path::PathBuf>)],
-) -> Vec<(&Path, Option<&Path>)> {
-    stores
-        .iter()
-        .map(|(cache, journal)| (cache.as_path(), journal.as_deref()))
-        .collect()
 }
 
 fn query_route(shared: &Shared, req: &Request) -> Routed {
@@ -296,25 +386,14 @@ fn query_route(shared: &Shared, req: &Request) -> Routed {
             Response::text(400, "missing query parameter: sql\n"),
         );
     };
-    // Parse before submitting: a malformed query fails fast with its
+    // Parse before anything else: a malformed query fails fast with its
     // byte offset instead of occupying a worker.
     if let Err(e) = rsls_lab::parse(&sql) {
         return Routed::Done("query", Response::text(400, format!("{e}\n")));
     }
-    let Some(stores) = shared.shards.warehouse_stores() else {
-        return Routed::Done(
-            "query",
-            Response::text(404, "result caching is disabled on this server\n"),
-        );
-    };
-    let key = format!("query:{sql}");
-    warehouse_route(shared, "query", &key, move || {
-        let warehouse = rsls_lab::Warehouse::load_shards(&store_refs(&stores))
-            .map_err(|e| format!("loading warehouse: {e}"))?;
-        let result = warehouse.query(&sql).map_err(|e| format!("sql: {e}"))?;
-        let body = result.to_canonical_json().into_bytes();
-        let etag = compute::etag_for(&body);
-        Ok(JobOutput { body, etag })
+    warehouse_route(shared, req, "query", format!("query:{sql}"), move |w| {
+        let result = w.query(&sql).map_err(|e| format!("sql: {e}"))?;
+        Ok(result.to_canonical_json().into_bytes())
     })
 }
 
@@ -334,20 +413,231 @@ fn compare_route(shared: &Shared, req: &Request) -> Routed {
             return Routed::Done("compare", Response::text(400, format!("{e}\n")))
         }
     };
-    let Some(stores) = shared.shards.warehouse_stores() else {
-        return Routed::Done(
-            "compare",
-            Response::text(404, "result caching is disabled on this server\n"),
-        );
-    };
     let key = format!("compare:{a}\u{1}{b}");
-    warehouse_route(shared, "compare", &key, move || {
-        let warehouse = rsls_lab::Warehouse::load_shards(&store_refs(&stores))
-            .map_err(|e| format!("loading warehouse: {e}"))?;
-        let report = rsls_lab::compare_filtered(&warehouse, &expr_a, &a, &expr_b, &b)
+    warehouse_route(shared, req, "compare", key, move |w| {
+        let report = rsls_lab::compare_filtered(w, &expr_a, &a, &expr_b, &b)
             .map_err(|e| format!("sql: {e}"))?;
-        let body = rsls_lab::canonical_json(&report).into_bytes();
-        let etag = compute::etag_for(&body);
-        Ok(JobOutput { body, etag })
+        Ok(rsls_lab::canonical_json(&report).into_bytes())
     })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::server::{RegistrySource, ServeOptions, Server};
+    use rsls_campaign::{EngineOptions, ResultCache};
+
+    fn output(body: &str) -> Arc<JobOutput> {
+        Arc::new(JobOutput {
+            body: body.as_bytes().to_vec(),
+            etag: compute::etag_for(body.as_bytes()),
+        })
+    }
+
+    #[test]
+    fn memo_drops_on_a_new_generation_and_clears_at_its_caps() {
+        let mut memo = AnswerMemo::default();
+        assert!(memo.get(1, "a").is_none());
+        memo.insert(1, "a", &output("A"));
+        assert_eq!(memo.get(1, "a").unwrap().body, b"A");
+
+        // An answer that arrives for a generation the loop has left, or
+        // has not reached, is not kept.
+        memo.insert(0, "late", &output("L"));
+        memo.insert(2, "early", &output("E"));
+        assert_eq!(memo.entries.len(), 1);
+
+        // Re-inserting a key replaces it without double-counting.
+        memo.insert(1, "a", &output("AA"));
+        assert_eq!((memo.entries.len(), memo.bytes), (1, 3));
+
+        // The next generation starts empty.
+        assert!(memo.get(2, "a").is_none());
+        assert_eq!((memo.entries.len(), memo.bytes), (0, 0));
+
+        // Entry cap: the insert that would exceed it clears first.
+        for i in 0..ANSWER_MEMO_ENTRIES {
+            memo.insert(2, &format!("k{i}"), &output("x"));
+        }
+        assert_eq!(memo.entries.len(), ANSWER_MEMO_ENTRIES);
+        memo.insert(2, "one more", &output("x"));
+        assert_eq!(memo.entries.len(), 1);
+
+        // Byte cap: the same, and a body over the cap alone is skipped.
+        let big = "b".repeat(ANSWER_MEMO_BYTES / 2);
+        memo.insert(2, "big-1", &output(&big));
+        assert_eq!(memo.entries.len(), 2);
+        memo.insert(2, "big-2", &output(&big));
+        assert_eq!(memo.entries.len(), 1);
+        assert!(memo.bytes <= ANSWER_MEMO_BYTES);
+        memo.insert(2, "huge", &output(&"h".repeat(ANSWER_MEMO_BYTES + 1)));
+        assert!(memo.get(2, "huge").is_none());
+        assert_eq!(memo.entries.len(), 1);
+    }
+
+    fn query_request(sql: &str, if_none_match: Option<&str>) -> Request {
+        Request {
+            method: "GET".to_string(),
+            path: "/query".to_string(),
+            query: vec![("sql".to_string(), sql.to_string())],
+            headers: if_none_match
+                .map(|etag| ("if-none-match".to_string(), format!("\"{etag}\"")))
+                .into_iter()
+                .collect(),
+            version_11: true,
+        }
+    }
+
+    /// A bound (never run) one-shard server over its own store under
+    /// `dir`, and a second cache handle on that store.
+    fn server_over(dir: &std::path::Path, workers: usize) -> (Server, ResultCache) {
+        let _ = std::fs::remove_dir_all(dir);
+        let opts = ServeOptions {
+            workers,
+            shard_base: Some(EngineOptions {
+                cache_dir: dir.join("cache"),
+                use_cache: true,
+                journal_path: Some(dir.join("campaign.journal")),
+                ..EngineOptions::default()
+            }),
+            ..ServeOptions::default()
+        };
+        let server = Server::bind("127.0.0.1:0", opts, Arc::new(RegistrySource)).unwrap();
+        (server, ResultCache::open(dir.join("cache")).unwrap())
+    }
+
+    fn store_unit(writer: &ResultCache, iterations: usize) {
+        let report = rsls_core::RunReport {
+            scheme: "FF".into(),
+            num_ranks: 4,
+            iterations,
+            converged: true,
+            final_relative_residual: 1e-13,
+            time_s: 1.0,
+            energy_j: 100.0,
+            avg_power_w: 100.0,
+            faults_injected: 0,
+            construction_fallbacks: 0,
+            checkpoint_interval_iters: None,
+            checkpoint_bytes_written: 0,
+            breakdown: Default::default(),
+            history: Default::default(),
+            power_profile: Vec::new(),
+        };
+        let spec = rsls_core::sha256_hex(format!("unit-{iterations}").as_bytes());
+        writer.store(&spec, &report).unwrap();
+    }
+
+    /// SQL strings are client-chosen: 10 000 distinct valid queries on
+    /// one store generation must neither grow the memo past its cap nor
+    /// get a wrong answer on either side of a clear.
+    #[test]
+    fn ten_thousand_distinct_queries_on_one_generation_stay_bounded_and_right() {
+        let dir = std::env::temp_dir().join(format!("rsls-serve-memo-{}", std::process::id()));
+        let (server, writer) = server_over(&dir, 2);
+        let shared = server.shared();
+        for iterations in [2_500, 5_000, 7_500] {
+            store_unit(&writer, iterations);
+        }
+        let (cache_dir, journal) = (dir.join("cache"), dir.join("campaign.journal"));
+        let reference = Warehouse::load(&cache_dir, Some(&journal)).unwrap();
+        let expected = |sql: &str| reference.query(sql).unwrap().to_canonical_json();
+        let entries = || shared.answers.lock().unwrap().entries.len();
+
+        let sql_of = |i: usize| format!("SELECT count(*) FROM runs WHERE iterations > {i}");
+        for i in 0..10_000 {
+            let sql = sql_of(i);
+            let req = query_request(&sql, None);
+            let Routed::Queued { job, kind, .. } = route(shared, &req) else {
+                panic!("query {i} was never asked before: it cannot be answered inline");
+            };
+            let resp = finish_job(shared, &kind, &req, Instant::now(), job.wait());
+            assert_eq!(resp.status, 200);
+            assert_eq!(
+                String::from_utf8_lossy(&resp.body),
+                expected(&sql),
+                "query {i}"
+            );
+            assert!(entries() <= ANSWER_MEMO_ENTRIES);
+        }
+        // Two clears on the way; what is left is what came after the
+        // second.
+        assert_eq!(entries(), 10_000 % ANSWER_MEMO_ENTRIES);
+
+        // The newest answers are hits — a 200 and a 304 — and one from
+        // before the last clear is computed again, to the same bytes.
+        let sql = sql_of(9_999);
+        let Routed::Done("query", hit) = route(shared, &query_request(&sql, None)) else {
+            panic!("the last answer is memoized");
+        };
+        assert_eq!(String::from_utf8_lossy(&hit.body), expected(&sql));
+        let etag = compute::etag_for(&hit.body);
+        let Routed::Done("query", not_modified) = route(shared, &query_request(&sql, Some(&etag)))
+        else {
+            panic!("a revalidation of a memoized answer is inline");
+        };
+        assert_eq!((not_modified.status, not_modified.body.len()), (304, 0));
+        assert!(matches!(
+            route(shared, &query_request(&sql_of(0), None)),
+            Routed::Queued { .. }
+        ));
+
+        for queue in &shared.queues {
+            queue.shutdown();
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// The job key carries the generation the event loop probed: a
+    /// request routed after the store grew starts a job of its own
+    /// instead of sharing the latch of one queued before the growth.
+    #[test]
+    fn coalescing_never_crosses_a_generation() {
+        let dir = std::env::temp_dir().join(format!("rsls-serve-coalesce-{}", std::process::id()));
+        let (server, writer) = server_over(&dir, 1);
+        let shared = server.shared();
+        store_unit(&writer, 10);
+
+        // Hold the only worker so that the jobs below stay in flight.
+        let (release, gate) = std::sync::mpsc::channel::<()>();
+        let blocker = shared.queues[0]
+            .submit("blocker", move || {
+                let _ = gate.recv_timeout(std::time::Duration::from_secs(30));
+                Err("released".to_string())
+            })
+            .unwrap();
+
+        let req = query_request("SELECT count(*) FROM runs", None);
+        let queued = |routed: Routed| match routed {
+            Routed::Queued { job, kind, .. } => (job, kind),
+            Routed::Done(..) => panic!("nothing is memoized while the worker is held"),
+        };
+        let (before, before_kind) = queued(route(shared, &req));
+        store_unit(&writer, 20);
+        let (after, after_kind) = queued(route(shared, &req));
+        let (shared_latch, _) = queued(route(shared, &req));
+        assert!(!Arc::ptr_eq(&before, &after), "the store grew in between");
+        assert!(
+            Arc::ptr_eq(&after, &shared_latch),
+            "same generation, same key"
+        );
+        assert_eq!(shared.metrics.coalesced_total(), 1);
+
+        release.send(()).unwrap();
+        assert!(blocker.job().wait().is_err());
+        // Both ran after the growth, so both count two units; only the
+        // one routed at the current generation is kept for later hits.
+        let two = br#"{"columns":["count(*)"],"rows":[[2]]}"#;
+        for (job, kind) in [(before, before_kind), (after, after_kind)] {
+            let resp = finish_job(shared, &kind, &req, Instant::now(), job.wait());
+            assert_eq!((resp.status, &resp.body[..]), (200, &two[..]));
+        }
+        assert_eq!(shared.answers.lock().unwrap().entries.len(), 1);
+        assert!(matches!(route(shared, &req), Routed::Done("query", _)));
+
+        for queue in &shared.queues {
+            queue.shutdown();
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
 }

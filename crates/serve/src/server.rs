@@ -38,7 +38,7 @@ use rsls_experiments::{ExperimentRegistry, Scale, Table};
 use crate::http::{ParseStep, Request, RequestBuffer, Response};
 use crate::metrics::Metrics;
 use crate::queue::{Job, JobOutput, WorkQueue};
-use crate::routes::{finish_job, route, JobKind, Routed};
+use crate::routes::{finish_job, route, AnswerMemo, JobKind, Routed};
 use crate::shard::ShardSet;
 use crate::signal;
 
@@ -145,7 +145,7 @@ impl Default for ServeOptions {
 pub(crate) struct Shared {
     pub(crate) opts: ServeOptions,
     pub(crate) source: Arc<dyn ExperimentSource>,
-    pub(crate) shards: ShardSet,
+    pub(crate) shards: Arc<ShardSet>,
     /// One bounded work queue per shard.
     pub(crate) queues: Vec<WorkQueue>,
     pub(crate) metrics: Arc<Metrics>,
@@ -153,6 +153,8 @@ pub(crate) struct Shared {
     /// Completed result bodies by result key — the layer that turns a
     /// repeat `/experiments/{id}` into a pure lookup.
     pub(crate) results: Mutex<BTreeMap<String, Arc<JobOutput>>>,
+    /// `/query` and `/compare` answers of the current store generation.
+    pub(crate) answers: Mutex<AnswerMemo>,
     stop: AtomicBool,
 }
 
@@ -239,14 +241,22 @@ impl Server {
         let shared = Arc::new(Shared {
             opts,
             source,
-            shards,
+            shards: Arc::new(shards),
             queues,
             metrics,
             chaos,
             results: Mutex::new(BTreeMap::new()),
+            answers: Mutex::new(AnswerMemo::default()),
             stop: AtomicBool::new(false),
         });
         Ok(Server { listener, shared })
+    }
+
+    /// The shared state, for in-crate tests that drive the route table
+    /// without a socket.
+    #[cfg(test)]
+    pub(crate) fn shared(&self) -> &Shared {
+        &self.shared
     }
 
     /// A handle for stopping the server and reading its metrics from

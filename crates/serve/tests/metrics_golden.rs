@@ -30,6 +30,10 @@ fn populated_two_shard_exposition_matches_the_golden_file() {
     }
     m.result_cache_miss();
     m.result_cache_miss();
+    for _ in 0..4 {
+        m.query_cache_hit();
+    }
+    m.query_cache_miss();
     for _ in 0..5 {
         m.report_cache_hit();
     }

@@ -373,8 +373,13 @@ fn urlencode(s: &str) -> String {
     out
 }
 
+/// The `rsls_lab_*` counters are process-wide: tests that read them (or
+/// move them) take this lock so they do not see each other's ingests.
+static LAB: Mutex<()> = Mutex::new(());
+
 #[test]
 fn lab_query_and_compare_routes_serve_etagged_canonical_json() {
+    let _lab = LAB.lock().unwrap_or_else(|e| e.into_inner());
     let (handle, join) = serve(ServeOptions::default(), Arc::new(RegistrySource));
     let addr = handle.addr();
 
@@ -486,7 +491,21 @@ fn lab_query_and_compare_routes_serve_etagged_canonical_json() {
     // The lab metric families are on /metrics for CI to grep.
     let scrape = get(addr, "/metrics", &[]).expect("metrics");
     let text = String::from_utf8(scrape.body).expect("utf8");
-    assert!(metric_value(&text, "rsls_lab_queries_total ") >= Some(2.0));
+    // The repeat and the revalidation above were memo hits (unless a
+    // neighbouring test grew the shared store in between): only misses
+    // execute a query.
+    assert!(metric_value(&text, "rsls_lab_queries_total ") >= Some(1.0));
+    let hits = metric_value(&text, "rsls_serve_query_cache_hits_total ").expect("family");
+    let misses = metric_value(&text, "rsls_serve_query_cache_misses_total ").expect("family");
+    assert_eq!(
+        hits + misses,
+        6.0,
+        "every parsed /query and /compare probes"
+    );
+    assert!(
+        misses >= 4.0,
+        "first query, eval error and both compares miss"
+    );
     assert!(metric_value(&text, "rsls_lab_ingested_objects_total ") >= Some(2.0));
     assert!(text.contains("rsls_lab_ingest_rejected_total "));
     assert!(text.contains("rsls_lab_query_seconds_bucket"));
@@ -494,6 +513,127 @@ fn lab_query_and_compare_routes_serve_etagged_canonical_json() {
 
     handle.shutdown();
     join.join().expect("no panic").expect("clean shutdown");
+}
+
+/// A unit the way a concurrent `rsls-run` leaves it: through a cache
+/// handle of the writer's own, sidecar and all.
+fn store_unit(writer: &rsls_campaign::ResultCache, tag: &str, iterations: usize) {
+    let report = rsls_core::RunReport {
+        scheme: "FF".into(),
+        num_ranks: 4,
+        iterations,
+        converged: true,
+        final_relative_residual: 2.5e-13,
+        time_s: 0.5,
+        energy_j: 75.0,
+        avg_power_w: 150.0,
+        faults_injected: 0,
+        construction_fallbacks: 0,
+        checkpoint_interval_iters: None,
+        checkpoint_bytes_written: 0,
+        breakdown: Default::default(),
+        history: Default::default(),
+        power_profile: Vec::new(),
+    };
+    let spec_hash = rsls_core::sha256_hex(tag.as_bytes());
+    let report_hash = writer.store(&spec_hash, &report).expect("store");
+    writer
+        .store_provenance(&rsls_campaign::Provenance {
+            spec_hash,
+            report_hash,
+            experiment: "snapshot".into(),
+            unit: tag.into(),
+            matrix: "m".into(),
+            scale: "quick".into(),
+            engine_version: rsls_campaign::ENGINE_VERSION,
+            matrix_fingerprint: None,
+            chaos_plan_hash: None,
+        })
+        .expect("sidecar");
+}
+
+#[test]
+fn warehouse_answers_follow_a_store_grown_by_an_external_writer() {
+    let _lab = LAB.lock().unwrap_or_else(|e| e.into_inner());
+    let dir = std::env::temp_dir().join(format!("rsls-serve-it-snapshot-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let (handle, join) = serve(
+        ServeOptions {
+            shard_base: Some(EngineOptions {
+                cache_dir: dir.join("cache"),
+                use_cache: true,
+                journal_path: Some(dir.join("campaign.journal")),
+                ..EngineOptions::default()
+            }),
+            ..ServeOptions::default()
+        },
+        Arc::new(RegistrySource),
+    );
+    let addr = handle.addr();
+    let writer = rsls_campaign::ResultCache::open(dir.join("cache")).expect("second handle");
+    let path = format!(
+        "/query?sql={}",
+        urlencode("SELECT count(*), max(iterations) FROM runs")
+    );
+    let revalidate = |etag: &str| {
+        get(addr, &path, &[("If-None-Match", &format!("\"{etag}\""))]).expect("revalidate")
+    };
+    let lab_counters = || {
+        let scrape = get(addr, "/metrics", &[]).expect("metrics");
+        let text = String::from_utf8(scrape.body).expect("utf8");
+        let value = |series: &str| metric_value(&text, series).expect("family present");
+        (
+            value("rsls_lab_ingested_objects_total "),
+            value("rsls_lab_query_seconds_count "),
+            value("rsls_serve_query_cache_hits_total "),
+        )
+    };
+
+    store_unit(&writer, "unit-a", 10);
+    store_unit(&writer, "unit-b", 20);
+    let first = get(addr, &path, &[]).expect("query");
+    assert_eq!(first.status, 200);
+    assert_eq!(
+        first.body,
+        br#"{"columns":["count(*)","max(iterations)"],"rows":[[2,20]]}"#
+    );
+    let old_etag = first.etag().expect("etag").to_string();
+    assert_eq!(old_etag, rsls_core::sha256_hex(&first.body));
+
+    // A repeat and a revalidation are memo hits: no object is read and
+    // no query runs.
+    let (ingested, executed, hits) = lab_counters();
+    let again = get(addr, &path, &[]).expect("repeat");
+    assert_eq!((again.status, &again.body), (200, &first.body));
+    assert_eq!(lab_counters(), (ingested, executed, hits + 1.0));
+    let not_modified = revalidate(&old_etag);
+    assert_eq!((not_modified.status, not_modified.body.len()), (304, 0));
+    assert_eq!(not_modified.etag(), Some(old_etag.as_str()));
+    assert_eq!(lab_counters(), (ingested, executed, hits + 2.0));
+
+    // The store grows behind the server's back; the next query has the
+    // units, and exactly their objects were read.
+    for (tag, iterations) in [("unit-c", 30), ("unit-d", 40), ("unit-e", 50)] {
+        store_unit(&writer, tag, iterations);
+    }
+    let grown = get(addr, &path, &[]).expect("query after growth");
+    assert_eq!(grown.status, 200);
+    assert_eq!(
+        grown.body,
+        br#"{"columns":["count(*)","max(iterations)"],"rows":[[5,50]]}"#
+    );
+    let new_etag = grown.etag().expect("etag").to_string();
+    assert_eq!(lab_counters(), (ingested + 3.0, executed + 1.0, hits + 2.0));
+
+    // The old tag is stale now — a full 200 — and the new one current.
+    let stale = revalidate(&old_etag);
+    assert_eq!((stale.status, &stale.body), (200, &grown.body));
+    assert_eq!(revalidate(&new_etag).status, 304);
+    assert_eq!(lab_counters(), (ingested + 3.0, executed + 1.0, hits + 4.0));
+
+    handle.shutdown();
+    join.join().expect("no panic").expect("clean shutdown");
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
