@@ -1,6 +1,5 @@
 //! The service: nonblocking event loop and connection state machine.
-//! What each path answers is the route table's business
-//! ([`crate::routes`]).
+//! What each path answers is the route table's business (`routes.rs`).
 //!
 //! Since PR 8 the accept path is a single-threaded readiness event loop
 //! (`poll(2)` on Linux, a short-sleep scan elsewhere) over a
