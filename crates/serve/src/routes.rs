@@ -100,20 +100,22 @@ impl AnswerMemo {
     }
 
     /// Keeps `out` as the answer to `key` at `generation` — unless the
-    /// event loop has moved on to another generation since, or the
-    /// answer alone is over the byte cap.
+    /// event loop has moved on to another generation since, the key is
+    /// answered already (every waiter of a coalesced job comes here), or
+    /// the answer alone is over the byte cap.
     fn insert(&mut self, generation: u64, key: &str, out: &Arc<JobOutput>) {
         let size = key.len() + out.body.len();
-        if generation != self.generation || size > ANSWER_MEMO_BYTES {
+        if generation != self.generation
+            || size > ANSWER_MEMO_BYTES
+            || self.entries.contains_key(key)
+        {
             return;
         }
         if self.entries.len() >= ANSWER_MEMO_ENTRIES || self.bytes + size > ANSWER_MEMO_BYTES {
             self.entries.clear();
             self.bytes = 0;
         }
-        if let Some(old) = self.entries.insert(key.to_string(), Arc::clone(out)) {
-            self.bytes -= key.len() + old.body.len();
-        }
+        self.entries.insert(key.to_string(), Arc::clone(out));
         self.bytes += size;
     }
 }
@@ -447,9 +449,9 @@ mod tests {
         memo.insert(2, "early", &output("E"));
         assert_eq!(memo.entries.len(), 1);
 
-        // Re-inserting a key replaces it without double-counting.
+        // A second waiter of the same job changes nothing.
         memo.insert(1, "a", &output("AA"));
-        assert_eq!((memo.entries.len(), memo.bytes), (1, 3));
+        assert_eq!((memo.entries.len(), memo.bytes), (1, 2));
 
         // The next generation starts empty.
         assert!(memo.get(2, "a").is_none());
@@ -507,25 +509,10 @@ mod tests {
     }
 
     fn store_unit(writer: &ResultCache, iterations: usize) {
-        let report = rsls_core::RunReport {
-            scheme: "FF".into(),
-            num_ranks: 4,
-            iterations,
-            converged: true,
-            final_relative_residual: 1e-13,
-            time_s: 1.0,
-            energy_j: 100.0,
-            avg_power_w: 100.0,
-            faults_injected: 0,
-            construction_fallbacks: 0,
-            checkpoint_interval_iters: None,
-            checkpoint_bytes_written: 0,
-            breakdown: Default::default(),
-            history: Default::default(),
-            power_profile: Vec::new(),
-        };
         let spec = rsls_core::sha256_hex(format!("unit-{iterations}").as_bytes());
-        writer.store(&spec, &report).unwrap();
+        writer
+            .store(&spec, &crate::shard::test_report(iterations))
+            .unwrap();
     }
 
     /// SQL strings are client-chosen: 10 000 distinct valid queries on

@@ -299,6 +299,28 @@ impl ShardSet {
     }
 }
 
+/// A small converged report, for the in-crate tests that plant units.
+#[cfg(test)]
+pub(crate) fn test_report(iterations: usize) -> rsls_core::RunReport {
+    rsls_core::RunReport {
+        scheme: "FF".into(),
+        num_ranks: 4,
+        iterations,
+        converged: true,
+        final_relative_residual: 1e-13,
+        time_s: 1.0,
+        energy_j: 100.0,
+        avg_power_w: 100.0,
+        faults_injected: 0,
+        construction_fallbacks: 0,
+        checkpoint_interval_iters: None,
+        checkpoint_bytes_written: 0,
+        breakdown: Default::default(),
+        history: Default::default(),
+        power_profile: Vec::new(),
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -378,25 +400,8 @@ mod tests {
 
         // A pointer (pointer → sidecar is the engine's order, so the row
         // is ingested without one).
-        let report = rsls_core::RunReport {
-            scheme: "FF".into(),
-            num_ranks: 2,
-            iterations: 10,
-            converged: true,
-            final_relative_residual: 1e-13,
-            time_s: 1.0,
-            energy_j: 1.0,
-            avg_power_w: 1.0,
-            faults_injected: 0,
-            construction_fallbacks: 0,
-            checkpoint_interval_iters: None,
-            checkpoint_bytes_written: 0,
-            breakdown: Default::default(),
-            history: Default::default(),
-            power_profile: Vec::new(),
-        };
         let spec = "5".repeat(64);
-        let report_hash = writer.store(&spec, &report).unwrap();
+        let report_hash = writer.store(&spec, &test_report(10)).unwrap();
         let with_pointer = steady("one pointer");
         assert_ne!(with_pointer, empty);
         let w = set.warehouse().unwrap();
