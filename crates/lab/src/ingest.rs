@@ -19,7 +19,7 @@ use std::io;
 use std::path::{Path, PathBuf};
 
 use rsls_campaign::{JournalCursor, JournalEvent, JournalTail, ResultCache};
-use serde_json::Value;
+use serde_json::{Deserialize, Error, Parser, Value};
 
 use crate::table::{Datum, Table};
 use crate::{exec, sql, LabError, QueryResult};
@@ -584,9 +584,51 @@ impl Snapshot {
     }
 }
 
-/// The cell for `key` of a decoded JSON object (`NULL` when absent).
-fn field(v: &Value, key: &str) -> Datum {
-    v.get(key).map_or(Datum::Null, Datum::from_json)
+/// The cells ingest keeps of one JSON document — the value under each
+/// of `fields`, first occurrence, `NULL` when absent — or `None` when the
+/// document is not an object. Every other member (`breakdown`, `history`
+/// and `power_profile` are 99 % of a report's bytes) goes through
+/// [`Parser::skip`]: checked by the same routines that would have built
+/// it, so the documents this accepts are the ones a full parse accepts,
+/// and nothing is allocated for them.
+fn read_cells(p: &mut Parser<'_>, fields: &[&str]) -> Result<Option<Vec<Datum>>, Error> {
+    if p.peek() != Some(b'{') {
+        p.skip()?;
+        return Ok(None);
+    }
+    let mut cells = vec![Datum::Null; fields.len()];
+    let mut seen = vec![false; fields.len()];
+    p.object(|p, key| match fields.iter().position(|f| *f == key) {
+        Some(i) if !seen[i] => {
+            seen[i] = true;
+            cells[i] = Datum::deserialize(p)?;
+            Ok(())
+        }
+        _ => p.skip(),
+    })?;
+    Ok(Some(cells))
+}
+
+/// One cell per [`REPORT_FIELDS`] entry; all `NULL` for a report that is
+/// valid JSON but not an object.
+struct ReportCells(Vec<Datum>);
+
+impl Deserialize for ReportCells {
+    fn deserialize(p: &mut Parser<'_>) -> Result<Self, Error> {
+        let cells = read_cells(p, &REPORT_FIELDS)?;
+        Ok(ReportCells(
+            cells.unwrap_or_else(|| vec![Datum::Null; REPORT_FIELDS.len()]),
+        ))
+    }
+}
+
+/// One cell per [`PROVENANCE_FIELDS`] entry, if the sidecar is an object.
+struct SidecarCells(Option<Vec<Datum>>);
+
+impl Deserialize for SidecarCells {
+    fn deserialize(p: &mut Parser<'_>) -> Result<Self, Error> {
+        read_cells(p, &PROVENANCE_FIELDS).map(SidecarCells)
+    }
 }
 
 /// Resolves one unit pointer through the self-verifying cache and
@@ -595,11 +637,11 @@ fn field(v: &Value, key: &str) -> Datum {
 fn ingest_unit(cache: &ResultCache, spec_hash: &str, store: usize) -> Option<UnitRow> {
     let report_hash = cache.object_hash(spec_hash)?;
     let bytes = cache.load_object(&report_hash)?;
-    let report = serde_json::from_slice::<Value>(&bytes).ok()?;
+    let ReportCells(report) = serde_json::from_slice(&bytes).ok()?;
     Some(UnitRow {
         store,
         report_hash,
-        report: REPORT_FIELDS.iter().map(|k| field(&report, k)).collect(),
+        report,
         provenance: read_sidecar(cache, spec_hash),
     })
 }
@@ -609,13 +651,8 @@ fn ingest_unit(cache: &ResultCache, spec_hash: &str, store: usize) -> Option<Uni
 /// column of the row then reads `NULL`).
 fn read_sidecar(cache: &ResultCache, spec_hash: &str) -> Option<Vec<Datum>> {
     let bytes = std::fs::read(cache.provenance_path(spec_hash)).ok()?;
-    let sidecar = serde_json::from_slice::<Value>(&bytes).ok()?;
-    matches!(sidecar, Value::Object(_)).then(|| {
-        PROVENANCE_FIELDS
-            .iter()
-            .map(|k| field(&sidecar, k))
-            .collect()
-    })
+    let SidecarCells(cells) = serde_json::from_slice(&bytes).ok()?;
+    cells
 }
 
 /// Depth-first walk over a JSON tree emitting `(dotted.path, datum)`

@@ -13,7 +13,7 @@
 
 use std::cmp::Ordering;
 
-use serde_json::Value;
+use serde_json::{Deserialize, Error, Number, Parser, Value};
 
 /// One cell of a warehouse table.
 #[derive(Debug, Clone, PartialEq)]
@@ -123,16 +123,19 @@ impl Datum {
         match v {
             Value::Null | Value::Array(_) | Value::Object(_) => Datum::Null,
             Value::Bool(b) => Datum::Bool(*b),
-            Value::UInt(n) => {
-                if *n <= i64::MAX as u64 {
-                    Datum::Int(*n as i64)
-                } else {
-                    Datum::Float(*n as f64)
-                }
-            }
-            Value::Int(n) => Datum::Int(*n),
-            Value::Float(f) => Datum::Float(*f),
+            Value::UInt(n) => Datum::from_number(Number::UInt(*n)),
+            Value::Int(n) => Datum::from_number(Number::Int(*n)),
+            Value::Float(f) => Datum::from_number(Number::Float(*f)),
             Value::Str(s) => Datum::Str(s.clone()),
+        }
+    }
+
+    /// The numeric cell for a JSON number: integral while it fits `i64`.
+    fn from_number(n: Number) -> Datum {
+        match n {
+            Number::UInt(n) => i64::try_from(n).map_or(Datum::Float(n as f64), Datum::Int),
+            Number::Int(n) => Datum::Int(n),
+            Number::Float(f) => Datum::Float(f),
         }
     }
 
@@ -145,6 +148,23 @@ impl Datum {
             Datum::Float(f) => format!("{f:?}"),
             Datum::Str(s) => s.clone(),
         }
+    }
+}
+
+/// Reads the next JSON value straight into the cell [`Datum::from_json`]
+/// gives for it, without the tree in between: arrays and objects are
+/// walked (so malformed ones still fail the document) and read `NULL`.
+impl Deserialize for Datum {
+    fn deserialize(p: &mut Parser<'_>) -> Result<Self, Error> {
+        Ok(match p.peek() {
+            Some(b'"') => Datum::Str(p.string()?.into_owned()),
+            Some(b't' | b'f') => Datum::Bool(p.boolean()?),
+            Some(b'n' | b'[' | b'{') => {
+                p.skip()?;
+                Datum::Null
+            }
+            _ => Datum::from_number(p.number()?),
+        })
     }
 }
 
@@ -231,5 +251,50 @@ mod tests {
             Datum::Float(1.25)
         );
         assert_eq!(Datum::from_json(&Value::Array(vec![])), Datum::Null);
+    }
+
+    #[test]
+    fn direct_decode_matches_the_tree_decode() {
+        for text in [
+            "null",
+            "true",
+            "false",
+            "0",
+            "-0",
+            "7",
+            "-7",
+            "9223372036854775807",
+            "9223372036854775808",
+            "18446744073709551615",
+            "-9223372036854775808",
+            "1.0",
+            "-0.0",
+            "1e300",
+            "2E-3",
+            r#""""#,
+            r#""LI (CG)-DVFS""#,
+            r#""esc \" \\ \n \u00e9 é""#,
+            "[]",
+            r#"[1,"a",{"b":null}]"#,
+            r#"{"a":[1,2]}"#,
+        ] {
+            let direct: Datum = serde_json::from_str(text).unwrap();
+            let tree = Datum::from_json(&serde_json::parse_value(text).unwrap());
+            match (&direct, &tree) {
+                (Datum::Float(a), Datum::Float(b)) => assert_eq!(a.to_bits(), b.to_bits()),
+                _ => assert_eq!(direct, tree, "{text}"),
+            }
+        }
+        for bad in [
+            "",
+            "nul",
+            "[1,",
+            r#"{"a":}"#,
+            r#""open"#,
+            "18446744073709551616",
+        ] {
+            assert!(serde_json::from_str::<Datum>(bad).is_err(), "{bad}");
+            assert!(serde_json::parse_value(bad).is_err(), "{bad}");
+        }
     }
 }
