@@ -596,17 +596,16 @@ fn read_cells(p: &mut Parser<'_>, fields: &[&str]) -> Result<Option<Vec<Datum>>,
         p.skip()?;
         return Ok(None);
     }
-    let mut cells = vec![Datum::Null; fields.len()];
-    let mut seen = vec![false; fields.len()];
+    let mut cells: Vec<Option<Datum>> = vec![None; fields.len()];
     p.object(|p, key| match fields.iter().position(|f| *f == key) {
-        Some(i) if !seen[i] => {
-            seen[i] = true;
-            cells[i] = Datum::deserialize(p)?;
+        Some(i) if cells[i].is_none() => {
+            cells[i] = Some(Datum::deserialize(p)?);
             Ok(())
         }
         _ => p.skip(),
     })?;
-    Ok(Some(cells))
+    let cells = cells.into_iter().map(|c| c.unwrap_or(Datum::Null));
+    Ok(Some(cells.collect()))
 }
 
 /// One cell per [`REPORT_FIELDS`] entry; all `NULL` for a report that is
