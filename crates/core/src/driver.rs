@@ -601,13 +601,8 @@ pub fn run(a: &CsrMatrix, b: &[f64], cfg: &RunConfig) -> RunReport {
     let end = sim.seg_start;
     sim.breakdown.solve_s = end - sim.breakdown.resilience_s();
 
-    let dvfs_suffix = if plan.takes_dvfs_suffix() {
-        cfg.dvfs.label_suffix()
-    } else {
-        ""
-    };
     RunReport {
-        scheme: format!("{}{dvfs_suffix}", plan.label),
+        scheme: cfg.scheme.run_label(cfg.dvfs),
         num_ranks: p,
         iterations: sim.cg.iteration(),
         converged: sim.cg.converged(cfg.tolerance),

@@ -8,7 +8,8 @@
 //! * a row of [`REGISTRY`] — canonical label, accepted aliases and the
 //!   registry-default constructor. [`Scheme::label`],
 //!   [`Scheme::KNOWN_LABELS`] and [`Scheme::parse_label`] are all derived
-//!   from that table;
+//!   from that table, and so is the report label rule ([`Scheme::run_label`]
+//!   and its inverse [`Scheme::parse_run_label`]: the "-DVFS" suffix);
 //! * a [`RecoveryPlan`] — what the driver does with it, as plain data
 //!   along a few orthogonal axes (replication factor, checkpoint tier ×
 //!   payload × interval, response to a lost block). [`Scheme::plan`] is
@@ -19,6 +20,7 @@ use serde::{Deserialize, Serialize};
 
 use crate::checkpoint::LossyCompressionModel;
 use crate::construction::ConstructionMethod;
+use crate::dvfs::DvfsPolicy;
 use crate::interval::CheckpointInterval;
 
 /// Where checkpoints are stored.
@@ -408,6 +410,54 @@ impl Scheme {
             .map(|row| (row.2)())
     }
 
+    /// The label a run of this scheme under `dvfs` reports
+    /// ([`crate::RunReport::scheme`]): the registry label, plus "-DVFS"
+    /// when `dvfs` throttles a scheme whose plan has a construction phase
+    /// to throttle (`RecoveryPlan::takes_dvfs_suffix`).
+    pub fn run_label(&self, dvfs: DvfsPolicy) -> String {
+        let plan = self.plan();
+        let suffix = if plan.takes_dvfs_suffix() {
+            dvfs.label_suffix()
+        } else {
+            ""
+        };
+        format!("{}{suffix}", plan.label)
+    }
+
+    /// The inverse of [`Scheme::run_label`]: a registry label or alias,
+    /// optionally followed by "-DVFS" where the scheme takes it, parsed to
+    /// the registry-default scheme and its DVFS policy (`"LI-DVFS"` →
+    /// LI (CG) with waiters throttled). Returns `None` for unknown labels
+    /// and for a suffix the scheme does not take (`"RD-DVFS"`).
+    pub fn parse_run_label(label: &str) -> Option<(Scheme, DvfsPolicy)> {
+        if let Some(scheme) = Scheme::parse_label(label) {
+            return Some((scheme, DvfsPolicy::OsDefault));
+        }
+        let throttled = DvfsPolicy::ThrottleWaiters;
+        let scheme = Scheme::parse_label(label.trim().strip_suffix(throttled.label_suffix())?)?;
+        scheme
+            .plan()
+            .takes_dvfs_suffix()
+            .then_some((scheme, throttled))
+    }
+
+    /// This scheme with its checkpoint interval set to `interval` — the
+    /// plain, lossy (CR-LC) and exact-state (ABFT-CR) checkpointing
+    /// variants; every other scheme is returned as it is.
+    pub fn with_interval(self, interval: CheckpointInterval) -> Self {
+        match self {
+            Scheme::Checkpoint { storage, .. } => Scheme::Checkpoint { storage, interval },
+            Scheme::LossyCheckpoint {
+                keep_mantissa_bits, ..
+            } => Scheme::LossyCheckpoint {
+                interval,
+                keep_mantissa_bits,
+            },
+            Scheme::AbftCheckpoint { .. } => Scheme::AbftCheckpoint { interval },
+            other => other,
+        }
+    }
+
     /// Resolves the scheme into the plain-data plan the driver executes —
     /// the only place a `Scheme` variant is interpreted.
     pub(crate) fn plan(&self) -> RecoveryPlan {
@@ -463,19 +513,9 @@ impl Scheme {
         self.plan().family
     }
 
-    /// True for forward-recovery schemes (F0/FI/LI/LSI).
-    pub fn is_forward(&self) -> bool {
-        matches!(self, Scheme::Forward(_))
-    }
-
     /// True for schemes that take periodic checkpoints.
     pub fn is_checkpoint(&self) -> bool {
         self.plan().checkpoint.is_some()
-    }
-
-    /// True for the multi-rank simultaneous-failure forward scheme.
-    pub fn is_multi_node(&self) -> bool {
-        matches!(self, Scheme::MultiNode(_))
     }
 }
 
@@ -503,21 +543,20 @@ mod tests {
 
     #[test]
     fn class_predicates() {
-        assert!(Scheme::li_local_cg().is_forward());
-        assert!(!Scheme::cr_disk().is_forward());
+        let forward = ModelFamily::ForwardRecovery;
+        assert_eq!(Scheme::li_local_cg().model_family(), forward);
+        assert_eq!(Scheme::mnf().model_family(), forward);
+        assert_ne!(Scheme::cr_disk().model_family(), forward);
         assert!(Scheme::cr_memory().is_checkpoint());
         assert!(!Scheme::Dmr.is_checkpoint());
         assert!(Scheme::cr_lossy().is_checkpoint());
         assert!(Scheme::abft_cr().is_checkpoint());
-        assert!(Scheme::mnf().is_multi_node());
-        assert!(!Scheme::mnf().is_forward());
         assert!(!Scheme::mnf().is_checkpoint());
     }
 
-    #[test]
-    fn parse_label_inverts_label_for_every_scheme() {
-        // Every row's default scheme, plus every tunable knob moved off its
-        // default: knobs never change the row a scheme belongs to.
+    /// Every row's default scheme, plus every tunable knob moved off its
+    /// default: knobs never change the row a scheme belongs to.
+    fn every_row_with_knobs_moved() -> Vec<Scheme> {
         let mut schemes: Vec<Scheme> = REGISTRY.iter().map(|row| (row.2)()).collect();
         let fixed = ConstructionMethod::local_cg_fixed(1e-8, 50);
         schemes.extend([
@@ -533,11 +572,72 @@ mod tests {
             Scheme::Forward(ForwardKind::LeastSquares(fixed)),
             Scheme::MultiNode(fixed),
         ]);
-        for s in schemes {
+        schemes
+    }
+
+    #[test]
+    fn parse_label_inverts_label_for_every_scheme() {
+        for s in every_row_with_knobs_moved() {
             let parsed = Scheme::parse_label(&s.label())
                 .unwrap_or_else(|| panic!("label {:?} must parse", s.label()));
             assert_eq!(parsed.label(), s.label(), "label round-trip");
             assert_eq!(parsed.plan().label, s.label(), "the plan carries the label");
+        }
+    }
+
+    #[test]
+    fn parse_run_label_inverts_run_label_for_every_scheme_and_policy() {
+        for s in every_row_with_knobs_moved() {
+            for dvfs in [DvfsPolicy::OsDefault, DvfsPolicy::ThrottleWaiters] {
+                let label = s.run_label(dvfs);
+                let (parsed, parsed_dvfs) = Scheme::parse_run_label(&label)
+                    .unwrap_or_else(|| panic!("run label {label:?} must parse"));
+                assert_eq!(parsed.run_label(parsed_dvfs), label, "run-label round-trip");
+                assert_eq!(parsed.label(), s.label(), "{label:?}");
+                let throttled = s.plan().takes_dvfs_suffix() && dvfs == DvfsPolicy::ThrottleWaiters;
+                assert_eq!(label.ends_with("-DVFS"), throttled, "{label:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn parse_run_label_reads_aliases_and_rejects_suffixes_a_scheme_does_not_take() {
+        assert_eq!(
+            Scheme::parse_run_label("LI-DVFS"),
+            Some((Scheme::li_local_cg(), DvfsPolicy::ThrottleWaiters))
+        );
+        assert_eq!(
+            Scheme::parse_run_label("LSI (CG)-DVFS"),
+            Some((Scheme::lsi_local_cg(), DvfsPolicy::ThrottleWaiters))
+        );
+        assert_eq!(
+            Scheme::parse_run_label("CR-D"),
+            Some((Scheme::cr_disk(), DvfsPolicy::OsDefault))
+        );
+        for junk in [
+            "RD-DVFS",
+            "F0-DVFS",
+            "CR-D-DVFS",
+            "FF-DVFS",
+            "-DVFS",
+            "LI-DVFS-DVFS",
+            "li-dvfs",
+            "",
+        ] {
+            assert_eq!(Scheme::parse_run_label(junk), None, "{junk:?}");
+        }
+    }
+
+    #[test]
+    fn with_interval_sets_only_checkpoint_intervals() {
+        let every = CheckpointInterval::EveryIterations(7);
+        for s in every_row_with_knobs_moved() {
+            let moved = s.with_interval(every);
+            assert_eq!(moved.label(), s.label(), "the row never changes");
+            match moved.plan().checkpoint {
+                Some(ckpt) => assert_eq!(ckpt.interval, every, "{}", s.label()),
+                None => assert_eq!(moved, s, "{} has no interval", s.label()),
+            }
         }
     }
 

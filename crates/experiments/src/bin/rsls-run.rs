@@ -7,7 +7,6 @@
 //! rsls-run --all --csv out/       additionally dump CSV files
 //! rsls-run --all --jobs 8        run campaign units on 8 workers
 //! rsls-run --all --resume         continue an interrupted campaign
-//! rsls-run --serve 127.0.0.1:8080 serve results over HTTP (rsls-serve)
 //! rsls-run --all --query "SELECT scheme, avg(energy) FROM runs GROUP BY scheme"
 //! rsls-run --query "SELECT * FROM schemes"   query an existing store, run nothing
 //! RSLS_SCALE=full rsls-run --all  paper-sized matrices (slow)
@@ -23,7 +22,6 @@
 
 use std::panic::{self, AssertUnwindSafe};
 use std::path::PathBuf;
-use std::process::Command;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -36,7 +34,7 @@ fn usage() -> ! {
     eprintln!(
         "usage: rsls-run [--list] [--all] [--experiment <name>] [--csv <dir>] [--svg <dir>]\n\
          \x20               [--jobs <n>] [--cache-dir <dir>] [--resume] [--no-cache]\n\
-         \x20               [--chaos-seed <n>] [--serve <addr>] [--query <sql>]\n\
+         \x20               [--chaos-seed <n>] [--query <sql>]\n\
          \x20               [--schemes <label,label,...>]\n\
          experiments: {}\n\
          schemes: {}",
@@ -44,38 +42,6 @@ fn usage() -> ! {
         rsls_core::Scheme::KNOWN_LABELS.join(", ")
     );
     std::process::exit(2);
-}
-
-/// Delegates to the `rsls-serve` binary next to this one — the service
-/// is a separate binary (it owns the process: signal handlers, worker
-/// pools), and this passthrough only exists so `rsls-run --serve` does
-/// the obvious thing.
-fn serve_passthrough(addr: &str, jobs: usize, cache_dir: &PathBuf, use_cache: bool) -> ! {
-    let sibling = std::env::current_exe()
-        .ok()
-        .and_then(|p| p.parent().map(|d| d.join("rsls-serve")))
-        .filter(|p| p.exists());
-    let program = sibling.unwrap_or_else(|| PathBuf::from("rsls-serve"));
-    let mut cmd = Command::new(&program);
-    cmd.arg("--addr")
-        .arg(addr)
-        .arg("--jobs")
-        .arg(jobs.to_string())
-        .arg("--cache-dir")
-        .arg(cache_dir);
-    if !use_cache {
-        cmd.arg("--no-cache");
-    }
-    match cmd.status() {
-        Ok(status) => std::process::exit(status.code().unwrap_or(1)),
-        Err(e) => {
-            eprintln!(
-                "failed to launch {} ({e}); build it with `cargo build --release -p rsls-serve`",
-                program.display()
-            );
-            std::process::exit(1);
-        }
-    }
 }
 
 fn main() {
@@ -93,7 +59,6 @@ fn main() {
     let mut resume = false;
     let mut use_cache = true;
     let mut chaos_seed: Option<u64> = None;
-    let mut serve_addr: Option<String> = None;
     let mut query_sql: Option<String> = None;
     let mut scheme_filter: Option<Vec<String>> = None;
     let mut i = 0;
@@ -162,13 +127,6 @@ fn main() {
                     }
                 };
             }
-            "--serve" => {
-                i += 1;
-                if i >= args.len() {
-                    usage();
-                }
-                serve_addr = Some(args[i].clone());
-            }
             "--query" => {
                 i += 1;
                 if i >= args.len() {
@@ -206,10 +164,6 @@ fn main() {
             }
         }
         i += 1;
-    }
-
-    if let Some(addr) = serve_addr {
-        serve_passthrough(&addr, jobs, &cache_dir, use_cache);
     }
 
     if let Some(labels) = scheme_filter {

@@ -114,12 +114,7 @@ pub fn current_experiment() -> String {
 /// tag for synthesized ones); the fingerprint of `(A, b)` is folded in
 /// regardless, so reused names cannot alias distinct data.
 pub fn unit_spec(a: &CsrMatrix, b: &[f64], matrix: &str, scale: Scale, cfg: RunConfig) -> UnitSpec {
-    let unit = format!(
-        "{}/{}{}",
-        matrix,
-        cfg.scheme.label(),
-        cfg.dvfs.label_suffix()
-    );
+    let unit = format!("{matrix}/{}", cfg.scheme.run_label(cfg.dvfs));
     // Interned suite workloads hit the memoized fingerprint; foreign
     // (synthesized) systems are hashed directly.
     let fingerprint = crate::artifacts::fingerprint_of(a, b).unwrap_or_else(|| {

@@ -6,15 +6,27 @@
 //! al., and classifies system-wide outages (SWO) without evaluating them.
 //! This harness measures all four on the reproduction's machinery.
 
+use rsls_core::driver::RunConfig;
 use rsls_core::interval::CheckpointInterval;
-use rsls_core::{CheckpointStorage, DvfsPolicy, Scheme};
+use rsls_core::{CompressionModel, Scheme};
 use rsls_faults::{FaultClass, FaultSchedule};
 
+use crate::campaign::{execute_units, unit_spec};
 use crate::output::{f2, Table};
 use crate::runners::{
-    cr_interval_for, evenly_spaced_faults, poisson_faults_for, run_fault_free, workload, SchemeRun,
+    cr_interval_for, evenly_spaced_faults, execute_runs, lineup, poisson_faults_for, run_cached,
+    run_fault_free, run_lineup, workload, SchemeRun,
 };
 use crate::Scale;
+
+/// Replication and checkpoint tiers under node faults.
+pub const REDUNDANCY: &[&str] = &["RD", "TMR", "CR-M", "CR-D", "CR-ML"];
+
+/// The schemes put through a system-wide outage.
+pub const SWO: &[&str] = &["RD", "LI-DVFS", "CR-M", "CR-D", "CR-ML"];
+
+/// The scheme the interval-policy and compression studies vary.
+pub const CR_D: &[&str] = &["CR-D"];
 
 /// Runs the four extension studies.
 pub fn run(scale: Scale) -> Vec<Table> {
@@ -29,11 +41,6 @@ pub fn run(scale: Scale) -> Vec<Table> {
 
 /// SZ-style lossy checkpoint compression on the disk tier.
 fn checkpoint_compression(scale: Scale, ranks: usize) -> Table {
-    use rsls_core::driver::RunConfig;
-    use rsls_core::CompressionModel;
-
-    use crate::runners::run_cached;
-
     let (a, b) = workload("crystm02", scale);
     // A congested shared PFS (50 MB/s aggregate): the regime where
     // checkpoint *bandwidth* dominates and compression pays off.
@@ -42,22 +49,19 @@ fn checkpoint_compression(scale: Scale, ranks: usize) -> Table {
         ..Default::default()
     };
     let ff = {
-        let mut cfg = rsls_core::driver::RunConfig::new(Scheme::FaultFree, ranks);
+        let mut cfg = RunConfig::new(Scheme::FaultFree, ranks);
         cfg.machine = machine.clone();
-        run_cached(&a, &b, "ext-comp", cfg)
+        run_cached(&a, &b, "ext-comp", scale, cfg)
     };
     let interval = CheckpointInterval::EveryIterations(cr_interval_for(scale, ff.iterations));
-    let scheme = Scheme::Checkpoint {
-        storage: CheckpointStorage::Disk,
-        interval,
-    };
     let faults = evenly_spaced_faults(10, ff.iterations, ranks, "ext-comp");
+    let template = SchemeRun::fault_free(&a, &b, ranks).faults(faults);
 
     let mut t = Table::new(
         "Extension — lossy checkpoint compression (crystm02, CR-D on a congested PFS)",
         &["compressor", "T", "E", "checkpoint share"],
     );
-    for (name, comp) in [
+    let compressors = [
         ("none", None),
         (
             "SZ-like 10x @ 1 GB/s",
@@ -70,12 +74,18 @@ fn checkpoint_compression(scale: Scale, ranks: usize) -> Table {
                 throughput_bytes_per_s: 3.0e9,
             }),
         ),
-    ] {
-        let mut cfg = RunConfig::new(scheme, ranks).with_faults(faults.clone());
-        cfg.machine = machine.clone();
-        cfg.checkpoint_compression = comp;
-        cfg.run_tag = format!("ext-comp-{}", name.replace([' ', '@', '/'], ""));
-        let r = run_cached(&a, &b, "ext-comp", cfg);
+    ];
+    let mut specs = Vec::new();
+    for e in lineup(CR_D, interval) {
+        for (name, comp) in &compressors {
+            let mut cfg = template.clone().entry(&e).config();
+            cfg.machine = machine.clone();
+            cfg.checkpoint_compression = *comp;
+            cfg.run_tag = format!("ext-comp-{}", name.replace([' ', '@', '/'], ""));
+            specs.push(unit_spec(&a, &b, "ext-comp", scale, cfg));
+        }
+    }
+    for ((name, _), r) in compressors.iter().zip(execute_units(&a, &b, &specs)) {
         let n = r.normalized_vs(&ff);
         t.push_row(vec![
             name.to_string(),
@@ -90,35 +100,12 @@ fn checkpoint_compression(scale: Scale, ranks: usize) -> Table {
 /// TMR and CR-ML against the paper's schemes under node faults.
 fn redundancy_and_multilevel(scale: Scale, ranks: usize) -> Table {
     let (a, b) = workload("crystm02", scale);
-    let ff = run_fault_free(&a, &b, ranks);
+    let ff = run_fault_free(&a, &b, ranks, scale);
     let interval = CheckpointInterval::EveryIterations(cr_interval_for(scale, ff.iterations));
-    let faults = evenly_spaced_faults(10, ff.iterations, ranks, "ext-rm");
+    let template = SchemeRun::fault_free(&a, &b, ranks)
+        .faults(evenly_spaced_faults(10, ff.iterations, ranks, "ext-rm"))
+        .tag("ext-rm");
 
-    let schemes: Vec<(Scheme, DvfsPolicy)> = vec![
-        (Scheme::Dmr, DvfsPolicy::OsDefault),
-        (Scheme::Tmr, DvfsPolicy::OsDefault),
-        (
-            Scheme::Checkpoint {
-                storage: CheckpointStorage::Memory,
-                interval,
-            },
-            DvfsPolicy::OsDefault,
-        ),
-        (
-            Scheme::Checkpoint {
-                storage: CheckpointStorage::Disk,
-                interval,
-            },
-            DvfsPolicy::OsDefault,
-        ),
-        (
-            Scheme::Checkpoint {
-                storage: CheckpointStorage::Multilevel { disk_every: 4 },
-                interval,
-            },
-            DvfsPolicy::OsDefault,
-        ),
-    ];
     let mut t = Table::new(
         "Extension — TMR and multilevel checkpointing (crystm02, 10 node faults)",
         &["scheme", "T", "P", "E", "iters"],
@@ -130,12 +117,7 @@ fn redundancy_and_multilevel(scale: Scale, ranks: usize) -> Table {
         f2(1.0),
         ff.iterations.to_string(),
     ]);
-    for (scheme, dvfs) in schemes {
-        let r = SchemeRun::new(&a, &b, ranks, scheme)
-            .dvfs(dvfs)
-            .faults(faults.clone())
-            .tag("ext-rm")
-            .execute();
+    for r in run_lineup(&template, &lineup(REDUNDANCY, interval), scale) {
         let n = r.normalized_vs(&ff);
         t.push_row(vec![
             r.scheme.clone(),
@@ -151,30 +133,31 @@ fn redundancy_and_multilevel(scale: Scale, ranks: usize) -> Table {
 /// Checkpoint-interval policies: fixed vs Young vs Daly vs energy-optimal.
 fn interval_policies(scale: Scale, ranks: usize) -> Table {
     let (a, b) = workload("Kuu", scale);
-    let ff = run_fault_free(&a, &b, ranks);
+    let ff = run_fault_free(&a, &b, ranks, scale);
     let (faults, mtbf_s) = poisson_faults_for(&ff, 4.0, ranks, "ext-int");
+    let template = SchemeRun::fault_free(&a, &b, ranks)
+        .faults(faults)
+        .mtbf_s(mtbf_s);
 
     let mut t = Table::new(
         "Extension — checkpoint-interval policies (Kuu, CR-D, rate-based faults)",
         &["policy", "interval (iters)", "T", "E"],
     );
-    for (name, interval) in [
+    let policies = [
         ("fixed-100", CheckpointInterval::EveryIterations(100)),
         ("Young", CheckpointInterval::Young),
         ("Daly", CheckpointInterval::Daly),
         ("energy-optimal", CheckpointInterval::EnergyOptimal),
-    ] {
-        // Disk storage: the per-checkpoint cost is large enough that the
-        // interval policies actually differ.
-        let scheme = Scheme::Checkpoint {
-            storage: CheckpointStorage::Disk,
-            interval,
-        };
-        let r = SchemeRun::new(&a, &b, ranks, scheme)
-            .faults(faults.clone())
-            .tag(format!("ext-int-{name}"))
-            .mtbf_s(mtbf_s)
-            .execute();
+    ];
+    // Disk storage: the per-checkpoint cost is large enough that the
+    // interval policies actually differ.
+    let mut runs = Vec::new();
+    for (name, interval) in policies {
+        for e in lineup(CR_D, interval) {
+            runs.push(template.clone().entry(&e).tag(format!("ext-int-{name}")));
+        }
+    }
+    for ((name, _), r) in policies.iter().zip(execute_runs(&runs, scale)) {
         let n = r.normalized_vs(&ff);
         t.push_row(vec![
             name.to_string(),
@@ -191,45 +174,18 @@ fn interval_policies(scale: Scale, ranks: usize) -> Table {
 /// System-wide outages: which schemes retain progress.
 fn swo_survival(scale: Scale, ranks: usize) -> Table {
     let (a, b) = workload("Kuu", scale);
-    let ff = run_fault_free(&a, &b, ranks);
+    let ff = run_fault_free(&a, &b, ranks, scale);
     let interval = CheckpointInterval::EveryIterations(cr_interval_for(scale, ff.iterations));
     let swo = FaultSchedule::single_at_iteration(ff.iterations / 2, 0, FaultClass::Swo);
+    let template = SchemeRun::fault_free(&a, &b, ranks)
+        .faults(swo)
+        .tag("ext-swo");
 
-    let schemes: Vec<(Scheme, DvfsPolicy)> = vec![
-        (Scheme::Dmr, DvfsPolicy::OsDefault),
-        (Scheme::li_local_cg(), DvfsPolicy::ThrottleWaiters),
-        (
-            Scheme::Checkpoint {
-                storage: CheckpointStorage::Memory,
-                interval,
-            },
-            DvfsPolicy::OsDefault,
-        ),
-        (
-            Scheme::Checkpoint {
-                storage: CheckpointStorage::Disk,
-                interval,
-            },
-            DvfsPolicy::OsDefault,
-        ),
-        (
-            Scheme::Checkpoint {
-                storage: CheckpointStorage::Multilevel { disk_every: 4 },
-                interval,
-            },
-            DvfsPolicy::OsDefault,
-        ),
-    ];
     let mut t = Table::new(
         "Extension — system-wide outage at mid-solve (Kuu)",
         &["scheme", "norm iters", "retains progress"],
     );
-    for (scheme, dvfs) in schemes {
-        let r = SchemeRun::new(&a, &b, ranks, scheme)
-            .dvfs(dvfs)
-            .faults(swo.clone())
-            .tag("ext-swo")
-            .execute();
+    for r in run_lineup(&template, &lineup(SWO, interval), scale) {
         let norm = r.iterations as f64 / ff.iterations as f64;
         t.push_row(vec![r.scheme.clone(), f2(norm), (norm < 1.3).to_string()]);
     }
@@ -239,6 +195,7 @@ fn swo_survival(scale: Scale, ranks: usize) -> Table {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rsls_core::CheckpointStorage;
 
     #[test]
     fn interval_policies_behave_sanely() {
@@ -246,7 +203,7 @@ mod tests {
         // and all policies converge.
         let ranks = 16;
         let (a, b) = workload("wathen100", Scale::Quick);
-        let ff = run_fault_free(&a, &b, ranks);
+        let ff = run_fault_free(&a, &b, ranks, Scale::Quick);
         let (faults, mtbf) = poisson_faults_for(&ff, 3.0, ranks, "ext-test");
         let interval_of = |interval| {
             let scheme = Scheme::Checkpoint {
@@ -257,7 +214,7 @@ mod tests {
                 .faults(faults.clone())
                 .tag("ext-test")
                 .mtbf_s(mtbf)
-                .execute();
+                .execute(Scale::Quick);
             assert!(r.converged);
             r.checkpoint_interval_iters.unwrap()
         };

@@ -1,12 +1,14 @@
 //! Figure 3 — accuracy and cost of different recovery mechanisms.
 
 use rsls_core::interval::CheckpointInterval;
-use rsls_core::{CheckpointStorage, DvfsPolicy, Scheme};
 
-use crate::campaign::{execute_units, unit_spec};
 use crate::output::{f2, sci, Table};
-use crate::runners::{poisson_faults_for, run_fault_free, workload, SchemeRun};
+use crate::runners::{lineup, poisson_faults_for, run_fault_free, run_lineup, workload, SchemeRun};
 use crate::Scale;
+
+/// Figure 3's recovery mechanisms after FF: RD, CR to disk, and the two
+/// interpolations with DVFS.
+pub const LINEUP: &[&str] = &["RD", "CR-D", "LI-DVFS", "LSI-DVFS"];
 
 /// Reproduces Figure 3: time and energy overhead (normalized to FF) of
 /// RD, CR (to disk) and FW on the Andrews matrix, with faults arriving at
@@ -16,22 +18,8 @@ use crate::Scale;
 pub fn run(scale: Scale) -> Vec<Table> {
     let ranks = scale.default_ranks();
     let (a, b) = workload("Andrews", scale);
-    let ff = run_fault_free(&a, &b, ranks);
+    let ff = run_fault_free(&a, &b, ranks, scale);
     let (faults, mtbf_s) = poisson_faults_for(&ff, 4.0, ranks, "fig3");
-
-    let schemes: Vec<(Scheme, DvfsPolicy)> = vec![
-        (Scheme::FaultFree, DvfsPolicy::OsDefault),
-        (Scheme::Dmr, DvfsPolicy::OsDefault),
-        (
-            Scheme::Checkpoint {
-                storage: CheckpointStorage::Disk,
-                interval: CheckpointInterval::Young,
-            },
-            DvfsPolicy::OsDefault,
-        ),
-        (Scheme::li_local_cg(), DvfsPolicy::ThrottleWaiters),
-        (Scheme::lsi_local_cg(), DvfsPolicy::ThrottleWaiters),
-    ];
 
     let mut t = Table::new(
         "Figure 3 — accuracy and cost of recovery mechanisms (Andrews analog)",
@@ -43,20 +31,11 @@ pub fn run(scale: Scale) -> Vec<Table> {
             "faults",
         ],
     );
-    // One batch: the engine runs these in parallel under `--jobs N`.
-    let specs: Vec<_> = schemes
-        .iter()
-        .filter(|(scheme, _)| *scheme != Scheme::FaultFree)
-        .map(|(scheme, dvfs)| {
-            let run = SchemeRun::new(&a, &b, ranks, *scheme)
-                .dvfs(*dvfs)
-                .faults(faults.clone())
-                .tag("fig3")
-                .mtbf_s(mtbf_s);
-            unit_spec(&a, &b, "fig3", scale, run.config())
-        })
-        .collect();
-    let mut reports = execute_units(&a, &b, &specs);
+    let template = SchemeRun::fault_free(&a, &b, ranks)
+        .faults(faults)
+        .tag("fig3")
+        .mtbf_s(mtbf_s);
+    let mut reports = run_lineup(&template, &lineup(LINEUP, CheckpointInterval::Young), scale);
     reports.insert(0, ff.clone());
     for r in reports {
         let n = r.normalized_vs(&ff);
@@ -74,6 +53,7 @@ pub fn run(scale: Scale) -> Vec<Table> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rsls_core::{DvfsPolicy, Scheme};
 
     #[test]
     fn fw_consumes_less_energy_than_rd_and_cr() {
@@ -83,24 +63,24 @@ mod tests {
         // 192-core platform.
         let ranks = 64;
         let (a, b) = workload("Andrews", Scale::Quick);
-        let ff = run_fault_free(&a, &b, ranks);
+        let ff = run_fault_free(&a, &b, ranks, Scale::Quick);
         let (faults, mtbf) = poisson_faults_for(&ff, 3.0, ranks, "fig3-test");
         let rd = SchemeRun::new(&a, &b, ranks, Scheme::Dmr)
             .faults(faults.clone())
             .tag("f3t")
             .mtbf_s(mtbf)
-            .execute();
+            .execute(Scale::Quick);
         let fw = SchemeRun::new(&a, &b, ranks, Scheme::li_local_cg())
             .dvfs(DvfsPolicy::ThrottleWaiters)
             .faults(faults.clone())
             .tag("f3t")
             .mtbf_s(mtbf)
-            .execute();
+            .execute(Scale::Quick);
         let cr = SchemeRun::new(&a, &b, ranks, Scheme::cr_disk())
             .faults(faults)
             .tag("f3t")
             .mtbf_s(mtbf)
-            .execute();
+            .execute(Scale::Quick);
         assert!(fw.converged && cr.converged && rd.converged);
         let e_fw = fw.energy_j / ff.energy_j;
         let e_rd = rd.energy_j / ff.energy_j;

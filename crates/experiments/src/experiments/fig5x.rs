@@ -12,15 +12,22 @@
 //!    (the regime single-failure schemes cannot handle at all).
 
 use rsls_core::interval::CheckpointInterval;
-use rsls_core::{RunReport, Scheme};
+use rsls_core::RunReport;
 use rsls_faults::{FaultClass, FaultSchedule};
 
-use crate::campaign::{execute_units, unit_spec};
 use crate::output::{f2, f3, Table};
 use crate::runners::{
-    cr_interval_for, run_fault_free, scheme_allowed, standard_schemes, workload, SchemeRun,
+    cr_interval_for, execute_runs, lineup, run_fault_free, run_lineup, workload, SchemeRun,
 };
 use crate::Scale;
+
+/// The §5.2 seven plus the related-work schemes.
+pub const LINEUP: &[&str] = &[
+    "FF", "RD", "F0", "FI", "LI", "LSI", "CR-D", "CR-LC", "ABFT-CR", "MNF",
+];
+
+/// The scheme of the correlated-failure table.
+pub const CORRELATED: &[&str] = &["MNF"];
 
 /// The matrices the comparison runs on: one small well-conditioned
 /// system and one larger one, enough to show the scheme ordering
@@ -45,7 +52,7 @@ fn scheme_row(name: &str, ff: &RunReport, r: &RunReport) -> Vec<String> {
 /// Reproduces the extended comparison.
 pub fn run(scale: Scale) -> Vec<Table> {
     let ranks = scale.default_ranks();
-    let mut lineup = Table::new(
+    let mut lineup_table = Table::new(
         format!(
             "Figure 5x — recovery-scheme comparison incl. CR-LC / ABFT-CR / MNF \
              ({ranks} processes, 1 mid-run fault)"
@@ -75,59 +82,34 @@ pub fn run(scale: Scale) -> Vec<Table> {
 
     for &name in MATRICES {
         let (a, b) = workload(name, scale);
-        let ff = run_fault_free(&a, &b, ranks);
+        let ff = run_fault_free(&a, &b, ranks, scale);
         let interval = cr_interval_for(scale, ff.iterations);
         // One fault strictly between two checkpoints, so the rollback
         // distance is the same for every checkpointed scheme.
         let fault_iter = (ff.iterations / 2 / interval.max(1)) * interval + interval / 2;
         let fault = FaultSchedule::single_at_iteration(fault_iter.max(1), 3, FaultClass::Snf);
-
         let every = CheckpointInterval::EveryIterations(interval);
-        let mut schemes = standard_schemes(interval);
-        schemes.push((
-            Scheme::LossyCheckpoint {
-                interval: every,
-                keep_mantissa_bits: 26,
-            },
-            rsls_core::DvfsPolicy::OsDefault,
-        ));
-        schemes.push((
-            Scheme::AbftCheckpoint { interval: every },
-            rsls_core::DvfsPolicy::OsDefault,
-        ));
-        schemes.push((Scheme::mnf(), rsls_core::DvfsPolicy::OsDefault));
 
-        let specs: Vec<_> = schemes
-            .into_iter()
-            .filter(|(scheme, _)| *scheme != Scheme::FaultFree && scheme_allowed(scheme))
-            .map(|(scheme, dvfs)| {
-                let run = SchemeRun::new(&a, &b, ranks, scheme)
-                    .dvfs(dvfs)
-                    .faults(fault.clone())
-                    .tag(name);
-                unit_spec(&a, &b, name, scale, run.config())
-            })
-            .collect();
-        lineup.push_row(scheme_row(name, &ff, &ff));
-        for r in execute_units(&a, &b, &specs) {
-            lineup.push_row(scheme_row(name, &ff, &r));
+        let template = SchemeRun::fault_free(&a, &b, ranks).tag(name);
+        lineup_table.push_row(scheme_row(name, &ff, &ff));
+        let single = template.clone().faults(fault);
+        for r in run_lineup(&single, &lineup(LINEUP, every), scale) {
+            lineup_table.push_row(scheme_row(name, &ff, &r));
         }
 
         // Correlated failures: k ranks die at the same iteration; MNF
         // rebuilds every lost block from the survivors in one union
         // solve. The failed set is spread across the partition.
-        if !scheme_allowed(&Scheme::mnf()) {
-            continue;
+        let mut runs = Vec::new();
+        for e in lineup(CORRELATED, every) {
+            for &k in MULTI_KS {
+                let lost: Vec<usize> = (0..k).map(|i| (i * ranks) / k).collect();
+                let sched =
+                    FaultSchedule::multiple_at_iteration(fault_iter.max(1), &lost, FaultClass::Snf);
+                runs.push(template.clone().entry(&e).faults(sched));
+            }
         }
-        for &k in MULTI_KS {
-            let lost: Vec<usize> = (0..k).map(|i| (i * ranks) / k).collect();
-            let sched =
-                FaultSchedule::multiple_at_iteration(fault_iter.max(1), &lost, FaultClass::Snf);
-            let run = SchemeRun::new(&a, &b, ranks, Scheme::mnf())
-                .faults(sched)
-                .tag(name);
-            let spec = unit_spec(&a, &b, name, scale, run.config());
-            let r = &execute_units(&a, &b, &[spec])[0];
+        for (&k, r) in MULTI_KS.iter().zip(execute_runs(&runs, scale)) {
             multi.push_row(vec![
                 name.to_string(),
                 k.to_string(),
@@ -139,7 +121,7 @@ pub fn run(scale: Scale) -> Vec<Table> {
             ]);
         }
     }
-    vec![lineup, multi]
+    vec![lineup_table, multi]
 }
 
 #[cfg(test)]

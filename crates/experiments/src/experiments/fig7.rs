@@ -1,10 +1,16 @@
 //! Figure 7 — DVFS power reduction and energy savings.
 
-use rsls_core::{DvfsPolicy, Scheme};
+use rsls_core::interval::CheckpointInterval;
 
 use crate::output::{f2, f3, Table};
-use crate::runners::{evenly_spaced_faults, run_fault_free, workload, SchemeRun};
+use crate::runners::{
+    evenly_spaced_faults, lineup, run_fault_free, run_lineup, workload, SchemeRun,
+};
 use crate::{Scale, SUITE};
+
+/// LI and LSI with and without the DVFS optimization; Figure 7a is the
+/// LI pair.
+pub const LINEUP: &[&str] = &["LI", "LI-DVFS", "LSI", "LSI-DVFS"];
 
 /// Figure 7a — the power profile of nd24k on a single 24-core node under
 /// plain LI vs LI-DVFS. The printed table summarizes the plateau levels;
@@ -12,7 +18,7 @@ use crate::{Scale, SUITE};
 pub fn run_a(scale: Scale) -> Vec<Table> {
     let ranks = scale.node_ranks();
     let (a, b) = workload("nd24k", scale);
-    let ff = run_fault_free(&a, &b, ranks);
+    let ff = run_fault_free(&a, &b, ranks, scale);
     let faults = evenly_spaced_faults(5, ff.iterations, ranks, "fig7a");
 
     let mut t = Table::new(
@@ -31,12 +37,11 @@ pub fn run_a(scale: Scale) -> Vec<Table> {
         "Figure 7a — power traces (long format)",
         &["scheme", "time (s)", "power (W)"],
     );
-    for dvfs in [DvfsPolicy::OsDefault, DvfsPolicy::ThrottleWaiters] {
-        let r = SchemeRun::new(&a, &b, ranks, Scheme::li_local_cg())
-            .dvfs(dvfs)
-            .faults(faults.clone())
-            .tag("fig7a")
-            .execute();
+    let template = SchemeRun::fault_free(&a, &b, ranks)
+        .faults(faults)
+        .tag("fig7a");
+    let entries = lineup(&LINEUP[..2], CheckpointInterval::Young);
+    for r in run_lineup(&template, &entries, scale) {
         // Plateau detection from the recorded profile: the top level is the
         // compute plateau, the lowest sustained level during the run is the
         // construction plateau.
@@ -89,38 +94,23 @@ pub fn run_a(scale: Scale) -> Vec<Table> {
 /// resilience-energy share.
 pub fn run_b(scale: Scale) -> Vec<Table> {
     let ranks = scale.default_ranks();
-    let variants: [(&str, Scheme, DvfsPolicy); 4] = [
-        ("LI", Scheme::li_local_cg(), DvfsPolicy::OsDefault),
-        (
-            "LI-DVFS",
-            Scheme::li_local_cg(),
-            DvfsPolicy::ThrottleWaiters,
-        ),
-        ("LSI", Scheme::lsi_local_cg(), DvfsPolicy::OsDefault),
-        (
-            "LSI-DVFS",
-            Scheme::lsi_local_cg(),
-            DvfsPolicy::ThrottleWaiters,
-        ),
-    ];
+    let entries = lineup(LINEUP, CheckpointInterval::Young);
 
-    let mut sums = vec![(0.0f64, 0.0f64, 0.0f64, 0.0f64); variants.len()];
+    let mut sums = vec![(0.0f64, 0.0f64, 0.0f64, 0.0f64); entries.len()];
     let mut count = 0usize;
     for spec in SUITE {
         let (a, b) = workload(spec.name, scale);
-        let ff = run_fault_free(&a, &b, ranks);
+        let ff = run_fault_free(&a, &b, ranks, scale);
         let faults = evenly_spaced_faults(10, ff.iterations, ranks, spec.name);
-        for (i, (_, scheme, dvfs)) in variants.iter().enumerate() {
-            let r = SchemeRun::new(&a, &b, ranks, *scheme)
-                .dvfs(*dvfs)
-                .faults(faults.clone())
-                .tag("fig7b")
-                .execute();
+        let template = SchemeRun::fault_free(&a, &b, ranks)
+            .faults(faults)
+            .tag("fig7b");
+        for (sum, r) in sums.iter_mut().zip(run_lineup(&template, &entries, scale)) {
             let n = r.normalized_vs(&ff);
-            sums[i].0 += n.time;
-            sums[i].1 += n.power;
-            sums[i].2 += n.energy;
-            sums[i].3 += r.resilience_energy_fraction();
+            sum.0 += n.time;
+            sum.1 += n.power;
+            sum.2 += n.energy;
+            sum.3 += r.resilience_energy_fraction();
         }
         count += 1;
     }
@@ -129,14 +119,14 @@ pub fn run_b(scale: Scale) -> Vec<Table> {
         format!("Figure 7b — suite-average normalized T/P/E ({count} matrices, 10 faults)"),
         &["scheme", "T", "P", "E", "E_res share"],
     );
-    for (i, (label, _, _)) in variants.iter().enumerate() {
+    for (e, sum) in entries.iter().zip(&sums) {
         let c = count as f64;
         t.push_row(vec![
-            label.to_string(),
-            f2(sums[i].0 / c),
-            f2(sums[i].1 / c),
-            f2(sums[i].2 / c),
-            f2(sums[i].3 / c),
+            e.label.to_string(),
+            f2(sum.0 / c),
+            f2(sum.1 / c),
+            f2(sum.2 / c),
+            f2(sum.3 / c),
         ]);
     }
     vec![t]
@@ -145,6 +135,7 @@ pub fn run_b(scale: Scale) -> Vec<Table> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rsls_core::{DvfsPolicy, Scheme};
 
     #[test]
     fn dvfs_construction_power_drops_about_forty_percent() {
@@ -153,14 +144,14 @@ mod tests {
         // sits near 0.45x of the compute plateau.
         let ranks = 24;
         let (a, b) = workload("nd24k", Scale::Quick);
-        let ff = run_fault_free(&a, &b, ranks);
+        let ff = run_fault_free(&a, &b, ranks, Scale::Quick);
         let faults = evenly_spaced_faults(5, ff.iterations, ranks, "fig7a-test");
         let trough_of = |dvfs| {
             let r = SchemeRun::new(&a, &b, ranks, Scheme::li_local_cg())
                 .dvfs(dvfs)
                 .faults(faults.clone())
                 .tag("f7t")
-                .execute();
+                .execute(Scale::Quick);
             let peak = r
                 .power_profile
                 .iter()

@@ -1,10 +1,11 @@
 //! Figure 8 — time/energy/power trade-offs for three contrasting matrices.
 
 use rsls_core::interval::CheckpointInterval;
-use rsls_core::{CheckpointStorage, DvfsPolicy, Scheme};
 
 use crate::output::{f2, Table};
-use crate::runners::{poisson_faults_for, run_fault_free, workload, SchemeRun};
+use crate::runners::{
+    lineup, poisson_faults_for, run_fault_free, run_lineup, workload, SchemeRun, TRADEOFF_LINEUP,
+};
 use crate::Scale;
 
 /// The three matrices of Figure 8 (x — irregular structure; n — very
@@ -16,31 +17,12 @@ const MATRICES: [&str; 3] = ["x104", "nd24k", "cvxbqp1"];
 /// showing that the best scheme depends on the workload.
 pub fn run(scale: Scale) -> Vec<Table> {
     let ranks = scale.default_ranks();
+    let entries = lineup(TRADEOFF_LINEUP, CheckpointInterval::Young);
     let mut tables = Vec::new();
     for name in MATRICES {
         let (a, b) = workload(name, scale);
-        let ff = run_fault_free(&a, &b, ranks);
+        let ff = run_fault_free(&a, &b, ranks, scale);
         let (faults, mtbf_s) = poisson_faults_for(&ff, 4.0, ranks, name);
-
-        let schemes: [(Scheme, DvfsPolicy); 5] = [
-            (Scheme::Dmr, DvfsPolicy::OsDefault),
-            (Scheme::li_local_cg(), DvfsPolicy::ThrottleWaiters),
-            (Scheme::lsi_local_cg(), DvfsPolicy::ThrottleWaiters),
-            (
-                Scheme::Checkpoint {
-                    storage: CheckpointStorage::Memory,
-                    interval: CheckpointInterval::Young,
-                },
-                DvfsPolicy::OsDefault,
-            ),
-            (
-                Scheme::Checkpoint {
-                    storage: CheckpointStorage::Disk,
-                    interval: CheckpointInterval::Young,
-                },
-                DvfsPolicy::OsDefault,
-            ),
-        ];
 
         let mut t = Table::new(
             format!("Figure 8 — normalized T/E/P for {name}"),
@@ -53,13 +35,11 @@ pub fn run(scale: Scale) -> Vec<Table> {
             f2(1.0),
             ff.iterations.to_string(),
         ]);
-        for (scheme, dvfs) in schemes {
-            let r = SchemeRun::new(&a, &b, ranks, scheme)
-                .dvfs(dvfs)
-                .faults(faults.clone())
-                .tag(format!("fig8-{name}"))
-                .mtbf_s(mtbf_s)
-                .execute();
+        let template = SchemeRun::fault_free(&a, &b, ranks)
+            .faults(faults)
+            .tag(format!("fig8-{name}"))
+            .mtbf_s(mtbf_s);
+        for r in run_lineup(&template, &entries, scale) {
             let n = r.normalized_vs(&ff);
             t.push_row(vec![
                 r.scheme.clone(),
@@ -77,6 +57,7 @@ pub fn run(scale: Scale) -> Vec<Table> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rsls_core::{DvfsPolicy, Scheme};
 
     #[test]
     fn fw_recovery_is_structure_sensitive() {
@@ -91,13 +72,13 @@ mod tests {
         let mut overheads = Vec::new();
         for name in ["crystm02", "nd24k"] {
             let (a, b) = workload(name, Scale::Quick);
-            let ff = run_fault_free(&a, &b, ranks);
+            let ff = run_fault_free(&a, &b, ranks, Scale::Quick);
             let faults = evenly_spaced_faults(5, ff.iterations, ranks, "f8t");
             let fw = SchemeRun::new(&a, &b, ranks, Scheme::li_local_cg())
                 .dvfs(DvfsPolicy::ThrottleWaiters)
                 .faults(faults)
                 .tag(format!("f8t-{name}"))
-                .execute();
+                .execute(Scale::Quick);
             assert!(fw.converged);
             overheads.push(fw.iterations as f64 / ff.iterations as f64);
         }

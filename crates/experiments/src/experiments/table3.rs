@@ -27,7 +27,8 @@ pub fn run(scale: Scale) -> Vec<Table> {
     for spec in SUITE {
         let a = spec.generate(scale);
         let b = spec.rhs(&a);
-        let ff = run_cached(&a, &b, spec.name, RunConfig::new(Scheme::FaultFree, 1));
+        let cfg = RunConfig::new(Scheme::FaultFree, 1);
+        let ff = run_cached(&a, &b, spec.name, scale, cfg);
         t.push_row(vec![
             spec.name.to_string(),
             spec.problem_kind.to_string(),

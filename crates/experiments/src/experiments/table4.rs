@@ -48,12 +48,12 @@ mod tests {
         // The cheapest slice of the Table 4 claim: RD tracks FF at any p.
         let (a, b) = workload("wathen100", Scale::Quick);
         for p in [4usize, 16] {
-            let ff = run_fault_free(&a, &b, p);
+            let ff = run_fault_free(&a, &b, p, Scale::Quick);
             let faults = evenly_spaced_faults(5, ff.iterations, p, "t4-rd");
             let rd = SchemeRun::new(&a, &b, p, Scheme::Dmr)
                 .faults(faults)
                 .tag("t4-rd")
-                .execute();
+                .execute(Scale::Quick);
             assert_eq!(rd.iterations, ff.iterations, "p = {p}");
         }
     }

@@ -1,11 +1,12 @@
 //! Table 6 — model validation for x104.
 
 use rsls_core::interval::CheckpointInterval;
-use rsls_core::{CheckpointStorage, DvfsPolicy, Scheme};
 use rsls_models::validate;
 
 use crate::output::{f2, Table};
-use crate::runners::{poisson_faults_for, run_fault_free, workload, SchemeRun};
+use crate::runners::{
+    lineup, poisson_faults_for, run_fault_free, run_lineup, workload, SchemeRun, TRADEOFF_LINEUP,
+};
 use crate::Scale;
 
 /// Reproduces Table 6: for matrix x104, the §3 models' predicted
@@ -14,28 +15,8 @@ use crate::Scale;
 pub fn run(scale: Scale) -> Vec<Table> {
     let ranks = scale.default_ranks();
     let (a, b) = workload("x104", scale);
-    let ff = run_fault_free(&a, &b, ranks);
+    let ff = run_fault_free(&a, &b, ranks, scale);
     let (faults, mtbf_s) = poisson_faults_for(&ff, 4.0, ranks, "table6");
-
-    let schemes: [(Scheme, DvfsPolicy); 5] = [
-        (Scheme::Dmr, DvfsPolicy::OsDefault),
-        (Scheme::li_local_cg(), DvfsPolicy::ThrottleWaiters),
-        (Scheme::lsi_local_cg(), DvfsPolicy::ThrottleWaiters),
-        (
-            Scheme::Checkpoint {
-                storage: CheckpointStorage::Memory,
-                interval: CheckpointInterval::Young,
-            },
-            DvfsPolicy::OsDefault,
-        ),
-        (
-            Scheme::Checkpoint {
-                storage: CheckpointStorage::Disk,
-                interval: CheckpointInterval::Young,
-            },
-            DvfsPolicy::OsDefault,
-        ),
-    ];
 
     let mut t = Table::new(
         "Table 6 — model vs experiment for x104 (normalized to FF)",
@@ -58,13 +39,12 @@ pub fn run(scale: Scale) -> Vec<Table> {
         f2(1.0),
         f2(0.0),
     ]);
-    for (scheme, dvfs) in schemes {
-        let r = SchemeRun::new(&a, &b, ranks, scheme)
-            .dvfs(dvfs)
-            .faults(faults.clone())
-            .tag("table6")
-            .mtbf_s(mtbf_s)
-            .execute();
+    let template = SchemeRun::fault_free(&a, &b, ranks)
+        .faults(faults)
+        .tag("table6")
+        .mtbf_s(mtbf_s);
+    let entries = lineup(TRADEOFF_LINEUP, CheckpointInterval::Young);
+    for r in run_lineup(&template, &entries, scale) {
         let row = validate(&r, &ff);
         t.push_row(vec![
             row.scheme.clone(),
@@ -82,6 +62,7 @@ pub fn run(scale: Scale) -> Vec<Table> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rsls_core::Scheme;
 
     #[test]
     fn model_and_experiment_agree_on_scheme_ordering() {
@@ -90,18 +71,18 @@ mod tests {
         // experiment order CR-D vs CR-M the same way.
         let ranks = 8;
         let (a, b) = workload("x104", Scale::Quick);
-        let ff = run_fault_free(&a, &b, ranks);
+        let ff = run_fault_free(&a, &b, ranks, Scale::Quick);
         let (faults, mtbf) = poisson_faults_for(&ff, 4.0, ranks, "t6-test");
         let crm = SchemeRun::new(&a, &b, ranks, Scheme::cr_memory())
             .faults(faults.clone())
             .tag("t6t")
             .mtbf_s(mtbf)
-            .execute();
+            .execute(Scale::Quick);
         let crd = SchemeRun::new(&a, &b, ranks, Scheme::cr_disk())
             .faults(faults)
             .tag("t6t")
             .mtbf_s(mtbf)
-            .execute();
+            .execute(Scale::Quick);
         let vm = validate(&crm, &ff);
         let vd = validate(&crd, &ff);
         assert!(vd.exp_t_res > vm.exp_t_res, "measured: CR-D > CR-M");

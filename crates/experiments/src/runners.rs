@@ -1,53 +1,61 @@
 //! Shared run orchestration for the experiment harnesses.
 //!
-//! Every solver invocation here goes through the process-wide campaign
-//! engine ([`crate::campaign`]): runs are specified canonically, cached
-//! by content address when the engine has a cache, and executed on its
-//! worker pool when a batch allows it.
+//! A line-up is a list of report labels (`"RD"`, `"LI-DVFS"`, `"CR-D"`):
+//! [`lineup`] resolves one through the scheme registry, applying the
+//! harness's checkpoint interval and the `--schemes` filter, and
+//! [`run_lineup`] / [`execute_runs`] submit a table's runs on one system
+//! to the process-wide campaign engine ([`crate::campaign`]) as one
+//! batch — cached by content address when the engine has a cache, and
+//! executed in parallel under `--jobs N`.
 
 use std::sync::{Arc, OnceLock};
 
+use rsls_campaign::UnitSpec;
 use rsls_core::driver::RunConfig;
 use rsls_core::interval::CheckpointInterval;
-use rsls_core::{CheckpointStorage, DvfsPolicy, ForwardKind, RunReport, Scheme};
+use rsls_core::{DvfsPolicy, RunReport, Scheme};
 use rsls_faults::{FaultClass, FaultSchedule};
 use rsls_sparse::CsrMatrix;
 
 use crate::campaign::{execute_unit, execute_units, unit_spec};
 use crate::Scale;
 
-/// The §5.2 scheme line-up: FF, RD, F0, FI, LI, LSI, CR.
-///
-/// `cr_interval` is the fixed checkpoint interval in iterations (the paper
-/// uses 100 with its Table 3 iteration counts; quick-scale runs shrink it
-/// proportionally via [`cr_interval_for`]).
-pub fn standard_schemes(cr_interval: usize) -> Vec<(Scheme, DvfsPolicy)> {
-    vec![
-        (Scheme::FaultFree, DvfsPolicy::OsDefault),
-        (Scheme::Dmr, DvfsPolicy::OsDefault),
-        (Scheme::Forward(ForwardKind::Zero), DvfsPolicy::OsDefault),
-        (
-            Scheme::Forward(ForwardKind::InitialGuess),
-            DvfsPolicy::OsDefault,
-        ),
-        (Scheme::li_local_cg(), DvfsPolicy::OsDefault),
-        (Scheme::lsi_local_cg(), DvfsPolicy::OsDefault),
-        (
-            Scheme::Checkpoint {
-                storage: CheckpointStorage::Disk,
-                interval: CheckpointInterval::EveryIterations(cr_interval),
-            },
-            DvfsPolicy::OsDefault,
-        ),
-    ]
+/// The §5.2 line-up (Fig. 5, Fig. 6, Table 4): FF, RD, F0, FI, LI, LSI
+/// and CR to disk at the fixed interval of [`cr_interval_for`].
+pub const STANDARD_LINEUP: &[&str] = &["FF", "RD", "F0", "FI", "LI", "LSI", "CR-D"];
+
+/// The §5.3 line-up (Fig. 8, Tables 5 and 6): interpolation with the
+/// DVFS optimization, checkpoints at the Young interval.
+pub const TRADEOFF_LINEUP: &[&str] = &["RD", "LI-DVFS", "LSI-DVFS", "CR-M", "CR-D"];
+
+/// One resolved line-up entry.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct LineupEntry {
+    /// The label as the line-up spells it (`"LI-DVFS"`).
+    pub label: &'static str,
+    /// The scheme, with the line-up's checkpoint interval applied.
+    pub scheme: Scheme,
+    /// The DVFS policy the label names.
+    pub dvfs: DvfsPolicy,
+}
+
+impl LineupEntry {
+    /// The label this entry's reports carry (`"LI (CG)-DVFS"`).
+    pub fn run_label(&self) -> String {
+        self.scheme.run_label(self.dvfs)
+    }
+
+    /// FF: the fault-free baseline, which every filter keeps.
+    pub fn is_baseline(&self) -> bool {
+        self.scheme == Scheme::FaultFree
+    }
 }
 
 /// The process-wide scheme filter (`rsls-run --schemes CR-LC,MNF`):
-/// when set, line-up harnesses only run the listed scheme labels.
-/// FF always runs — it anchors fault schedules and normalizations.
+/// when set, line-ups keep only the listed scheme labels (and FF).
 static SCHEME_FILTER: OnceLock<Vec<String>> = OnceLock::new();
 
-/// Restricts line-up harnesses to the given scheme labels (canonical
+/// Restricts line-ups to the given scheme labels (canonical
 /// [`Scheme::label`] strings — validate with [`Scheme::parse_label`]
 /// before calling). First call wins; returns `false` if a filter was
 /// already installed. The default (never called) runs everything.
@@ -55,27 +63,48 @@ pub fn set_scheme_filter(labels: Vec<String>) -> bool {
     SCHEME_FILTER.set(labels).is_ok()
 }
 
-/// Whether the scheme filter lets `scheme` run. FF is always allowed;
-/// without an installed filter everything is.
-pub fn scheme_allowed(scheme: &Scheme) -> bool {
-    if matches!(scheme, Scheme::FaultFree) {
-        return true;
-    }
-    match SCHEME_FILTER.get() {
-        None => true,
-        Some(labels) => labels.iter().any(|l| *l == scheme.label()),
-    }
+/// Resolves a line-up: each label through [`Scheme::parse_run_label`],
+/// `interval` set on the checkpointing schemes ([`Scheme::with_interval`]),
+/// and only the schemes `filter` names (canonical [`Scheme::label`]
+/// strings) kept, FF always. A pure function; [`lineup`] calls it with
+/// the `--schemes` filter.
+///
+/// # Panics
+///
+/// On a label that is not a report label: line-ups are constants, so
+/// that is a typo.
+pub fn resolve_lineup(
+    labels: &[&'static str],
+    interval: CheckpointInterval,
+    filter: Option<&[String]>,
+) -> Vec<LineupEntry> {
+    labels
+        .iter()
+        .map(|&label| {
+            let (scheme, dvfs) = Scheme::parse_run_label(label)
+                .unwrap_or_else(|| panic!("line-up label {label:?} is not a report label"));
+            LineupEntry {
+                label,
+                scheme: scheme.with_interval(interval),
+                dvfs,
+            }
+        })
+        .filter(|e| e.is_baseline() || filter.is_none_or(|f| f.contains(&e.scheme.label())))
+        .collect()
 }
 
-/// Column labels for the line-up [`run_standard_lineup`] will actually
-/// execute (FF first, then the filtered scheme order) — positional
-/// tables derive their headers from this so a `--schemes` filter
-/// narrows the columns instead of misaligning them.
+/// [`resolve_lineup`] under the process-wide `--schemes` filter.
+pub fn lineup(labels: &[&'static str], interval: CheckpointInterval) -> Vec<LineupEntry> {
+    resolve_lineup(labels, interval, SCHEME_FILTER.get().map(Vec::as_slice))
+}
+
+/// The report labels [`run_standard_lineup`] returns, FF first, under the
+/// `--schemes` filter — the column headers of Fig. 5 and Table 4.
 pub fn lineup_labels() -> Vec<String> {
-    standard_schemes(100)
-        .into_iter()
-        .filter(|(scheme, _)| scheme_allowed(scheme))
-        .map(|(scheme, _)| scheme.label())
+    // A label never carries the checkpoint interval.
+    lineup(STANDARD_LINEUP, CheckpointInterval::Young)
+        .iter()
+        .map(LineupEntry::run_label)
         .collect()
 }
 
@@ -93,15 +122,15 @@ pub fn cr_interval_for(scale: Scale, ff_iters: usize) -> usize {
 }
 
 /// Runs the fault-free baseline.
-pub fn run_fault_free(a: &CsrMatrix, b: &[f64], ranks: usize) -> RunReport {
-    SchemeRun::new(a, b, ranks, Scheme::FaultFree).execute()
+pub fn run_fault_free(a: &CsrMatrix, b: &[f64], ranks: usize, scale: Scale) -> RunReport {
+    SchemeRun::fault_free(a, b, ranks).execute(scale)
 }
 
 /// Parameters of one scheme run — the experiment knobs, named.
 ///
 /// Construct with [`SchemeRun::new`] (fault-free, OS-default DVFS, no
-/// MTBF), adjust with the builder methods, and [`execute`]
-/// ([`SchemeRun::execute`]) through the campaign engine.
+/// MTBF), adjust with the builder methods, and submit through
+/// [`execute_runs`] / [`run_lineup`].
 #[derive(Debug, Clone)]
 pub struct SchemeRun<'a> {
     /// System matrix.
@@ -139,10 +168,27 @@ impl<'a> SchemeRun<'a> {
         }
     }
 
+    /// The fault-free baseline run — also the template a line-up starts
+    /// from ([`run_lineup`] sets each entry's scheme on it).
+    pub fn fault_free(a: &'a CsrMatrix, b: &'a [f64], ranks: usize) -> Self {
+        SchemeRun::new(a, b, ranks, Scheme::FaultFree)
+    }
+
+    /// Sets the scheme.
+    pub fn scheme(mut self, scheme: Scheme) -> Self {
+        self.scheme = scheme;
+        self
+    }
+
     /// Sets the DVFS policy.
     pub fn dvfs(mut self, dvfs: DvfsPolicy) -> Self {
         self.dvfs = dvfs;
         self
+    }
+
+    /// Sets the scheme and DVFS policy of a line-up entry.
+    pub fn entry(self, entry: &LineupEntry) -> Self {
+        self.scheme(entry.scheme).dvfs(entry.dvfs)
     }
 
     /// Sets the fault schedule.
@@ -178,24 +224,51 @@ impl<'a> SchemeRun<'a> {
         cfg
     }
 
-    /// Executes the run through the campaign engine.
-    pub fn execute(&self) -> RunReport {
-        let spec = unit_spec(self.a, self.b, &self.tag, Scale::from_env(), self.config());
-        execute_unit(self.a, self.b, spec)
+    /// The campaign unit this run is at `scale`.
+    pub fn spec(&self, scale: Scale) -> UnitSpec {
+        unit_spec(self.a, self.b, &self.tag, scale, self.config())
+    }
+
+    /// Executes the run through the campaign engine — a one-unit batch,
+    /// for tests and examples.
+    pub fn execute(&self, scale: Scale) -> RunReport {
+        execute_unit(self.a, self.b, self.spec(scale))
     }
 }
 
-/// Runs one scheme with the given fault schedule and DVFS policy
-/// (convenience wrapper over [`SchemeRun`]).
-pub fn run_scheme(params: SchemeRun<'_>) -> RunReport {
-    params.execute()
+/// Executes `runs`, all on one system, through the campaign engine as
+/// one batch; reports come back in submission order.
+pub fn execute_runs(runs: &[SchemeRun<'_>], scale: Scale) -> Vec<RunReport> {
+    let Some(first) = runs.first() else {
+        return Vec::new();
+    };
+    debug_assert!(runs.iter().all(|r| std::ptr::eq(r.a, first.a)));
+    let specs: Vec<UnitSpec> = runs.iter().map(|r| r.spec(scale)).collect();
+    execute_units(first.a, first.b, &specs)
+}
+
+/// Runs `template` once per line-up entry — the entry's scheme and DVFS
+/// policy, everything else as the template — as one batch, reports in
+/// line-up order. FF is skipped: the baseline is the caller's own
+/// unfaulted run.
+pub fn run_lineup(
+    template: &SchemeRun<'_>,
+    lineup: &[LineupEntry],
+    scale: Scale,
+) -> Vec<RunReport> {
+    let runs: Vec<SchemeRun<'_>> = lineup
+        .iter()
+        .filter(|e| !e.is_baseline())
+        .map(|e| template.clone().entry(e))
+        .collect();
+    execute_runs(&runs, scale)
 }
 
 /// Routes an arbitrary [`RunConfig`] through the campaign engine —
 /// for harnesses that need knobs [`SchemeRun`] does not carry
 /// (residual-history recording, frequency pinning, compression).
-pub fn run_cached(a: &CsrMatrix, b: &[f64], tag: &str, cfg: RunConfig) -> RunReport {
-    execute_unit(a, b, unit_spec(a, b, tag, Scale::from_env(), cfg))
+pub fn run_cached(a: &CsrMatrix, b: &[f64], tag: &str, scale: Scale, cfg: RunConfig) -> RunReport {
+    execute_unit(a, b, unit_spec(a, b, tag, scale, cfg))
 }
 
 /// The §5.2 fault plan: `k` faults spread evenly over the fault-free
@@ -232,14 +305,12 @@ pub fn poisson_faults_for(
     )
 }
 
-/// Runs the standard scheme line-up on one suite matrix: returns
-/// `(ff_report, per-scheme reports)` with the §5.2 parameters
-/// (k evenly spaced faults, tolerance 1e-12).
+/// Runs the §5.2 line-up on one suite matrix: returns `(ff_report,
+/// per-scheme reports)` with k evenly spaced faults, FF first.
 ///
 /// The fault-free baseline runs first (its iteration count anchors the
 /// fault schedule and checkpoint interval); the remaining schemes are
-/// submitted to the campaign engine as one batch, so with `--jobs N`
-/// they execute in parallel.
+/// one batch.
 pub fn run_standard_lineup(
     a: &CsrMatrix,
     b: &[f64],
@@ -248,22 +319,12 @@ pub fn run_standard_lineup(
     name: &str,
     scale: Scale,
 ) -> (RunReport, Vec<RunReport>) {
-    let ff_run = SchemeRun::new(a, b, ranks, Scheme::FaultFree).tag(name);
-    let ff = execute_unit(a, b, unit_spec(a, b, name, scale, ff_run.config()));
-    let interval = cr_interval_for(scale, ff.iterations);
-    let specs: Vec<_> = standard_schemes(interval)
-        .into_iter()
-        .filter(|(scheme, _)| *scheme != Scheme::FaultFree && scheme_allowed(scheme))
-        .map(|(scheme, dvfs)| {
-            let faults = evenly_spaced_faults(k_faults, ff.iterations, ranks, name);
-            let run = SchemeRun::new(a, b, ranks, scheme)
-                .dvfs(dvfs)
-                .faults(faults)
-                .tag(name);
-            unit_spec(a, b, name, scale, run.config())
-        })
-        .collect();
-    let mut reports = execute_units(a, b, &specs);
+    let ff = SchemeRun::fault_free(a, b, ranks).tag(name).execute(scale);
+    let interval = CheckpointInterval::EveryIterations(cr_interval_for(scale, ff.iterations));
+    let faulted = SchemeRun::fault_free(a, b, ranks)
+        .faults(evenly_spaced_faults(k_faults, ff.iterations, ranks, name))
+        .tag(name);
+    let mut reports = run_lineup(&faulted, &lineup(STANDARD_LINEUP, interval), scale);
     reports.insert(0, ff.clone());
     (ff, reports)
 }
@@ -278,10 +339,84 @@ pub fn workload(name: &str, scale: Scale) -> (Arc<CsrMatrix>, Arc<Vec<f64>>) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::experiments::{extensions, fig3, fig5x, fig7};
+
+    /// Every line-up constant a harness resolves.
+    const LINEUPS: &[&[&str]] = &[
+        STANDARD_LINEUP,
+        TRADEOFF_LINEUP,
+        fig3::LINEUP,
+        fig5x::LINEUP,
+        fig5x::CORRELATED,
+        fig7::LINEUP,
+        extensions::REDUNDANCY,
+        extensions::SWO,
+        extensions::CR_D,
+    ];
 
     #[test]
     fn standard_lineup_has_seven_schemes() {
-        assert_eq!(standard_schemes(100).len(), 7);
+        let entries = resolve_lineup(STANDARD_LINEUP, CheckpointInterval::Young, None);
+        assert_eq!(entries.len(), 7);
+        let labels: Vec<String> = entries.iter().map(LineupEntry::run_label).collect();
+        assert_eq!(
+            labels,
+            ["FF", "RD", "F0", "FI", "LI (CG)", "LSI (CG)", "CR-D"],
+            "the column labels of Fig. 5 and Table 4"
+        );
+    }
+
+    #[test]
+    fn every_lineup_resolves_with_its_interval() {
+        let every = CheckpointInterval::EveryIterations(17);
+        for &labels in LINEUPS {
+            let entries = resolve_lineup(labels, every, None);
+            assert_eq!(entries.len(), labels.len(), "{labels:?}");
+            for (e, &label) in entries.iter().zip(labels) {
+                assert_eq!(e.label, label);
+                let (scheme, dvfs) = Scheme::parse_run_label(label).unwrap();
+                assert_eq!((e.scheme, e.dvfs), (scheme.with_interval(every), dvfs));
+                assert_eq!(
+                    Scheme::parse_run_label(&e.run_label()),
+                    Some((scheme, dvfs))
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn the_filter_keeps_ff_and_the_named_schemes_in_lineup_order() {
+        let filter = ["CR-D".to_string(), "LI (CG)".to_string()];
+        for &labels in LINEUPS {
+            let entries = resolve_lineup(labels, CheckpointInterval::Young, Some(&filter));
+            let expected: Vec<&str> = labels
+                .iter()
+                .copied()
+                .filter(|l| {
+                    let (s, _) = Scheme::parse_run_label(l).unwrap();
+                    s == Scheme::FaultFree || filter.contains(&s.label())
+                })
+                .collect();
+            let kept: Vec<&str> = entries.iter().map(|e| e.label).collect();
+            assert_eq!(kept, expected, "{labels:?}");
+        }
+        // Fig. 7b keeps its spelled row labels, LI and LI-DVFS together.
+        let fig7 = resolve_lineup(fig7::LINEUP, CheckpointInterval::Young, Some(&filter));
+        assert_eq!(
+            fig7.iter().map(|e| e.label).collect::<Vec<_>>(),
+            ["LI", "LI-DVFS"]
+        );
+        let none = resolve_lineup(TRADEOFF_LINEUP, CheckpointInterval::Young, Some(&[]));
+        assert!(none.is_empty(), "FF is kept only where the line-up has it");
+        let ff_only = resolve_lineup(STANDARD_LINEUP, CheckpointInterval::Young, Some(&[]));
+        assert_eq!(ff_only.len(), 1);
+        assert!(ff_only[0].is_baseline());
+    }
+
+    #[test]
+    #[should_panic(expected = "not a report label")]
+    fn a_typo_in_a_lineup_panics() {
+        resolve_lineup(&["RD-DVFS"], CheckpointInterval::Young, None);
     }
 
     #[test]
@@ -308,7 +443,7 @@ mod tests {
     #[test]
     fn poisson_plan_matches_expected_rate() {
         let (a, b) = workload("wathen100", Scale::Quick);
-        let ff = run_fault_free(&a, &b, 8);
+        let ff = run_fault_free(&a, &b, 8, Scale::Quick);
         let (sched, mtbf) = poisson_faults_for(&ff, 3.0, 8, "wathen100");
         assert!(mtbf > 0.0);
         // Expected ~3 over FF horizon, ~12 over the 4x horizon; allow slack.

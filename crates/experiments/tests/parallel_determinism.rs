@@ -13,8 +13,9 @@
 
 use rsls_campaign::{Engine, EngineOptions, UnitSpec, ENGINE_VERSION};
 use rsls_core::driver::run;
-use rsls_core::{RunConfig, Scheme};
-use rsls_experiments::runners::{evenly_spaced_faults, standard_schemes, workload};
+use rsls_core::interval::CheckpointInterval;
+use rsls_core::RunConfig;
+use rsls_experiments::runners::{evenly_spaced_faults, resolve_lineup, workload, STANDARD_LINEUP};
 use rsls_experiments::{Scale, SUITE};
 use rsls_sparse::csr::{set_par_spmv_threshold, PAR_SPMV_CHUNK_ROWS};
 use rsls_sparse::generators::stencil_2d;
@@ -66,16 +67,17 @@ fn lineup_reports(a: &CsrMatrix, b: &[f64], jobs: usize) -> Vec<String> {
     })
     .expect("engine builds");
     let ranks = 4;
-    let specs: Vec<UnitSpec> = standard_schemes(25)
+    let every = CheckpointInterval::EveryIterations(25);
+    let specs: Vec<UnitSpec> = resolve_lineup(STANDARD_LINEUP, every, None)
         .into_iter()
-        .map(|(scheme, dvfs)| {
-            let mut cfg = RunConfig::new(scheme, ranks).with_dvfs(dvfs);
-            if scheme != Scheme::FaultFree {
+        .map(|e| {
+            let mut cfg = RunConfig::new(e.scheme, ranks).with_dvfs(e.dvfs);
+            if !e.is_baseline() {
                 cfg = cfg.with_faults(evenly_spaced_faults(2, 120, ranks, "determinism"));
             }
             UnitSpec {
                 experiment: "parallel-determinism".to_string(),
-                unit: scheme.label(),
+                unit: e.scheme.label(),
                 matrix: "stencil-40".to_string(),
                 matrix_fingerprint: 0,
                 scale: Scale::Quick.label().to_string(),

@@ -2,7 +2,7 @@
 
 use serde::{Deserialize, Serialize};
 
-use rsls_core::{ModelFamily, RunReport, Scheme};
+use rsls_core::{DvfsPolicy, ModelFamily, RunReport, Scheme};
 
 use crate::fit::FittedParams;
 use crate::schemes::{CrModel, FwModel};
@@ -40,11 +40,12 @@ pub fn validate(scheme_run: &RunReport, ff: &RunReport) -> ValidationRow {
     let norm = scheme_run.normalized_vs(ff);
     let label = scheme_run.scheme.clone();
 
-    // A report's label is a registry label plus, for schemes with a
-    // throttleable construction phase, the DVFS suffix. Labels outside the
-    // registry keep the historical default, forward recovery.
-    let family = Scheme::parse_label(label.strip_suffix("-DVFS").unwrap_or(&label))
-        .map_or(ModelFamily::ForwardRecovery, |s| s.model_family());
+    // Labels outside the registry keep the historical default: forward
+    // recovery with unthrottled waiters.
+    let (family, dvfs) = Scheme::parse_run_label(&label).map_or(
+        (ModelFamily::ForwardRecovery, DvfsPolicy::OsDefault),
+        |(s, dvfs)| (s.model_family(), dvfs),
+    );
 
     let (model_t_res, model_p, model_e_res) = match family {
         ModelFamily::Baseline => (0.0, 1.0, 0.0),
@@ -79,7 +80,10 @@ pub fn validate(scheme_run: &RunReport, ff: &RunReport) -> ValidationRow {
         }
         ModelFamily::ForwardRecovery => {
             let n = scheme_run.num_ranks as f64;
-            let p_idle = if label.contains("DVFS") { 0.45 } else { 0.74 };
+            let p_idle = match dvfs {
+                DvfsPolicy::ThrottleWaiters => 0.45,
+                DvfsPolicy::OsDefault => 0.74,
+            };
             let m = FwModel {
                 t_const_s: params.t_const_s + params.t_restore_per_fault_s,
                 t_extra_per_fault_s: params.t_extra_per_fault_s,

@@ -9,12 +9,15 @@
 //! Prints a Table 5-style normalized comparison: time, power, energy,
 //! and iterations per scheme, normalized to the fault-free run.
 
-use rsls_core::{DvfsPolicy, Scheme};
+use rsls_core::interval::CheckpointInterval;
 use rsls_experiments::output::{f2, Table};
 use rsls_experiments::runners::{
-    cr_interval_for, evenly_spaced_faults, run_fault_free, standard_schemes, workload, SchemeRun,
+    cr_interval_for, evenly_spaced_faults, lineup, run_fault_free, run_lineup, workload, SchemeRun,
 };
 use rsls_experiments::Scale;
+
+/// The §5.2 schemes, interpolation with the paper's DVFS optimization.
+const LINEUP: &[&str] = &["RD", "F0", "FI", "LI-DVFS", "LSI-DVFS", "CR-D"];
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -30,30 +33,18 @@ fn main() {
         a.nnz_per_row()
     );
 
-    let ff = run_fault_free(&a, &b, ranks);
-    let interval = cr_interval_for(scale, ff.iterations);
+    let ff = run_fault_free(&a, &b, ranks, scale);
+    let interval = CheckpointInterval::EveryIterations(cr_interval_for(scale, ff.iterations));
+    let template = SchemeRun::fault_free(&a, &b, ranks)
+        .faults(evenly_spaced_faults(k_faults, ff.iterations, ranks, matrix))
+        .tag("compare");
 
     let mut table = Table::new(
         format!("Recovery-scheme comparison on {matrix}"),
         &["scheme", "iters", "T", "P", "E", "converged"],
     );
-    for (scheme, _) in standard_schemes(interval) {
-        // Interpolating schemes get the paper's DVFS optimization.
-        let dvfs = if scheme.is_forward() {
-            DvfsPolicy::ThrottleWaiters
-        } else {
-            DvfsPolicy::OsDefault
-        };
-        let r = if scheme == Scheme::FaultFree {
-            ff.clone()
-        } else {
-            let faults = evenly_spaced_faults(k_faults, ff.iterations, ranks, matrix);
-            SchemeRun::new(&a, &b, ranks, scheme)
-                .dvfs(dvfs)
-                .faults(faults)
-                .tag("compare")
-                .execute()
-        };
+    let reports = run_lineup(&template, &lineup(LINEUP, interval), scale);
+    for r in std::iter::once(&ff).chain(&reports) {
         let n = r.normalized_vs(&ff);
         table.push_row(vec![
             r.scheme.clone(),

@@ -20,7 +20,7 @@ fn main() {
     let ranks = 64;
     let (a, b) = workload("crystm02", Scale::Quick);
     println!("measuring crystm02 analog on {ranks} virtual ranks...");
-    let ff = run_fault_free(&a, &b, ranks);
+    let ff = run_fault_free(&a, &b, ranks, Scale::Quick);
     let (faults, mtbf) = poisson_faults_for(&ff, 4.0, ranks, "projection");
 
     let li = SchemeRun::new(&a, &b, ranks, Scheme::li_local_cg())
@@ -28,12 +28,12 @@ fn main() {
         .faults(faults.clone())
         .tag("proj")
         .mtbf_s(mtbf)
-        .execute();
+        .execute(Scale::Quick);
     let crd = SchemeRun::new(&a, &b, ranks, Scheme::cr_disk())
         .faults(faults)
         .tag("proj")
         .mtbf_s(mtbf)
-        .execute();
+        .execute(Scale::Quick);
 
     let li_fit = FittedParams::from_reports(&li, &ff);
     let crd_fit = FittedParams::from_reports(&crd, &ff);

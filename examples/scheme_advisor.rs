@@ -18,10 +18,11 @@ use rsls_models::{recommend, FittedParams, Objective, Situation};
 fn main() {
     let matrix = std::env::args().nth(1).unwrap_or_else(|| "crystm02".into());
     let ranks = 64;
-    let (a, b) = workload(&matrix, Scale::from_env());
+    let scale = Scale::from_env();
+    let (a, b) = workload(&matrix, scale);
     println!("workload: {matrix} ({} rows), {ranks} ranks", a.nrows());
 
-    let ff = run_fault_free(&a, &b, ranks);
+    let ff = run_fault_free(&a, &b, ranks, scale);
     let (faults, mtbf) = poisson_faults_for(&ff, 4.0, ranks, "advisor");
     println!(
         "measured fault-free: {} iterations, {:.3} s; fault rate 1/{:.3} s",
@@ -34,12 +35,12 @@ fn main() {
         .faults(faults.clone())
         .tag("advisor-fw")
         .mtbf_s(mtbf)
-        .execute();
+        .execute(scale);
     let crd_run = SchemeRun::new(&a, &b, ranks, Scheme::cr_disk())
         .faults(faults)
         .tag("advisor-crd")
         .mtbf_s(mtbf)
-        .execute();
+        .execute(scale);
     let fw_fit = FittedParams::from_reports(&fw_run, &ff);
     let crd_fit = FittedParams::from_reports(&crd_run, &ff);
 
