@@ -300,7 +300,7 @@ impl Sim<'_> {
         if let Some(ckpt) = self
             .plan
             .checkpoint
-            .filter(|c| !outage || c.survives_outage)
+            .filter(|_| !outage || self.plan.family.survives_outage())
         {
             // Multilevel restores node faults from its cheap memory level.
             let from_memory = !outage && ckpt.tier != CheckpointStorage::Disk;
@@ -473,11 +473,8 @@ pub fn run(a: &CsrMatrix, b: &[f64], cfg: &RunConfig) -> RunReport {
             scratch.memory_write(stored_ckpt_bytes);
         }
         let t_ckpt = scratch.max_clock() - t_iter;
-        // Checkpoint-phase power relative to compute power (feeds the
-        // energy-optimal interval variant).
-        let p_ckpt_frac = (model.core_power(CoreState::StorageWait, f_run)
-            / model.core_power(CoreState::Compute, f_run))
-        .min(1.0);
+        // Checkpoint-phase power feeds the energy-optimal interval variant.
+        let p_ckpt_frac = cfg.dvfs.phase_power(&cfg.power, f_run).checkpoint;
         ckpt.interval
             .resolve_iterations(t_iter, t_ckpt, cfg.mtbf_s, p_ckpt_frac)
     });

@@ -2,7 +2,7 @@
 
 use serde::{Deserialize, Serialize};
 
-use rsls_power::{FreqTable, Governor};
+use rsls_power::{CoreState, FreqTable, Governor, PowerModel, PowerModelConfig};
 
 /// Frequency policy applied to the *non-reconstructing* cores while one
 /// core rebuilds the lost data.
@@ -48,6 +48,30 @@ impl DvfsPolicy {
             DvfsPolicy::ThrottleWaiters => "-DVFS",
         }
     }
+
+    /// Power of the two phases the driver meters in a non-compute core
+    /// state, relative to a core computing at the run frequency `f_run`
+    /// (GHz, a level of `power`'s ladder): what the checkpoint-interval
+    /// resolution and the analytical models charge for them.
+    pub fn phase_power(&self, power: &PowerModelConfig, f_run: f64) -> PhasePower {
+        let model = PowerModel::new(power.clone());
+        let compute = model.core_power(CoreState::Compute, f_run);
+        let f_wait = self.waiter_frequency(model.freq_table()).min(f_run);
+        PhasePower {
+            checkpoint: (model.core_power(CoreState::StorageWait, f_run) / compute).min(1.0),
+            waiter: model.core_power(CoreState::BusyWait, f_wait) / compute,
+        }
+    }
+}
+
+/// Phase power relative to one computing core ([`DvfsPolicy::phase_power`]).
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct PhasePower {
+    /// A checkpoint or restore phase: every core in `StorageWait`.
+    pub checkpoint: f64,
+    /// One core waiting out a reconstruction: `BusyWait` at the policy's
+    /// waiter frequency.
+    pub waiter: f64,
 }
 
 #[cfg(test)]
@@ -72,6 +96,18 @@ mod tests {
         for p in [DvfsPolicy::OsDefault, DvfsPolicy::ThrottleWaiters] {
             assert_eq!(p.reconstructor_frequency(&t), t.max());
         }
+    }
+
+    #[test]
+    fn phase_power_follows_the_calibration() {
+        let power = PowerModelConfig::default();
+        let fmax = power.freq_table.max();
+        let plain = DvfsPolicy::OsDefault.phase_power(&power, fmax);
+        let dvfs = DvfsPolicy::ThrottleWaiters.phase_power(&power, fmax);
+        assert!((plain.checkpoint - power.storage_wait_frac).abs() < 1e-12);
+        assert_eq!(dvfs.checkpoint, plain.checkpoint);
+        assert!((plain.waiter - 0.739).abs() < 1e-12, "{plain:?}");
+        assert!(dvfs.waiter < 0.44, "{dvfs:?}");
     }
 
     #[test]

@@ -85,4 +85,5 @@ pub use interval::{
     daly_interval_s, energy_optimal_interval_s, young_interval_s, CheckpointInterval,
 };
 pub use report::{PhaseBreakdown, RunReport};
+pub use rsls_power::PowerModelConfig;
 pub use scheme::{CheckpointStorage, ForwardKind, ModelFamily, Scheme};

@@ -149,10 +149,33 @@ pub enum ModelFamily {
         /// Powered replicas, the original included (2 for RD, 3 for TMR).
         copies: usize,
     },
-    /// CR-* — periodic checkpoints plus rollback.
-    CheckpointRestart,
+    /// CR-* — periodic checkpoints to `tier` plus rollback (Eqs. 9–11).
+    CheckpointRestart {
+        /// Where the checkpoints go (CR-LC and ABFT-CR write to disk).
+        tier: CheckpointStorage,
+    },
     /// F0 / FI / LI / LSI / MNF — forward recovery.
     ForwardRecovery,
+}
+
+impl ModelFamily {
+    /// The checkpoint tier of a checkpoint/restart family; `None` for
+    /// every other family.
+    pub fn checkpoint_tier(&self) -> Option<CheckpointStorage> {
+        match *self {
+            ModelFamily::CheckpointRestart { tier } => Some(tier),
+            _ => None,
+        }
+    }
+
+    /// Progress survives a system-wide outage, which wipes every node's
+    /// memory — replicas and the surviving blocks forward recovery
+    /// rebuilds from included. Only a checkpoint tier with a disk level
+    /// keeps it; otherwise an outage restarts from the initial guess.
+    pub fn survives_outage(&self) -> bool {
+        self.checkpoint_tier()
+            .is_some_and(|tier| tier != CheckpointStorage::Memory)
+    }
 }
 
 /// What the driver does for a scheme, resolved once per run.
@@ -214,9 +237,6 @@ pub(crate) struct CheckpointPlan {
     pub payload: Payload,
     /// How often.
     pub interval: CheckpointInterval,
-    /// A copy survives a system-wide outage (any tier with a disk level);
-    /// otherwise an outage restarts from the initial guess.
-    pub survives_outage: bool,
     /// Preserved asymmetry (DESIGN §5 ledger): the read of a node-fault
     /// restore is charged to the storage subsystem's energy for CR-LC and
     /// ABFT-CR but not for the plain payload. Outage restores always are.
@@ -470,10 +490,9 @@ impl Scheme {
                 tier,
                 payload,
                 interval,
-                survives_outage: tier != CheckpointStorage::Memory,
                 node_restore_metered: payload != Payload::Plain,
             };
-            (F::CheckpointRestart, Some(ckpt), R::Rollback)
+            (F::CheckpointRestart { tier }, Some(ckpt), R::Rollback)
         };
         let (family, checkpoint, response) = match *self {
             Scheme::FaultFree => (F::Baseline, None, R::Ignore),
@@ -661,17 +680,35 @@ mod tests {
 
     #[test]
     fn model_families_follow_table_2() {
+        use CheckpointStorage::{Disk, Memory, Multilevel};
+        let cr = |tier| ModelFamily::CheckpointRestart { tier };
         for label in Scheme::KNOWN_LABELS {
             let expected = match label {
                 "FF" => ModelFamily::Baseline,
                 "RD" => ModelFamily::Replication { copies: 2 },
                 "TMR" => ModelFamily::Replication { copies: 3 },
-                l if l.contains("CR") => ModelFamily::CheckpointRestart,
+                "CR-M" => cr(Memory),
+                "CR-ML" => cr(Multilevel { disk_every: 4 }),
+                l if l.contains("CR") => cr(Disk),
                 _ => ModelFamily::ForwardRecovery,
             };
             let scheme = Scheme::parse_label(label).unwrap();
             assert_eq!(scheme.model_family(), expected, "{label}");
             assert_eq!(scheme.is_checkpoint(), label.contains("CR"), "{label}");
+        }
+    }
+
+    #[test]
+    fn only_a_disk_level_survives_an_outage() {
+        for label in Scheme::KNOWN_LABELS {
+            let plan = Scheme::parse_label(label).unwrap().plan();
+            let survives = plan.family.survives_outage();
+            let has_disk_level = plan
+                .checkpoint
+                .is_some_and(|c| c.tier != CheckpointStorage::Memory);
+            assert_eq!(survives, has_disk_level, "{label}");
+            let expected = ["CR-D", "CR-ML", "CR-LC", "ABFT-CR"].contains(&label);
+            assert_eq!(survives, expected, "{label}");
         }
     }
 

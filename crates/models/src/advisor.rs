@@ -9,8 +9,10 @@
 
 use serde::{Deserialize, Serialize};
 
+use rsls_core::Scheme;
+
 use crate::fit::FittedParams;
-use crate::schemes::{CrModel, FwModel, RdModel};
+use crate::predict::{checkpoint_cost_s, predict, Inputs};
 
 /// What to optimize for.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -26,7 +28,7 @@ pub enum Objective {
 /// Model-predicted normalized costs of one candidate scheme.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct SchemeEstimate {
-    /// Scheme label ("RD", "CR-M", "CR-D", "FW").
+    /// Report label of the scheme ("RD", "CR-M", "LI-DVFS", …).
     pub label: String,
     /// Predicted `T / T_FF` (∞ when the scheme cannot make progress).
     pub t_norm: f64,
@@ -65,7 +67,8 @@ pub struct Situation {
     /// Number of cores (for the FW construction power mix).
     pub num_cores: usize,
     /// Whether in-memory state survives the expected fault class (false
-    /// for system-wide outages — disqualifies CR-M and plain FW).
+    /// for system-wide outages — leaves only the schemes whose family
+    /// `survives_outage`).
     pub memory_survives: bool,
 }
 
@@ -82,8 +85,8 @@ impl Situation {
         Situation {
             t_ff_s,
             lambda_per_s,
-            tc_mem_s: (cr_disk.t_c_s / 50.0).max(1e-6), // memory ≫ cheaper than shared disk
-            tc_disk_s: cr_disk.t_c_s.max(1e-6),
+            tc_mem_s: cr_disk.t_c_s / 50.0, // memory ≫ cheaper than shared disk
+            tc_disk_s: cr_disk.t_c_s,
             t_const_s: fw.t_const_s,
             t_extra_per_fault_s: fw.t_extra_per_fault_s,
             num_cores,
@@ -92,84 +95,41 @@ impl Situation {
     }
 }
 
-/// Evaluates the §3.2 models for every candidate scheme.
-pub fn estimate_all(s: &Situation) -> Vec<SchemeEstimate> {
-    let mut out = Vec::new();
-    let lambda = s.lambda_per_s;
-
-    // RD — Eq. 12. A system-wide outage wipes the replica too, so RD is
-    // only a candidate when in-memory state survives the fault class.
-    if s.memory_survives {
-        let rd = RdModel;
-        out.push(SchemeEstimate {
-            label: "RD".to_string(),
-            t_norm: 1.0,
-            p_norm: rd.power_multiplier(),
-            e_norm: 1.0 + rd.e_res_j(1.0),
-        });
-    }
-
-    // CR-M / CR-D — Eqs. 9–11 with Young's interval.
-    for (label, tc, p_frac, survives) in [
-        ("CR-M", s.tc_mem_s, 0.98, s.memory_survives),
-        ("CR-D", s.tc_disk_s, 0.88, true),
-    ] {
-        if !survives {
-            continue;
-        }
-        let interval = crate::young_interval_for(tc, lambda);
-        let m = CrModel {
-            t_c_s: tc,
-            interval_s: interval,
-            p_ckpt_frac: p_frac,
-        };
-        let (t_norm, e_norm) = match m.total_time_s(s.t_ff_s, lambda) {
-            Some(total) => {
-                let e_res = m.e_res_j(s.t_ff_s, lambda, 1.0).unwrap_or(0.0);
-                (total / s.t_ff_s, 1.0 + e_res / s.t_ff_s)
+/// Evaluates [`predict`] for every candidate report label (`"RD"`,
+/// `"CR-D"`, `"LI-DVFS"`, …); labels outside the registry, and schemes
+/// an outage disqualifies when memory does not survive, are skipped.
+pub fn estimate_all(s: &Situation, labels: &[&str]) -> Vec<SchemeEstimate> {
+    labels
+        .iter()
+        .filter_map(|&label| {
+            let (scheme, dvfs) = Scheme::parse_run_label(label)?;
+            let family = scheme.model_family();
+            if !s.memory_survives && !family.survives_outage() {
+                return None;
             }
-            None => (f64::INFINITY, f64::INFINITY),
-        };
-        out.push(SchemeEstimate {
-            label: label.to_string(),
-            t_norm,
-            p_norm: m.avg_power_frac(lambda),
-            e_norm,
-        });
-    }
-
-    // FW — Eqs. 13–16 (only applicable when surviving data exists).
-    if s.memory_survives {
-        let m = FwModel {
-            t_const_s: s.t_const_s,
-            t_extra_per_fault_s: s.t_extra_per_fault_s,
-            active_frac: 1.0 / s.num_cores.max(1) as f64,
-            p_idle_frac: 0.45,
-        };
-        let (t_norm, e_norm, p_norm) = match m.total_time_s(s.t_ff_s, lambda) {
-            Some(total) => {
-                let e_res = m.e_res_j(s.t_ff_s, lambda, 1.0).unwrap_or(0.0);
-                (
-                    total / s.t_ff_s,
-                    1.0 + e_res / s.t_ff_s,
-                    m.avg_power_frac(s.t_ff_s, lambda).unwrap_or(1.0),
-                )
-            }
-            None => (f64::INFINITY, f64::INFINITY, 1.0),
-        };
-        out.push(SchemeEstimate {
-            label: "FW".to_string(),
-            t_norm,
-            p_norm,
-            e_norm,
-        });
-    }
-
-    out
+            let inputs = Inputs {
+                t_base_s: s.t_ff_s,
+                lambda_per_s: s.lambda_per_s,
+                ranks: s.num_cores,
+                t_c_s: checkpoint_cost_s(family, s.tc_mem_s, s.tc_disk_s),
+                t_const_s: s.t_const_s,
+                t_extra_per_fault_s: s.t_extra_per_fault_s,
+                t_restore_per_fault_s: 0.0,
+                interval_s: None,
+            };
+            let p = predict(family, dvfs, &inputs);
+            Some(SchemeEstimate {
+                label: label.to_string(),
+                t_norm: 1.0 + p.t_res,
+                p_norm: p.p,
+                e_norm: 1.0 + p.e_res,
+            })
+        })
+        .collect()
 }
 
 /// Ranks the candidates under `objective` (best first; ties broken by
-/// energy, then time).
+/// energy, then time; a scheme that cannot make progress ranks last).
 ///
 /// # Example
 ///
@@ -186,26 +146,18 @@ pub fn estimate_all(s: &Situation) -> Vec<SchemeEstimate> {
 ///     num_cores: 64,
 ///     memory_survives: true,
 /// };
-/// let ranked = recommend(&situation, Objective::Time);
+/// let labels = ["RD", "CR-M", "CR-D", "LI-DVFS"];
+/// let ranked = recommend(&situation, &labels, Objective::Time);
 /// // RD is the only scheme with zero time overhead (Eq. 12).
 /// assert_eq!(ranked[0].label, "RD");
 /// ```
-pub fn recommend(s: &Situation, objective: Objective) -> Vec<SchemeEstimate> {
-    let mut estimates = estimate_all(s);
+pub fn recommend(s: &Situation, labels: &[&str], objective: Objective) -> Vec<SchemeEstimate> {
+    let mut estimates = estimate_all(s, labels);
     estimates.sort_by(|a, b| {
         a.cost(objective)
-            .partial_cmp(&b.cost(objective))
-            .unwrap_or(std::cmp::Ordering::Equal)
-            .then(
-                a.e_norm
-                    .partial_cmp(&b.e_norm)
-                    .unwrap_or(std::cmp::Ordering::Equal),
-            )
-            .then(
-                a.t_norm
-                    .partial_cmp(&b.t_norm)
-                    .unwrap_or(std::cmp::Ordering::Equal),
-            )
+            .total_cmp(&b.cost(objective))
+            .then(a.e_norm.total_cmp(&b.e_norm))
+            .then(a.t_norm.total_cmp(&b.t_norm))
     });
     estimates
 }
@@ -213,6 +165,8 @@ pub fn recommend(s: &Situation, objective: Objective) -> Vec<SchemeEstimate> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    const LABELS: [&str; 4] = ["RD", "CR-M", "CR-D", "LI-DVFS"];
 
     fn situation() -> Situation {
         Situation {
@@ -230,13 +184,13 @@ mod tests {
     #[test]
     fn time_objective_prefers_rd() {
         // RD is the only scheme with zero time overhead (Eq. 12).
-        let ranked = recommend(&situation(), Objective::Time);
+        let ranked = recommend(&situation(), &LABELS, Objective::Time);
         assert_eq!(ranked[0].label, "RD");
     }
 
     #[test]
     fn rd_is_never_the_power_winner() {
-        let ranked = recommend(&situation(), Objective::Power);
+        let ranked = recommend(&situation(), &LABELS, Objective::Power);
         assert_ne!(ranked[0].label, "RD");
         assert_eq!(ranked.last().unwrap().label, "RD");
     }
@@ -249,9 +203,9 @@ mod tests {
             t_extra_per_fault_s: 1.0,
             ..situation()
         };
-        let best_cheap = &recommend(&cheap, Objective::Energy)[0];
+        let best_cheap = &recommend(&cheap, &LABELS, Objective::Energy)[0];
         assert!(
-            best_cheap.label == "FW" || best_cheap.label == "CR-M",
+            best_cheap.label == "LI-DVFS" || best_cheap.label == "CR-M",
             "cheap recovery should beat RD: {best_cheap:?}"
         );
         assert!(best_cheap.e_norm < 2.0);
@@ -265,7 +219,7 @@ mod tests {
             tc_disk_s: 600.0,
             ..situation()
         };
-        let ranked = recommend(&expensive, Objective::Energy);
+        let ranked = recommend(&expensive, &LABELS, Objective::Energy);
         assert_eq!(ranked[0].label, "RD", "{ranked:?}");
     }
 
@@ -275,20 +229,52 @@ mod tests {
             memory_survives: false,
             ..situation()
         };
-        let estimates = estimate_all(&swo);
+        let estimates = estimate_all(&swo, &LABELS);
         assert!(estimates
             .iter()
-            .all(|e| e.label != "CR-M" && e.label != "FW" && e.label != "RD"));
+            .all(|e| e.label != "CR-M" && e.label != "LI-DVFS" && e.label != "RD"));
         assert!(estimates.iter().any(|e| e.label == "CR-D"));
     }
 
     #[test]
     fn estimates_cover_all_objectives() {
         let s = situation();
-        for e in estimate_all(&s) {
+        for e in estimate_all(&s, &LABELS) {
             for o in [Objective::Time, Objective::Energy, Objective::Power] {
                 assert!(e.cost(o) > 0.0);
             }
         }
+    }
+
+    #[test]
+    fn legal_limits_rank_without_nan_or_panic() {
+        // λ = 0: Young's interval is infinite, and nothing is lost.
+        let no_faults = Situation {
+            lambda_per_s: 0.0,
+            ..situation()
+        };
+        for e in estimate_all(&no_faults, &LABELS) {
+            assert_eq!(
+                (e.t_norm, e.e_norm),
+                (1.0, if e.label == "RD" { 2.0 } else { 1.0 }),
+                "{e:?}"
+            );
+        }
+        // Free memory checkpoints: no checkpoint term, no lost work.
+        let free = Situation {
+            tc_mem_s: 0.0,
+            ..situation()
+        };
+        let ranked = recommend(&free, &LABELS, Objective::Time);
+        let crm = ranked.iter().find(|e| e.label == "CR-M").unwrap();
+        assert_eq!((crm.t_norm, crm.p_norm, crm.e_norm), (1.0, 1.0, 1.0));
+        // A scheme that halts ranks last, after every finite cost.
+        let hopeless = Situation {
+            tc_disk_s: 1e6,
+            ..situation()
+        };
+        let ranked = recommend(&hopeless, &LABELS, Objective::Time);
+        assert_eq!(ranked.last().unwrap().label, "CR-D");
+        assert_eq!(ranked.last().unwrap().t_norm, f64::INFINITY);
     }
 }

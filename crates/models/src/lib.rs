@@ -8,7 +8,10 @@
 //! * [`general`] — the generalized metrics of §3.1 (Eqs. 1–8):
 //!   time/power/energy for original and fixed-time-scaled workloads,
 //! * [`schemes`] — the per-scheme refinements of §3.2 (Eqs. 9–16):
-//!   checkpoint/restart, redundancy, and forward recovery,
+//!   the checkpoint/restart and forward-recovery equations,
+//! * [`predict`](mod@predict) — one cost model per
+//!   [`ModelFamily`](rsls_core::ModelFamily), with its power fractions
+//!   from the power model the driver charges; every consumer below calls it,
 //! * [`fit`] — extraction of model parameters (`t_C`, `t_const`,
 //!   `t_extra`, λ, per-iteration time) from measured [`RunReport`]s,
 //! * [`validation`] — model-vs-experiment comparison rows (Table 6),
@@ -22,6 +25,7 @@
 pub mod advisor;
 pub mod fit;
 pub mod general;
+pub mod predict;
 pub mod projection;
 pub mod schemes;
 pub mod validation;
@@ -29,12 +33,7 @@ pub mod validation;
 pub use advisor::{estimate_all, recommend, Objective, SchemeEstimate, Situation};
 pub use fit::FittedParams;
 pub use general::FaultFreeModel;
-pub use projection::{project_scheme, ProjectionConfig, ProjectionPoint, ProjectionScheme};
-pub use schemes::{CrModel, FwModel, LcModel, RdModel};
+pub use predict::{predict, Inputs, Prediction};
+pub use projection::{project_scheme, ProjectionConfig};
+pub use schemes::{CrModel, FwModel, LcModel};
 pub use validation::{validate, ValidationRow};
-
-/// Young's interval from a checkpoint cost and a failure *rate*
-/// (`MTBF = 1/λ`) — convenience for the advisor and projection.
-pub fn young_interval_for(checkpoint_cost_s: f64, lambda_per_s: f64) -> f64 {
-    rsls_core::young_interval_s(checkpoint_cost_s, 1.0 / lambda_per_s)
-}

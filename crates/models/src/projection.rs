@@ -9,41 +9,10 @@
 
 use serde::{Deserialize, Serialize};
 
+use rsls_core::Scheme;
+
 use crate::general::OverheadModel;
-use crate::schemes::{CrModel, FwModel, RdModel};
-
-/// Which scheme a projection point describes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum ProjectionScheme {
-    /// Dual modular redundancy.
-    Rd,
-    /// Checkpoint to shared disk.
-    CrDisk,
-    /// Checkpoint to node-local memory.
-    CrMemory,
-    /// Forward recovery (best case: optimized LI/LSI with DVFS).
-    Forward,
-}
-
-impl ProjectionScheme {
-    /// All projected schemes, in the paper's Figure 9 order.
-    pub const ALL: [ProjectionScheme; 4] = [
-        ProjectionScheme::Rd,
-        ProjectionScheme::CrDisk,
-        ProjectionScheme::CrMemory,
-        ProjectionScheme::Forward,
-    ];
-
-    /// Display label.
-    pub fn label(&self) -> &'static str {
-        match self {
-            ProjectionScheme::Rd => "RD",
-            ProjectionScheme::CrDisk => "CR-D",
-            ProjectionScheme::CrMemory => "CR-M",
-            ProjectionScheme::Forward => "FW",
-        }
-    }
-}
+use crate::predict::{checkpoint_cost_s, predict, Inputs, Prediction};
 
 /// Calibration of the §6 projection.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -71,12 +40,6 @@ pub struct ProjectionConfig {
     /// time (the paper adopts "an average normalized overhead based on the
     /// fault-free case").
     pub fw_extra_frac_per_fault: f64,
-    /// Idle-core power during FW construction relative to `P_1`
-    /// (the paper projects with 0.45).
-    pub fw_p_idle_frac: f64,
-    /// Core power during CR-D checkpointing relative to `P_1`
-    /// (the paper projects with 0.40).
-    pub crd_p_ckpt_frac: f64,
 }
 
 impl Default for ProjectionConfig {
@@ -99,27 +62,8 @@ impl Default for ProjectionConfig {
             t_const_base_s: 0.5,
             t_const_slope_s: 1.0e-5,
             fw_extra_frac_per_fault: 0.004,
-            fw_p_idle_frac: 0.45,
-            crd_p_ckpt_frac: 0.40,
         }
     }
-}
-
-/// One projected point of Figure 9.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct ProjectionPoint {
-    /// Scheme.
-    pub scheme: ProjectionScheme,
-    /// Process count.
-    pub n: usize,
-    /// System failure rate λ, per second.
-    pub lambda_per_s: f64,
-    /// `T_res / T_FF` (∞ = no forward progress).
-    pub t_res_norm: f64,
-    /// `E_res / E_FF`.
-    pub e_res_norm: f64,
-    /// Average power relative to `N · P_1`.
-    pub p_norm: f64,
 }
 
 impl ProjectionConfig {
@@ -134,75 +78,25 @@ impl ProjectionConfig {
     }
 }
 
-/// Projects one scheme at one system size.
-pub fn project_scheme(
-    scheme: ProjectionScheme,
-    cfg: &ProjectionConfig,
-    n: usize,
-) -> ProjectionPoint {
+/// Projects the scheme a report label names (`"CR-D"`, `"LI-DVFS"`, …)
+/// at `n` processes: [`predict`] on the unit costs extrapolated to `n`.
+/// `None` for a label outside the registry.
+pub fn project_scheme(label: &str, cfg: &ProjectionConfig, n: usize) -> Option<Prediction> {
+    let (scheme, dvfs) = Scheme::parse_run_label(label)?;
+    let family = scheme.model_family();
     let t_base = cfg.t_base_s(n);
-    let lambda = cfg.lambda_per_s(n);
-    // Normalized full power is 1 by construction (N · P1 / N · P1).
-    let (t_res_norm, e_res_norm, p_norm) = match scheme {
-        ProjectionScheme::Rd => {
-            let rd = RdModel;
-            (rd.t_res_s() / t_base, 1.0, rd.power_multiplier())
-        }
-        ProjectionScheme::CrDisk | ProjectionScheme::CrMemory => {
-            let (t_c, p_frac) = match scheme {
-                ProjectionScheme::CrDisk => (
-                    cfg.tc_disk_base_s + cfg.tc_disk_slope_s * n as f64,
-                    cfg.crd_p_ckpt_frac,
-                ),
-                _ => (cfg.tc_mem_s, 0.98),
-            };
-            let interval = rsls_core::young_interval_s(t_c, 1.0 / lambda);
-            let m = CrModel {
-                t_c_s: t_c,
-                interval_s: interval,
-                p_ckpt_frac: p_frac,
-            };
-            match m.total_time_s(t_base, lambda) {
-                Some(total) => {
-                    let e_res = m.e_res_j(t_base, lambda, 1.0).unwrap_or(0.0);
-                    // Energy normalized by E_FF = 1.0 (power) × t_base.
-                    (
-                        (total - t_base) / t_base,
-                        e_res / t_base,
-                        m.avg_power_frac(lambda),
-                    )
-                }
-                None => (f64::INFINITY, f64::INFINITY, p_frac),
-            }
-        }
-        ProjectionScheme::Forward => {
-            let m = FwModel {
-                t_const_s: cfg.t_const_base_s + cfg.t_const_slope_s * n as f64,
-                t_extra_per_fault_s: cfg.fw_extra_frac_per_fault * t_base,
-                active_frac: 1.0 / n as f64,
-                p_idle_frac: cfg.fw_p_idle_frac,
-            };
-            match m.total_time_s(t_base, lambda) {
-                Some(total) => {
-                    let e_res = m.e_res_j(t_base, lambda, 1.0).unwrap_or(0.0);
-                    (
-                        (total - t_base) / t_base,
-                        e_res / t_base,
-                        m.avg_power_frac(t_base, lambda).unwrap_or(1.0),
-                    )
-                }
-                None => (f64::INFINITY, f64::INFINITY, cfg.fw_p_idle_frac),
-            }
-        }
+    let tc_disk = cfg.tc_disk_base_s + cfg.tc_disk_slope_s * n as f64;
+    let inputs = Inputs {
+        t_base_s: t_base,
+        lambda_per_s: cfg.lambda_per_s(n),
+        ranks: n,
+        t_c_s: checkpoint_cost_s(family, cfg.tc_mem_s, tc_disk),
+        t_const_s: cfg.t_const_base_s + cfg.t_const_slope_s * n as f64,
+        t_extra_per_fault_s: cfg.fw_extra_frac_per_fault * t_base,
+        t_restore_per_fault_s: 0.0,
+        interval_s: None,
     };
-    ProjectionPoint {
-        scheme,
-        n,
-        lambda_per_s: lambda,
-        t_res_norm,
-        e_res_norm,
-        p_norm,
-    }
+    Some(predict(family, dvfs, &inputs))
 }
 
 #[cfg(test)]
@@ -211,25 +105,22 @@ mod tests {
 
     const SIZES: [usize; 6] = [1_000, 4_000, 16_000, 64_000, 256_000, 1_000_000];
 
+    fn at(label: &str, n: usize) -> Prediction {
+        project_scheme(label, &ProjectionConfig::default(), n).unwrap()
+    }
+
     #[test]
     fn rd_is_flat_across_scales() {
-        let cfg = ProjectionConfig::default();
         for &n in &SIZES {
-            let p = project_scheme(ProjectionScheme::Rd, &cfg, n);
-            assert_eq!(p.t_res_norm, 0.0);
-            assert_eq!(p.e_res_norm, 1.0);
-            assert_eq!(p.p_norm, 2.0);
+            let p = at("RD", n);
+            assert_eq!((p.t_res, p.e_res, p.p), (0.0, 1.0, 2.0));
         }
     }
 
     #[test]
     fn fw_overhead_grows_roughly_linearly() {
         // Paper: "T_res and E_res of FW increases roughly linearly".
-        let cfg = ProjectionConfig::default();
-        let t: Vec<f64> = SIZES
-            .iter()
-            .map(|&n| project_scheme(ProjectionScheme::Forward, &cfg, n).t_res_norm)
-            .collect();
+        let t: Vec<f64> = SIZES.iter().map(|&n| at("LI-DVFS", n).t_res).collect();
         assert!(t.windows(2).all(|w| w[1] > w[0]), "monotone growth: {t:?}");
         // Linearity check: quadrupling N multiplies overhead by ~4 (±50%).
         let ratio = t[2] / t[1];
@@ -239,18 +130,14 @@ mod tests {
     #[test]
     fn cr_disk_grows_faster_than_fw() {
         // Paper: "T_res and E_res of CR-D increases faster".
-        let cfg = ProjectionConfig::default();
-        let at = |s, n| project_scheme(s, &cfg, n).t_res_norm;
-        let n = 1_000_000;
+        let t = |label, n| at(label, n).t_res;
         assert!(
-            at(ProjectionScheme::CrDisk, n) > at(ProjectionScheme::Forward, n),
+            t("CR-D", 1_000_000) > t("LI-DVFS", 1_000_000),
             "CR-D must dominate FW at exascale"
         );
         // And the growth *rate* is steeper.
-        let fw_growth =
-            at(ProjectionScheme::Forward, 256_000) / at(ProjectionScheme::Forward, 16_000);
-        let crd_growth =
-            at(ProjectionScheme::CrDisk, 256_000) / at(ProjectionScheme::CrDisk, 16_000);
+        let fw_growth = t("LI-DVFS", 256_000) / t("LI-DVFS", 16_000);
+        let crd_growth = t("CR-D", 256_000) / t("CR-D", 16_000);
         assert!(
             crd_growth > fw_growth,
             "CR-D {crd_growth} vs FW {fw_growth}"
@@ -260,14 +147,9 @@ mod tests {
     #[test]
     fn cr_memory_overhead_stays_negligible() {
         // Paper: CR-M performs best in the projection (near-zero overhead).
-        let cfg = ProjectionConfig::default();
         for &n in &SIZES {
-            let p = project_scheme(ProjectionScheme::CrMemory, &cfg, n);
-            assert!(
-                p.t_res_norm < 0.05,
-                "CR-M overhead at {n}: {}",
-                p.t_res_norm
-            );
+            let t_res = at("CR-M", n).t_res;
+            assert!(t_res < 0.05, "CR-M overhead at {n}: {t_res}");
         }
     }
 
@@ -275,16 +157,12 @@ mod tests {
     fn power_of_fw_and_cr_disk_drops_at_scale() {
         // Paper: "P of FW and CR-D drops as the time cost in recovery or
         // reconstruction becomes dominant".
-        let cfg = ProjectionConfig::default();
-        for s in [ProjectionScheme::Forward, ProjectionScheme::CrDisk] {
-            let small = project_scheme(s, &cfg, 1_000).p_norm;
-            let large = project_scheme(s, &cfg, 1_000_000).p_norm;
+        for label in ["LI-DVFS", "CR-D"] {
+            let small = at(label, 1_000).p;
+            let large = at(label, 1_000_000).p;
             assert!(
                 large < small,
-                "{}: power must drop ({} -> {})",
-                s.label(),
-                small,
-                large
+                "{label}: power must drop ({small} -> {large})"
             );
         }
     }
@@ -293,10 +171,8 @@ mod tests {
     fn overheads_eventually_dominate_fault_free_cost() {
         // Paper: "T_res and E_res for FW and CR-D become larger than the
         // time and energy required for the fault-free case".
-        let cfg = ProjectionConfig::default();
-        let fw = project_scheme(ProjectionScheme::Forward, &cfg, 1_000_000);
-        let crd = project_scheme(ProjectionScheme::CrDisk, &cfg, 1_000_000);
-        assert!(fw.t_res_norm > 1.0 || crd.t_res_norm > 1.0);
+        let (fw, crd) = (at("LI-DVFS", 1_000_000), at("CR-D", 1_000_000));
+        assert!(fw.t_res > 1.0 || crd.t_res > 1.0);
     }
 
     #[test]
@@ -305,5 +181,12 @@ mod tests {
         let l1 = cfg.lambda_per_s(1_000);
         let l2 = cfg.lambda_per_s(2_000);
         assert!((l2 / l1 - 2.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn only_report_labels_are_projected() {
+        let cfg = ProjectionConfig::default();
+        assert_eq!(project_scheme("FW", &cfg, 1_000), None);
+        assert_eq!(project_scheme("RD-DVFS", &cfg, 1_000), None);
     }
 }

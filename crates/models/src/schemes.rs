@@ -20,10 +20,30 @@ pub struct CrModel {
 }
 
 impl CrModel {
+    /// Share of total time spent checkpointing, `t_C/I_C` (0 when
+    /// checkpoints are free, whatever the interval).
+    fn checkpoint_share(&self) -> f64 {
+        if self.t_c_s == 0.0 {
+            0.0
+        } else {
+            self.t_c_s / self.interval_s
+        }
+    }
+
+    /// Faults per interval, `λ·I_C` (0 without faults, even for Young's
+    /// infinite interval).
+    pub(crate) fn faults_per_interval(&self, lambda_per_s: f64) -> f64 {
+        if lambda_per_s == 0.0 {
+            0.0
+        } else {
+            lambda_per_s * self.interval_s
+        }
+    }
+
     /// The checkpointing + lost-work overhead fraction
     /// `t_C/I_C + λ·I_C/2` of total time.
     pub fn overhead_fraction(&self, lambda_per_s: f64) -> f64 {
-        self.t_c_s / self.interval_s + lambda_per_s * self.interval_s / 2.0
+        self.checkpoint_share() + self.faults_per_interval(lambda_per_s) / 2.0
     }
 
     /// Total time including resilience (fixed point of Eqs. 9–11), or
@@ -38,52 +58,21 @@ impl CrModel {
         }
     }
 
-    /// `T_res` (Eq. 9): total minus base time.
-    pub fn t_res_s(&self, t_base_s: f64, lambda_per_s: f64) -> Option<f64> {
-        self.total_time_s(t_base_s, lambda_per_s)
-            .map(|t| t - t_base_s)
-    }
-
     /// Average power over the run relative to `N·P_1`: checkpoint phases
     /// at `p_ckpt_frac`, everything else at 1. (Lost-work recomputation is
     /// normal execution, hence full power.)
-    pub fn avg_power_frac(&self, lambda_per_s: f64) -> f64 {
-        let ckpt_share = self.t_c_s / self.interval_s;
-        let total_share = 1.0; // normalized
-        let frac = self.overhead_fraction(lambda_per_s).min(0.999_999);
-        // Share of *total* time spent checkpointing: t_C/I_C of total.
-        let ckpt_of_total = ckpt_share / (1.0 - frac) * (1.0 - frac); // = ckpt_share
-        (ckpt_of_total * self.p_ckpt_frac + (total_share - ckpt_of_total)) / total_share
+    pub fn avg_power_frac(&self) -> f64 {
+        let share = self.checkpoint_share();
+        share * self.p_ckpt_frac + (1.0 - share)
     }
 
     /// Resilience energy overhead `E_res` in joules for a system drawing
     /// `full_power_w` during execution.
     pub fn e_res_j(&self, t_base_s: f64, lambda_per_s: f64, full_power_w: f64) -> Option<f64> {
         let total = self.total_time_s(t_base_s, lambda_per_s)?;
-        let ckpt_time = total * self.t_c_s / self.interval_s;
+        let ckpt_time = total * self.checkpoint_share();
         let lost_time = total - t_base_s - ckpt_time;
         Some(ckpt_time * self.p_ckpt_frac * full_power_w + lost_time.max(0.0) * full_power_w)
-    }
-}
-
-/// Dual modular redundancy (Eq. 12): no time overhead, double power.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct RdModel;
-
-impl RdModel {
-    /// `T_res = 0`.
-    pub fn t_res_s(&self) -> f64 {
-        0.0
-    }
-
-    /// `P_N,res = N · P_1` (Eq. 12): total power is 2×.
-    pub fn power_multiplier(&self) -> f64 {
-        2.0
-    }
-
-    /// `E_res = E_base` (the replica's energy).
-    pub fn e_res_j(&self, e_base_j: f64) -> f64 {
-        e_base_j
     }
 }
 
@@ -98,8 +87,8 @@ pub struct FwModel {
     /// Fraction of cores active during construction (`Ñ/N`; the §4.1
     /// localized constructions have `Ñ = 1`).
     pub active_frac: f64,
-    /// Idle/busy-wait core power during construction relative to `P_1`
-    /// (0.45 with DVFS throttling per §6, ~0.74 without).
+    /// Busy-wait core power during construction relative to `P_1`
+    /// (the power model's waiter fraction, `DvfsPolicy::phase_power`).
     pub p_idle_frac: f64,
 }
 
@@ -114,12 +103,6 @@ impl FwModel {
         } else {
             Some(t_base_s / (1.0 - frac))
         }
-    }
-
-    /// `T_res = T_const + T_extra` (Eq. 13).
-    pub fn t_res_s(&self, t_base_s: f64, lambda_per_s: f64) -> Option<f64> {
-        self.total_time_s(t_base_s, lambda_per_s)
-            .map(|t| t - t_base_s)
     }
 
     /// Power during construction relative to `N·P_1` (Eq. 15):
@@ -241,7 +224,9 @@ mod tests {
         };
         let total = m.total_time_s(1000.0, 1e-3).unwrap();
         assert!(total > 1000.0);
-        assert!((m.t_res_s(1000.0, 1e-3).unwrap() - (total - 1000.0)).abs() < 1e-9);
+        // Checkpoints plus lost work: E_res is at most T_res at full power.
+        let e_res = m.e_res_j(1000.0, 1e-3, 1.0).unwrap();
+        assert!(e_res > 0.0 && e_res < total - 1000.0, "{e_res} vs {total}");
     }
 
     #[test]
@@ -262,16 +247,28 @@ mod tests {
             interval_s: 50.0,
             p_ckpt_frac: 0.5,
         };
-        let p = m.avg_power_frac(1e-4);
+        let p = m.avg_power_frac();
         assert!(p < 1.0 && p > 0.9, "p = {p}");
     }
 
     #[test]
-    fn rd_model_matches_eq_12() {
-        let rd = RdModel;
-        assert_eq!(rd.t_res_s(), 0.0);
-        assert_eq!(rd.power_multiplier(), 2.0);
-        assert_eq!(rd.e_res_j(123.0), 123.0);
+    fn cr_limits_are_not_nan() {
+        // λ = 0 with Young's infinite interval: no lost work, no
+        // checkpoint share. t_C = 0 with a zero interval: no checkpoint term.
+        let no_faults = CrModel {
+            t_c_s: 1.0,
+            interval_s: f64::INFINITY,
+            p_ckpt_frac: 0.8,
+        };
+        assert_eq!(no_faults.overhead_fraction(0.0), 0.0);
+        assert_eq!(no_faults.e_res_j(10.0, 0.0, 1.0), Some(0.0));
+        let free = CrModel {
+            t_c_s: 0.0,
+            interval_s: 0.0,
+            p_ckpt_frac: 0.8,
+        };
+        assert_eq!(free.overhead_fraction(1e-3), 0.0);
+        assert_eq!(free.avg_power_frac(), 1.0);
     }
 
     #[test]
@@ -296,8 +293,8 @@ mod tests {
             active_frac: 1.0 / 24.0,
             p_idle_frac: 0.45,
         };
-        let lo = m.t_res_s(1000.0, 1e-4).unwrap();
-        let hi = m.t_res_s(1000.0, 1e-3).unwrap();
+        let lo = m.total_time_s(1000.0, 1e-4).unwrap() - 1000.0;
+        let hi = m.total_time_s(1000.0, 1e-3).unwrap() - 1000.0;
         assert!(hi > 5.0 * lo, "lo {lo} hi {hi}");
     }
 

@@ -5,7 +5,7 @@ use serde::{Deserialize, Serialize};
 use rsls_core::{DvfsPolicy, ModelFamily, RunReport, Scheme};
 
 use crate::fit::FittedParams;
-use crate::schemes::{CrModel, FwModel};
+use crate::predict::{predict, Inputs};
 
 /// One row of the Table 6 comparison: modeled and measured resilience
 /// overheads, both normalized to the fault-free baseline.
@@ -32,86 +32,37 @@ pub struct ValidationRow {
 /// The model parameters (`t_C`, `t_const`, `t_extra`, λ) are fitted from
 /// the *measured* run — the paper's §5.3 methodology ("the unit time for
 /// reconstruction t_const is measured") — and then plugged back into the
-/// §3.2 closed forms. Model and measurement therefore agree on inputs and
-/// differ only by the model's structural simplifications, which is exactly
-/// what Table 6 quantifies.
+/// §3.2 closed forms through [`predict`]. Model and measurement therefore
+/// agree on inputs and differ only by the model's structural
+/// simplifications, which is exactly what Table 6 quantifies.
 pub fn validate(scheme_run: &RunReport, ff: &RunReport) -> ValidationRow {
     let params = FittedParams::from_reports(scheme_run, ff);
     let norm = scheme_run.normalized_vs(ff);
-    let label = scheme_run.scheme.clone();
-
     // Labels outside the registry keep the historical default: forward
     // recovery with unthrottled waiters.
-    let (family, dvfs) = Scheme::parse_run_label(&label).map_or(
+    let (family, dvfs) = Scheme::parse_run_label(&scheme_run.scheme).map_or(
         (ModelFamily::ForwardRecovery, DvfsPolicy::OsDefault),
         |(s, dvfs)| (s.model_family(), dvfs),
     );
-
-    let (model_t_res, model_p, model_e_res) = match family {
-        ModelFamily::Baseline => (0.0, 1.0, 0.0),
-        // Eq. 12: no time overhead; `copies`× power, hence `copies − 1`
-        // fault-free energies of overhead (RD doubles, TMR triples).
-        ModelFamily::Replication { copies } => (0.0, copies as f64, copies as f64 - 1.0),
-        ModelFamily::CheckpointRestart => {
-            let interval_s = scheme_run
-                .checkpoint_interval_iters
-                .map(|i| i as f64 * params.t_iter_s)
-                .unwrap_or(100.0 * params.t_iter_s);
-            // Fold the measured restore cost into the effective per-checkpoint
-            // overhead so the model sees all storage traffic.
-            let m = CrModel {
-                t_c_s: params.t_c_s
-                    + params.t_restore_per_fault_s * params.lambda_per_s * interval_s,
-                interval_s,
-                p_ckpt_frac: 0.8,
-            };
-            match m.total_time_s(ff.time_s, params.lambda_per_s) {
-                Some(total) => {
-                    let t_res = (total - ff.time_s) / ff.time_s;
-                    let p = m.avg_power_frac(params.lambda_per_s);
-                    let e_res = m
-                        .e_res_j(ff.time_s, params.lambda_per_s, ff.avg_power_w)
-                        .unwrap_or(0.0)
-                        / ff.energy_j;
-                    (t_res, p, e_res)
-                }
-                None => (f64::INFINITY, 1.0, f64::INFINITY),
-            }
-        }
-        ModelFamily::ForwardRecovery => {
-            let n = scheme_run.num_ranks as f64;
-            let p_idle = match dvfs {
-                DvfsPolicy::ThrottleWaiters => 0.45,
-                DvfsPolicy::OsDefault => 0.74,
-            };
-            let m = FwModel {
-                t_const_s: params.t_const_s + params.t_restore_per_fault_s,
-                t_extra_per_fault_s: params.t_extra_per_fault_s,
-                active_frac: 1.0 / n,
-                p_idle_frac: p_idle,
-            };
-            match m.total_time_s(ff.time_s, params.lambda_per_s) {
-                Some(total) => {
-                    let t_res = (total - ff.time_s) / ff.time_s;
-                    let p = m
-                        .avg_power_frac(ff.time_s, params.lambda_per_s)
-                        .unwrap_or(1.0);
-                    let e_res = m
-                        .e_res_j(ff.time_s, params.lambda_per_s, ff.avg_power_w)
-                        .unwrap_or(0.0)
-                        / ff.energy_j;
-                    (t_res, p, e_res)
-                }
-                None => (f64::INFINITY, 1.0, f64::INFINITY),
-            }
-        }
+    let inputs = Inputs {
+        t_base_s: ff.time_s,
+        lambda_per_s: params.lambda_per_s,
+        ranks: scheme_run.num_ranks,
+        t_c_s: params.t_c_s,
+        t_const_s: params.t_const_s,
+        t_extra_per_fault_s: params.t_extra_per_fault_s,
+        t_restore_per_fault_s: params.t_restore_per_fault_s,
+        // A run without a recorded interval gets the §5.2 fixed setting.
+        interval_s: Some(
+            scheme_run.checkpoint_interval_iters.unwrap_or(100) as f64 * params.t_iter_s,
+        ),
     };
-
+    let model = predict(family, dvfs, &inputs);
     ValidationRow {
-        scheme: label,
-        model_t_res,
-        model_p,
-        model_e_res,
+        scheme: scheme_run.scheme.clone(),
+        model_t_res: model.t_res,
+        model_p: model.p,
+        model_e_res: model.e_res,
         exp_t_res: norm.t_res,
         exp_p: norm.power,
         exp_e_res: norm.e_res,

@@ -4,7 +4,7 @@ use proptest::prelude::*;
 use rsls_core::{daly_interval_s, young_interval_s};
 use rsls_models::general::{FaultFreeModel, OverheadModel};
 use rsls_models::schemes::{CrModel, FwModel};
-use rsls_models::{project_scheme, ProjectionConfig, ProjectionScheme};
+use rsls_models::{project_scheme, ProjectionConfig};
 
 proptest! {
     #[test]
@@ -97,11 +97,11 @@ proptest! {
         let cfg = ProjectionConfig::default();
         let n1 = 1000usize << shift;
         let n2 = n1 * 2;
-        for s in [ProjectionScheme::Forward, ProjectionScheme::CrDisk] {
-            let a = project_scheme(s, &cfg, n1).t_res_norm;
-            let b = project_scheme(s, &cfg, n2).t_res_norm;
+        for label in ["LI-DVFS", "CR-D"] {
+            let a = project_scheme(label, &cfg, n1).unwrap().t_res;
+            let b = project_scheme(label, &cfg, n2).unwrap().t_res;
             if a.is_finite() && b.is_finite() {
-                prop_assert!(b >= a, "{s:?}: {a} then {b}");
+                prop_assert!(b >= a, "{label}: {a} then {b}");
             }
         }
     }

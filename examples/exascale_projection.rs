@@ -14,7 +14,10 @@ use rsls_core::{DvfsPolicy, Scheme};
 use rsls_experiments::runners::{poisson_faults_for, run_fault_free, workload, SchemeRun};
 use rsls_experiments::Scale;
 use rsls_models::general::OverheadModel;
-use rsls_models::{project_scheme, FittedParams, ProjectionConfig, ProjectionScheme};
+use rsls_models::{project_scheme, FittedParams, ProjectionConfig};
+
+/// The projected schemes, as report labels: forward recovery is LI with DVFS.
+const LABELS: [&str; 4] = ["RD", "CR-D", "CR-M", "LI-DVFS"];
 
 fn main() {
     let ranks = 64;
@@ -64,20 +67,15 @@ fn main() {
     println!("\nprojected normalized overheads (T_res | E_res | P):");
     println!(
         "{:>10}  {:>22}  {:>22}  {:>22}  {:>22}",
-        "#procs", "RD", "CR-D", "CR-M", "FW"
+        "#procs", LABELS[0], LABELS[1], LABELS[2], LABELS[3]
     );
     for n in [1_000usize, 10_000, 100_000, 1_000_000] {
         let mut row = format!("{n:>10}");
-        for s in [
-            ProjectionScheme::Rd,
-            ProjectionScheme::CrDisk,
-            ProjectionScheme::CrMemory,
-            ProjectionScheme::Forward,
-        ] {
-            let p = project_scheme(s, &cfg, n);
+        for label in LABELS {
+            let p = project_scheme(label, &cfg, n).expect("a report label");
             row.push_str(&format!(
                 "  {:>6.2} {:>6.2} {:>6.2} ",
-                p.t_res_norm, p.e_res_norm, p.p_norm
+                p.t_res, p.e_res, p.p
             ));
         }
         println!("{row}");

@@ -15,6 +15,9 @@ use rsls_experiments::runners::{poisson_faults_for, run_fault_free, workload, Sc
 use rsls_experiments::Scale;
 use rsls_models::{recommend, FittedParams, Objective, Situation};
 
+/// The candidates, as report labels: forward recovery is LI with DVFS.
+const LABELS: [&str; 4] = ["RD", "CR-M", "CR-D", "LI-DVFS"];
+
 fn main() {
     let matrix = std::env::args().nth(1).unwrap_or_else(|| "crystm02".into());
     let ranks = 64;
@@ -47,11 +50,11 @@ fn main() {
     let situation = Situation::from_fits(ff.time_s, 1.0 / mtbf, &fw_fit, &crd_fit, ranks);
 
     for objective in [Objective::Time, Objective::Energy, Objective::Power] {
-        let ranked = recommend(&situation, objective);
+        let ranked = recommend(&situation, &LABELS, objective);
         println!("\nobjective {objective:?}:");
         for (i, e) in ranked.iter().enumerate() {
             println!(
-                "  {}. {:<5} T={:.2}x P={:.2}x E={:.2}x",
+                "  {}. {:<7} T={:.2}x P={:.2}x E={:.2}x",
                 i + 1,
                 e.label,
                 e.t_norm,
@@ -67,11 +70,11 @@ fn main() {
         memory_survives: false,
         ..situation
     };
-    let ranked = recommend(&swo, Objective::Energy);
+    let ranked = recommend(&swo, &LABELS, Objective::Energy);
     println!("\nobjective Energy, system-wide outages (no surviving memory):");
     for (i, e) in ranked.iter().enumerate() {
         println!(
-            "  {}. {:<5} T={:.2}x P={:.2}x E={:.2}x",
+            "  {}. {:<7} T={:.2}x P={:.2}x E={:.2}x",
             i + 1,
             e.label,
             e.t_norm,

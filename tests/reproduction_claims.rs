@@ -6,7 +6,7 @@
 use rsls_core::driver::{run, RunConfig};
 use rsls_core::{DvfsPolicy, ForwardKind, Scheme};
 use rsls_faults::{FaultClass, FaultSchedule, MtbfEstimator, SystemScale};
-use rsls_models::{project_scheme, validate, ProjectionConfig, ProjectionScheme};
+use rsls_models::{predict, project_scheme, validate, Inputs, ProjectionConfig};
 use rsls_sparse::generators::{banded_spd, BandedConfig};
 use rsls_sparse::CsrMatrix;
 
@@ -167,15 +167,79 @@ fn claim_models_match_experiment_ordering() {
 #[test]
 fn claim_projection_trends() {
     let cfg = ProjectionConfig::default();
-    let t = |s, n| project_scheme(s, &cfg, n).t_res_norm;
+    let at = |label, n| project_scheme(label, &cfg, n).unwrap();
+    let t = |label, n| at(label, n).t_res;
     let big = 1_000_000;
-    assert_eq!(t(ProjectionScheme::Rd, big), 0.0);
-    assert!(t(ProjectionScheme::CrMemory, big) < 0.05);
-    assert!(t(ProjectionScheme::Forward, big) > t(ProjectionScheme::Forward, 1_000));
-    assert!(t(ProjectionScheme::CrDisk, big) > t(ProjectionScheme::Forward, big));
-    let p = |s, n| project_scheme(s, &cfg, n).p_norm;
-    assert!(p(ProjectionScheme::CrDisk, big) < p(ProjectionScheme::CrDisk, 1_000));
-    assert!(p(ProjectionScheme::Forward, big) < p(ProjectionScheme::Forward, 1_000));
+    assert_eq!(t("RD", big), 0.0);
+    assert!(t("CR-M", big) < 0.05);
+    assert!(t("LI-DVFS", big) > t("LI-DVFS", 1_000));
+    assert!(t("CR-D", big) > t("LI-DVFS", big));
+    let p = |label, n| at(label, n).p;
+    assert!(p("CR-D", big) < p("CR-D", 1_000));
+    assert!(p("LI-DVFS", big) < p("LI-DVFS", 1_000));
+}
+
+/// §4.2 / §3.2: the models charge the power the simulator meters. At
+/// N = 24 a construction phase is 1 computing + 23 busy-waiting cores
+/// (0.75× of compute power without DVFS, 0.45× with), and a checkpoint
+/// phase is every core in `StorageWait`. A run that cannot make progress
+/// is predicted at its recovery phase's power, which exposes both.
+#[test]
+fn claim_model_power_is_simulator_power() {
+    use rsls_core::interval::CheckpointInterval;
+    use rsls_power::{CoreState, PowerModel};
+
+    let model = PowerModel::default();
+    let (fmin, fmax) = (model.freq_table().min(), model.freq_table().max());
+    let halted = Inputs {
+        t_base_s: 1.0,
+        lambda_per_s: 10.0,
+        ranks: 24,
+        t_c_s: 1.0,
+        t_const_s: 1.0,
+        t_extra_per_fault_s: 1.0,
+        t_restore_per_fault_s: 0.0,
+        interval_s: None,
+    };
+    let predicted = |label: &str| {
+        let (scheme, dvfs) = Scheme::parse_run_label(label).unwrap();
+        let p = predict(scheme.model_family(), dvfs, &halted);
+        assert_eq!(p.t_res, f64::INFINITY, "{label} must halt");
+        p.p
+    };
+    // The lowest-power segment of a run's profile over its compute power.
+    let (a, b) = workload();
+    let metered = |mut cfg: RunConfig| {
+        cfg.run_tag = "claims-power".into();
+        let watts: Vec<f64> = run(&a, &b, &cfg)
+            .power_profile
+            .iter()
+            .map(|s| s.watts)
+            .collect();
+        let min = watts.iter().copied().fold(f64::INFINITY, f64::min);
+        min / watts.iter().copied().fold(0.0, f64::max)
+    };
+    let full = model.group_power(&[(CoreState::Compute, fmax, 24)]);
+    for (label, f_wait, paper) in [("LI", fmax, 0.75), ("LI-DVFS", fmin, 0.45)] {
+        let node = model.group_power(&[
+            (CoreState::Compute, fmax, 1),
+            (CoreState::BusyWait, f_wait, 23),
+        ]) / full;
+        assert!((node - paper).abs() < 0.01, "{label}: §4.2 ratio {node}");
+        assert!((predicted(label) - node).abs() < 1e-12, "{label}");
+        let (scheme, dvfs) = Scheme::parse_run_label(label).unwrap();
+        let one_fault = FaultSchedule::single_at_iteration(10, 3, FaultClass::Snf);
+        let cfg = RunConfig::new(scheme, 24)
+            .with_faults(one_fault)
+            .with_dvfs(dvfs);
+        assert!((metered(cfg) - node).abs() < 1e-12, "{label}");
+    }
+    let every_20 = Scheme::cr_disk().with_interval(CheckpointInterval::EveryIterations(20));
+    let checkpoint = metered(RunConfig::new(every_20, 24));
+    assert!(
+        (predicted("CR-D") - checkpoint).abs() < 1e-12,
+        "{checkpoint}"
+    );
 }
 
 /// §4.1 / Figure 4: the localized CG construction is never slower than
