@@ -434,12 +434,18 @@ impl Engine {
             let attempt_key = format!("{hash}:{attempt}");
             let result = panic::catch_unwind(AssertUnwindSafe(|| {
                 if let Some(chaos) = chaos {
+                    #[expect(
+                        clippy::panic,
+                        reason = "an injected crash must be a real panic; the catch_unwind above is the isolation layer under test"
+                    )]
                     if chaos.fire(ChaosSite::UnitPanic, &attempt_key) {
-                        // rsls-lint: allow(no-unwrap) -- an injected crash must be a real panic; the catch_unwind above is the isolation layer under test
                         panic!("chaos: injected unit panic");
                     }
+                    #[expect(
+                        clippy::panic,
+                        reason = "an injected crash must be a real panic; the catch_unwind above is the isolation layer under test"
+                    )]
                     if chaos.fire(ChaosSite::UnitTransient, &attempt_key) {
-                        // rsls-lint: allow(no-unwrap) -- an injected crash must be a real panic; the catch_unwind above is the isolation layer under test
                         panic!("chaos: injected transient unit failure");
                     }
                 }

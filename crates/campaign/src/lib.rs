@@ -1,4 +1,9 @@
 #![deny(unsafe_code)]
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#![allow(
+    clippy::disallowed_methods,
+    reason = "owns the order-preserving pool and measures per-unit wall time by design"
+)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 //! Parallel, cached, resumable experiment-campaign engine.

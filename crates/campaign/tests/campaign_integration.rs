@@ -5,6 +5,11 @@
 //! runs in milliseconds) through `Engine::run_units`, the same path
 //! `rsls-run` uses.
 
+#![expect(
+    clippy::disallowed_methods,
+    reason = "tests bound their waits with a wall-clock deadline"
+)]
+
 use std::fs;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};

@@ -112,8 +112,11 @@ impl ChaosPlan {
 
     /// Canonical JSON serialization (field order is declaration order,
     /// integers only — byte-stable across runs and platforms).
+    #[expect(
+        clippy::expect_used,
+        reason = "serializing a plain integer struct cannot fail"
+    )]
     pub fn canonical_json(&self) -> String {
-        // rsls-lint: allow(no-unwrap) -- serializing a plain integer struct cannot fail
         serde_json::to_string(self).expect("ChaosPlan serialization cannot fail")
     }
 

@@ -490,8 +490,11 @@ pub fn multi_li_with(
             rhs.push(acc);
         }
     }
+    #[expect(
+        clippy::expect_used,
+        reason = "rows assembled in order from a valid CSR; invariants hold by construction"
+    )]
     let union = CsrMatrix::from_raw_parts(m_total, m_total, row_ptr, col_idx, values)
-        // rsls-lint: allow(no-unwrap) -- rows assembled in order from a valid CSR; invariants hold by construction
         .expect("union block restriction preserves CSR invariants");
     let gather_bytes = gather_nnz * 8;
 
@@ -694,8 +697,11 @@ fn tall_structure(panel: &CsrMatrix) -> (CsrMatrix, Vec<usize>) {
         values.extend_from_slice(full.row_vals(r));
         row_ptr.push(col_idx.len());
     }
+    #[expect(
+        clippy::expect_used,
+        reason = "row_ptr/col_idx built row-by-row above, invariants hold by construction"
+    )]
     let tall = CsrMatrix::from_raw_parts(support.len(), full.ncols(), row_ptr, col_idx, values)
-        // rsls-lint: allow(no-unwrap) -- row_ptr/col_idx built row-by-row above, invariants hold by construction
         .expect("support restriction preserves CSR invariants");
     (tall, support)
 }

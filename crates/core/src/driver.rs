@@ -112,7 +112,10 @@ impl RunConfig {
     /// system* — callers caching across systems must also key on the
     /// matrix and right-hand side (see `rsls-campaign`'s `UnitSpec`).
     pub fn spec_hash(&self) -> String {
-        // rsls-lint: allow(no-unwrap) -- serializing a plain in-memory struct cannot fail
+        #[expect(
+            clippy::expect_used,
+            reason = "serializing a plain in-memory struct cannot fail"
+        )]
         let json = serde_json::to_string(self).expect("RunConfig serialization cannot fail");
         crate::hash::sha256_hex(json.as_bytes())
     }
@@ -255,15 +258,19 @@ impl Sim<'_> {
         if to_memory {
             self.cluster.memory_write(self.stored_ckpt_bytes);
             self.checkpoint_bytes_written += level_bytes;
+            #[expect(clippy::expect_used, reason = "in-memory store is infallible")]
             self.mem_store
                 .save(iter, self.cg.x())
-                // rsls-lint: allow(no-unwrap) -- in-memory store is infallible
                 .expect("in-memory checkpoint cannot fail");
         }
         if to_disk {
             self.cluster.disk_write(self.stored_ckpt_bytes);
             self.checkpoint_bytes_written += level_bytes;
             self.meter.account_storage_bytes(level_bytes);
+            #[expect(
+                clippy::expect_used,
+                reason = "temp-dir write failure is isolated by the campaign engine"
+            )]
             match ckpt.payload {
                 Payload::Plain => self.disk_store.save(iter, self.cg.x()),
                 Payload::Lossy(codec) => {
@@ -271,7 +278,6 @@ impl Sim<'_> {
                 }
                 Payload::Krylov => self.disk_store.save_full(&self.cg.capture_state()),
             }
-            // rsls-lint: allow(no-unwrap) -- temp-dir write failure is isolated by the campaign engine
             .expect("disk checkpoint failed — temp dir unwritable?");
         }
         self.breakdown.checkpoint_s += self.close_phase(CoreState::StorageWait);
@@ -317,9 +323,15 @@ impl Sim<'_> {
                 self.cluster.compute_all(self.compress_flops);
             }
             if !from_memory && ckpt.payload == Payload::Krylov {
-                let saved = self.disk_store.load_full();
-                // rsls-lint: allow(no-unwrap) -- temp-file read failure is isolated by the campaign engine
-                if let Some(state) = saved.expect("disk checkpoint unreadable") {
+                #[expect(
+                    clippy::expect_used,
+                    reason = "temp-file read failure is isolated by the campaign engine"
+                )]
+                let saved = self
+                    .disk_store
+                    .load_full()
+                    .expect("disk checkpoint unreadable");
+                if let Some(state) = saved {
                     // The whole Krylov state is back: no residual
                     // recomputation and no restart — post-restore iterates
                     // replay the fault-free sequence bit for bit.
@@ -327,13 +339,17 @@ impl Sim<'_> {
                     exact = true;
                 }
             } else {
+                #[expect(
+                    clippy::expect_used,
+                    reason = "the memory store is infallible; temp-file read failure is isolated by the campaign engine"
+                )]
                 let saved = if from_memory {
                     self.mem_store.load()
                 } else {
                     self.disk_store.load()
-                };
-                // rsls-lint: allow(no-unwrap) -- the memory store is infallible; temp-file read failure is isolated by the campaign engine
-                iterate = saved.expect("checkpoint unreadable").map(|c| c.x);
+                }
+                .expect("checkpoint unreadable");
+                iterate = saved.map(|c| c.x);
             }
         }
         if !exact {

@@ -387,11 +387,14 @@ impl Scheme {
         }
     }
 
+    #[expect(
+        clippy::expect_used,
+        reason = "a scheme shape without a registry row is a bug the table-driven unit test catches"
+    )]
     fn row(&self) -> &'static Row {
         REGISTRY
             .iter()
             .find(|row| self.same_row(&(row.2)()))
-            // rsls-lint: allow(no-unwrap) -- a scheme shape without a registry row is a bug the table-driven unit test catches
             .expect("every scheme shape has a registry row")
     }
 

@@ -12,7 +12,11 @@
 //! scales) and the immortality of the interned [`Arc`]s is what makes
 //! the pointer-identity fingerprint probe in [`fingerprint_of`] sound.
 //! Iteration state is kept in [`std::collections::BTreeMap`]s so nothing
-//! here depends on hash order (`rsls-lint` deterministic rule set).
+//! here depends on hash order.
+
+// A cache hit must be bitwise the miss that would have built it, so this
+// module is held to the library crates' no-panic rule.
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -105,10 +109,13 @@ pub fn workload_uncached(name: &str, scale: Scale) -> (CsrMatrix, Vec<f64>) {
 }
 
 fn generate(name: &str, scale: Scale) -> (CsrMatrix, Vec<f64>) {
+    #[expect(
+        clippy::panic,
+        reason = "an unknown workload name is a caller bug, and the campaign engine isolates unit panics"
+    )]
     let spec = SUITE
         .iter()
         .find(|m| m.name == name)
-        // rsls-lint: allow(no-unwrap) -- an unknown workload name is a caller bug, and the campaign engine isolates unit panics
         .unwrap_or_else(|| panic!("unknown suite matrix '{name}'"));
     let a = spec.generate(scale);
     let b = spec.rhs(&a);

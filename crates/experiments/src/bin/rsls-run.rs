@@ -20,6 +20,11 @@
 //! Experiment dispatch goes through `rsls_experiments::ExperimentRegistry`
 //! — the same registry `rsls-serve` serves from.
 
+#![expect(
+    clippy::disallowed_methods,
+    reason = "the CLI edge prints per-experiment wall time; it never reaches a result byte"
+)]
+
 use std::panic::{self, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::Arc;

@@ -330,7 +330,7 @@ mod tests {
 
     #[test]
     fn names_are_unique() {
-        let mut seen = std::collections::HashSet::new();
+        let mut seen = std::collections::BTreeSet::new();
         for m in SUITE {
             assert!(seen.insert(m.name), "duplicate {}", m.name);
         }

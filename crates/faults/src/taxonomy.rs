@@ -90,7 +90,7 @@ mod tests {
 
     #[test]
     fn abbreviations_are_unique() {
-        let mut seen = std::collections::HashSet::new();
+        let mut seen = std::collections::BTreeSet::new();
         for c in FaultClass::ALL {
             assert!(seen.insert(c.abbrev()));
         }

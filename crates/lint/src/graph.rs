@@ -27,6 +27,7 @@ use std::collections::{BTreeMap, BTreeSet};
 use crate::lexer::TokenKind;
 use crate::parse::{FileAst, SigTok};
 use crate::pragma::Pragma;
+use crate::rules::Rule;
 
 /// One analyzed source file, carrying everything the graph and taint
 /// passes need (tokens, parse tree, pragmas, provenance).
@@ -47,6 +48,13 @@ pub struct FileUnit {
     pub ast: FileAst,
     /// Suppression pragmas parsed from the file.
     pub pragmas: Vec<Pragma>,
+}
+
+impl FileUnit {
+    /// True when a pragma in this file allows `rule` at `line`.
+    pub fn allows(&self, rule: Rule, line: u32) -> bool {
+        self.pragmas.iter().any(|p| p.suppresses(rule, line))
+    }
 }
 
 /// One function node in the call graph.

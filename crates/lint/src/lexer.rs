@@ -1,12 +1,12 @@
-//! A lightweight Rust lexer, sufficient for rule scanning.
+//! A lightweight Rust lexer, sufficient for the call-graph analysis.
 //!
 //! This is not a full Rust tokenizer: it produces a flat token stream
-//! with line numbers and classifies just enough structure for the lint
-//! rules — identifiers, punctuation, literals, and comments. What it
-//! *must* get exactly right (and has edge-case tests for) is where
-//! tokens **end**: a `.unwrap()` inside a string literal, a `//` inside
-//! a URL string, or an identifier inside a nested block comment must
-//! never leak into the significant-token stream.
+//! with line numbers and classifies just enough structure for the
+//! parser and the R6/R7 scans — identifiers, punctuation, literals, and
+//! comments. What it *must* get exactly right (and has edge-case tests
+//! for) is where tokens **end**: an `fs::read` inside a string literal,
+//! a `//` inside a URL string, or an identifier inside a nested block
+//! comment must never leak into the significant-token stream.
 //!
 //! Handled: line comments (incl. `///` and `//!` doc forms), nested
 //! block comments (`/* /* */ */`), string literals with escapes, raw
@@ -51,15 +51,10 @@ impl Token {
     pub fn is_ident(&self, word: &str) -> bool {
         self.kind == TokenKind::Ident && self.text == word
     }
-
-    /// True when this token is the punctuation character `c`.
-    pub fn is_punct(&self, c: char) -> bool {
-        self.kind == TokenKind::Punct && self.text.len() == c.len_utf8() && self.text.starts_with(c)
-    }
 }
 
 /// Lexes `src` into a token stream. Whitespace is dropped; comments are
-/// kept (pragma parsing and doc-attachment need them). The lexer never
+/// kept (pragma parsing needs them). The lexer never
 /// fails: unterminated constructs extend to end of input.
 pub fn lex(src: &str) -> Vec<Token> {
     Lexer {

@@ -1,27 +1,29 @@
 #![deny(unsafe_code)]
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 #![warn(missing_docs, missing_debug_implementations)]
-//! `rsls-lint` — the workspace determinism & hygiene analyzer.
+//! `rsls-lint` — the workspace determinism analyzer.
 //!
 //! Every claim this reproduction makes — exact figure reproduction,
 //! 100% cache hits on warm campaign re-runs, byte-identical results
 //! for any `--jobs` count or chaos seed — rests on the codebase staying
 //! deterministic. A single stray `Instant::now()` in a cost model or
 //! one `HashMap` iteration serialized into a report silently destroys
-//! that property. This crate machine-enforces the contract with two
-//! layers:
+//! that property.
 //!
-//! * **Token rules** (R1–R5, [`rules::Rule`]) — a dependency-free pass
-//!   with its own Rust lexer over every workspace source file.
-//! * **Workspace analysis** (R6–R7) — a lightweight recursive-descent
-//!   parser ([`parse`]) builds each file's item tree; [`graph`] links
-//!   them into a workspace-wide symbol table and call graph; [`taint`]
-//!   marks every function that directly uses a banned source and
-//!   propagates the taint along call edges across crate boundaries, so
-//!   a `core` function calling a `campaign` helper that reads a clock
-//!   is caught even though neither file violates its own crate's token
-//!   rules. The same pass checks that every `std::fs`/`std::net` entry
-//!   in `campaign`/`serve` is a manifest-registered chaos injection
-//!   site.
+//! The per-file half of that contract (R1–R5: no clock reads, no
+//! default hashers, no ad-hoc threads, no panics in libraries, public
+//! docs) is rustc/clippy's job: the workspace `clippy.toml` bans the
+//! methods and types, and each library's `lib.rs` scopes the lints.
+//! This crate checks what only a call graph sees (R6–R7): a
+//! lightweight recursive-descent parser ([`parse`]) builds each file's
+//! item tree; [`graph`] links them into a workspace-wide symbol table
+//! and call graph; [`taint`] marks every function that directly uses a
+//! banned source and propagates the taint along call edges across
+//! crate boundaries, so a `solvers` function calling a `campaign`
+//! helper that reads a clock is caught even though clippy allows the
+//! clock in `campaign`. The same pass checks that every
+//! `std::fs`/`std::net` entry in the I/O-scoped crates is a
+//! manifest-registered chaos injection site.
 //!
 //! Violations are suppressible only via an inline
 //! `// rsls-lint: allow(<rule>) -- <reason>` pragma; a pragma with an
@@ -29,10 +31,9 @@
 //! `rsls-lint` binary exits nonzero on any violation and offers
 //! `--format json` (plus `--format sarif` for PR annotation) for CI.
 //!
-//! Pipeline: [`lexer::lex`] → [`pragma::parse_pragmas`] →
-//! [`parse::parse_file`] → [`rules::analyze_source`] →
-//! [`graph::build`] → [`taint::propagate`], fed by
-//! [`workspace::collect`].
+//! Pipeline: [`workspace::collect`] → [`lexer::lex`] →
+//! [`pragma::parse_pragmas`] → [`parse::parse_file`] → [`graph::build`]
+//! → [`taint::propagate`].
 
 pub mod diagnostics;
 pub mod graph;
@@ -44,8 +45,7 @@ pub mod taint;
 pub mod workspace;
 
 pub use diagnostics::{render_json, render_sarif, render_stats_line, Violation};
-pub use rules::{analyze_source, Rule};
-pub use workspace::{collect, crate_rules, file_rules, SourceFile};
+pub use rules::Rule;
 
 use std::io;
 use std::path::Path;
@@ -79,69 +79,47 @@ pub struct WorkspaceReport {
     pub stats: LintStats,
 }
 
+/// Lexes and parses every workspace file once, returning the file
+/// units plus the malformed-pragma violations found along the way.
+fn load_units(root: &Path) -> io::Result<(Vec<FileUnit>, Vec<Violation>)> {
+    let files = workspace::collect(root)?;
+    let mut units: Vec<FileUnit> = Vec::with_capacity(files.len());
+    let mut violations = Vec::new();
+    for file in files {
+        let src = std::fs::read_to_string(&file.path)?;
+        let tokens = lexer::lex(&src);
+        let (pragmas, bad_pragmas) = pragma::parse_pragmas(&tokens, &file.label);
+        violations.extend(bad_pragmas);
+        let sig = parse::significant(&tokens);
+        let skip = parse::test_skip_mask(&sig);
+        let ast = parse::parse_file(&sig, &skip);
+        units.push(FileUnit {
+            crate_name: file.crate_name,
+            label: file.label,
+            module: file.module,
+            sig,
+            skip,
+            ast,
+            pragmas,
+        });
+    }
+    Ok((units, violations))
+}
+
 /// Builds the analyzed file units and the call graph for the workspace
 /// at `root`, without running any rules — the raw material the golden
 /// graph tests (and ad-hoc tooling) inspect directly.
 pub fn graph_for(root: &Path) -> io::Result<(Vec<FileUnit>, graph::CallGraph)> {
-    let files = workspace::collect(root)?;
-    let mut units: Vec<FileUnit> = Vec::with_capacity(files.len());
-    for file in &files {
-        let src = std::fs::read_to_string(&file.path)?;
-        let tokens = lexer::lex(&src);
-        let (pragmas, _) = pragma::parse_pragmas(&tokens, &file.label);
-        let sig = parse::significant(&tokens);
-        let skip = parse::test_skip_mask(&sig);
-        let ast = parse::parse_file(&sig, &skip);
-        units.push(FileUnit {
-            crate_name: file.crate_name.clone(),
-            label: file.label.clone(),
-            module: file.module.clone(),
-            sig,
-            skip,
-            ast,
-            pragmas,
-        });
-    }
-    let deps = workspace::crate_deps(root)?;
-    let call_graph = graph::build(&units, &deps);
+    let (units, _) = load_units(root)?;
+    let call_graph = graph::build(&units, &workspace::crate_deps(root)?);
     Ok((units, call_graph))
 }
 
-/// Analyzes the whole workspace rooted at `root`: token rules per file,
-/// then the call-graph taint and I/O-coverage passes across files.
+/// Analyzes the whole workspace rooted at `root`: the call-graph taint
+/// and I/O-coverage passes across files, plus malformed pragmas.
 pub fn analyze_workspace(root: &Path) -> io::Result<WorkspaceReport> {
-    let files = workspace::collect(root)?;
-    let mut violations = Vec::new();
-    let mut units: Vec<FileUnit> = Vec::with_capacity(files.len());
-    for file in &files {
-        let src = std::fs::read_to_string(&file.path)?;
-        let tokens = lexer::lex(&src);
-        let (pragmas, pragma_violations) = pragma::parse_pragmas(&tokens, &file.label);
-        let sig = parse::significant(&tokens);
-        let skip = parse::test_skip_mask(&sig);
-        let ast = parse::parse_file(&sig, &skip);
-        violations.extend(rules::analyze_prepared(
-            &file.label,
-            &sig,
-            &skip,
-            &ast,
-            &pragmas,
-            pragma_violations,
-            &file.rules,
-        ));
-        units.push(FileUnit {
-            crate_name: file.crate_name.clone(),
-            label: file.label.clone(),
-            module: file.module.clone(),
-            sig,
-            skip,
-            ast,
-            pragmas,
-        });
-    }
-
-    let deps = workspace::crate_deps(root)?;
-    let call_graph = graph::build(&units, &deps);
+    let (units, mut violations) = load_units(root)?;
+    let call_graph = graph::build(&units, &workspace::crate_deps(root)?);
     let taint_map = taint::propagate(&units, &call_graph);
     violations.extend(taint::transitive_violations(
         &units,

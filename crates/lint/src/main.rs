@@ -3,10 +3,15 @@
 //!
 //! Exit codes: `0` clean, `1` violations found, `2` usage or I/O error.
 
+#![expect(
+    clippy::disallowed_methods,
+    reason = "CLI-only run timing for the stats line; never reaches analysis results"
+)]
+
 use std::io::Write;
 use std::path::PathBuf;
 use std::process::ExitCode;
-use std::time::Instant; // rsls-lint: allow(wall-clock) -- CLI-only run timing for the stats line; never reaches analysis results
+use std::time::Instant;
 
 use rsls_lint::{analyze_workspace, render_json, render_sarif, render_stats_line};
 
@@ -17,7 +22,7 @@ fn out(text: std::fmt::Arguments) {
 }
 
 const USAGE: &str = "\
-rsls-lint — workspace determinism & hygiene analyzer
+rsls-lint — workspace call-graph determinism analyzer (R6–R7)
 
 USAGE:
     rsls-lint [--root <path>] [--format <text|json|sarif>]
@@ -68,7 +73,7 @@ fn main() -> ExitCode {
         }
     };
 
-    let started = Instant::now(); // rsls-lint: allow(wall-clock) -- CLI-only run timing
+    let started = Instant::now();
     let report = match analyze_workspace(&root) {
         Ok(r) => r,
         Err(e) => {

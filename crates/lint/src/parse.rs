@@ -11,13 +11,12 @@
 //! item walk.
 //!
 //! The output feeds [`crate::graph`] (symbol table + call graph) and
-//! [`crate::taint`] (transitive determinism analysis); the token-level
-//! rules in [`crate::rules`] reuse the significant-token stream and the
-//! test-skip mask defined here.
+//! [`crate::taint`] (transitive determinism analysis), which also scan
+//! the significant-token stream and the test-skip mask defined here.
 
 use crate::lexer::{Token, TokenKind};
 
-/// A comment-free token plus whether a `///` doc comment attaches to it.
+/// A comment-free token.
 #[derive(Debug, Clone)]
 pub struct SigTok {
     /// Token classification (comments never appear here).
@@ -26,8 +25,6 @@ pub struct SigTok {
     pub text: String,
     /// 1-based source line.
     pub line: u32,
-    /// True when an outer doc comment (`///` or `/**`) attaches here.
-    pub doc: bool,
 }
 
 impl SigTok {
@@ -42,55 +39,17 @@ impl SigTok {
     }
 }
 
-/// Drops comments, tracking which tokens carry an attached outer doc
-/// comment (`///` or `/**`), looking through attributes in between.
+/// Drops comments.
 pub fn significant(tokens: &[Token]) -> Vec<SigTok> {
-    let mut out: Vec<SigTok> = Vec::with_capacity(tokens.len());
-    let mut pending_doc = false;
-    let mut in_attr = false;
-    let mut attr_depth = 0usize;
-    let mut last_was_hash = false;
-    for tok in tokens {
-        match tok.kind {
-            TokenKind::LineComment => {
-                if tok.text.starts_with("///") {
-                    pending_doc = true;
-                }
-            }
-            TokenKind::BlockComment => {
-                if tok.text.starts_with("/**") {
-                    pending_doc = true;
-                }
-            }
-            _ => {
-                out.push(SigTok {
-                    kind: tok.kind,
-                    text: tok.text.clone(),
-                    line: tok.line,
-                    doc: pending_doc,
-                });
-                if in_attr {
-                    if tok.is_punct('[') {
-                        attr_depth += 1;
-                    } else if tok.is_punct(']') {
-                        attr_depth -= 1;
-                        if attr_depth == 0 {
-                            in_attr = false;
-                        }
-                    }
-                } else if last_was_hash && tok.is_punct('[') {
-                    in_attr = true;
-                    attr_depth = 1;
-                } else if !tok.is_punct('#') {
-                    // Attributes between a doc comment and its item keep
-                    // the doc pending; any other token consumes it.
-                    pending_doc = false;
-                }
-                last_was_hash = tok.is_punct('#');
-            }
-        }
-    }
-    out
+    tokens
+        .iter()
+        .filter(|t| !matches!(t.kind, TokenKind::LineComment | TokenKind::BlockComment))
+        .map(|t| SigTok {
+            kind: t.kind,
+            text: t.text.clone(),
+            line: t.line,
+        })
+        .collect()
 }
 
 /// Marks token ranges belonging to `#[test]` / `#[cfg(test)]` items

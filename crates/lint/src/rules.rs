@@ -1,54 +1,27 @@
-//! The rule catalog and the per-file analysis pass.
+//! The rule catalog.
 //!
-//! Each rule guards one leg of the reproducibility contract (see
+//! `rsls-lint` checks only what needs the workspace call graph (see
 //! `LINTING.md` for the full catalog and rationale):
 //!
 //! | id | guards against |
 //! |----|----------------|
-//! | `wall-clock` | OS time / entropy leaking into deterministic crates |
-//! | `default-hasher` | randomized `HashMap`/`HashSet` iteration order |
-//! | `unordered-parallel` | ad-hoc threads & nondeterministic float reductions |
-//! | `no-unwrap` | panics in library crates instead of `Result` propagation |
-//! | `missing-docs` | undocumented public API in `core` / `campaign` |
-//! | `transitive-nondet` | a deterministic root *reaching* any of the above through calls (see [`crate::taint`]) |
+//! | `transitive-nondet` | a deterministic root *reaching* a nondeterminism source through calls (see [`crate::taint`]) |
 //! | `unguarded-io` | `std::fs`/`std::net` outside registered chaos sites (see [`crate::taint`]) |
 //!
 //! plus the meta-rule `pragma` (malformed or unknown suppressions),
-//! which can never itself be suppressed. R1–R5 are token rules checked
-//! per file here; R6/R7 need the workspace call graph and are produced
-//! by [`crate::taint`] from [`crate::analyze_workspace`].
-//!
-//! The banned-identifier rules see through `use` aliases: after
-//! `use std::collections::HashMap as Map;`, every `Map::new()` fires
-//! `default-hasher` exactly as `HashMap::new()` would.
-
-use std::collections::BTreeSet;
-
-use crate::diagnostics::Violation;
-use crate::lexer::{lex, TokenKind};
-use crate::parse::{self, FileAst, SigTok};
-use crate::pragma::{parse_pragmas, Pragma};
+//! which can never itself be suppressed. The per-file rules R1–R5
+//! (wall clock, default hasher, ad-hoc threads, unwrap, docs) are
+//! rustc/clippy lints configured by the workspace `clippy.toml` and
+//! each library's `lib.rs`.
 
 /// A lint rule. `Pragma` is the meta-rule for malformed suppressions;
 /// it is reported like any other but cannot be allowed away.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum Rule {
-    /// R1: no wall-clock or OS entropy in deterministic crates.
-    WallClock,
-    /// R2: no default-hasher `HashMap`/`HashSet` where iteration order
-    /// can leak into simulation state or serialized output.
-    DefaultHasher,
-    /// R3: no `thread::spawn` or unordered parallel float reduction
-    /// outside the campaign engine's order-preserving pool.
-    UnorderedParallel,
-    /// R4: zero `unwrap`/`expect`/`panic!` budget in library crates.
-    NoUnwrap,
-    /// R5: public items of `core` and `campaign` must be documented.
-    MissingDocs,
     /// R6: no deterministic root may transitively reach a
     /// nondeterminism source through the workspace call graph.
     TransitiveNondet,
-    /// R7: no `std::fs`/`std::net` in `campaign`/`serve` outside a
+    /// R7: no `std::fs`/`std::net` in the I/O-scoped crates outside a
     /// manifest-registered chaos injection site.
     UnguardedIo,
     /// Meta: a pragma that does not parse or names an unknown rule.
@@ -56,27 +29,14 @@ pub enum Rule {
 }
 
 impl Rule {
-    /// The seven suppressible rules, in R1–R7 order.
-    pub fn catalog() -> [Rule; 7] {
-        [
-            Rule::WallClock,
-            Rule::DefaultHasher,
-            Rule::UnorderedParallel,
-            Rule::NoUnwrap,
-            Rule::MissingDocs,
-            Rule::TransitiveNondet,
-            Rule::UnguardedIo,
-        ]
+    /// The suppressible rules, in R6–R7 order.
+    pub fn catalog() -> [Rule; 2] {
+        [Rule::TransitiveNondet, Rule::UnguardedIo]
     }
 
     /// Stable kebab-case identifier (used in pragmas and JSON output).
     pub fn id(self) -> &'static str {
         match self {
-            Rule::WallClock => "wall-clock",
-            Rule::DefaultHasher => "default-hasher",
-            Rule::UnorderedParallel => "unordered-parallel",
-            Rule::NoUnwrap => "no-unwrap",
-            Rule::MissingDocs => "missing-docs",
             Rule::TransitiveNondet => "transitive-nondet",
             Rule::UnguardedIo => "unguarded-io",
             Rule::Pragma => "pragma",
@@ -86,11 +46,6 @@ impl Rule {
     /// One-line description (used by the SARIF rule metadata).
     pub fn describe(self) -> &'static str {
         match self {
-            Rule::WallClock => "wall-clock time or OS entropy in a deterministic crate",
-            Rule::DefaultHasher => "randomized-iteration HashMap/HashSet in deterministic state",
-            Rule::UnorderedParallel => "ad-hoc threads or scheduler-ordered float reduction",
-            Rule::NoUnwrap => "unwrap/expect/panic! in a library crate",
-            Rule::MissingDocs => "undocumented public item",
             Rule::TransitiveNondet => {
                 "deterministic root transitively reaches a nondeterminism source"
             }
@@ -104,282 +59,4 @@ impl Rule {
     pub fn from_id(name: &str) -> Option<Rule> {
         Rule::catalog().into_iter().find(|r| r.id() == name)
     }
-}
-
-/// Identifiers that mean wall-clock time or OS entropy reached the code.
-pub(crate) const WALL_CLOCK_IDENTS: &[&str] = &[
-    "SystemTime",
-    "Instant",
-    "UNIX_EPOCH",
-    "thread_rng",
-    "OsRng",
-    "from_entropy",
-];
-
-/// Default-hasher collection types with randomized iteration order.
-pub(crate) const HASHER_IDENTS: &[&str] = &["HashMap", "HashSet"];
-
-/// Parallel-iterator entry points whose element order is scheduler-driven.
-pub(crate) const PAR_ENTRY_IDENTS: &[&str] =
-    &["par_iter", "into_par_iter", "par_bridge", "par_chunks"];
-
-/// Combinators that fold elements in arrival order (nondeterministic
-/// for floats when fed by a parallel iterator).
-pub(crate) const PAR_REDUCER_IDENTS: &[&str] = &["sum", "reduce", "fold", "product"];
-
-/// Aliases bound to banned identifiers by `use … as …` declarations:
-/// `(wall-clock aliases, default-hasher aliases)`. The parser resolves
-/// nested groups, so `use std::collections::{HashMap as Map, …}` is
-/// tracked the same as a plain rename.
-pub(crate) fn banned_aliases(ast: &FileAst) -> (BTreeSet<String>, BTreeSet<String>) {
-    let mut r1 = BTreeSet::new();
-    let mut r2 = BTreeSet::new();
-    for u in &ast.uses {
-        let Some(last) = u.path.last() else { continue };
-        if u.alias == "*" || u.alias == *last {
-            continue;
-        }
-        if WALL_CLOCK_IDENTS.contains(&last.as_str()) {
-            r1.insert(u.alias.clone());
-        } else if HASHER_IDENTS.contains(&last.as_str()) {
-            r2.insert(u.alias.clone());
-        }
-    }
-    (r1, r2)
-}
-
-/// Analyzes one file's source under the given rule set, returning the
-/// surviving (non-suppressed) violations sorted by line.
-///
-/// `file` is the path label used in diagnostics. Tokens inside
-/// `#[cfg(test)]` / `#[test]` items are exempt from every rule.
-pub fn analyze_source(file: &str, src: &str, rules: &[Rule]) -> Vec<Violation> {
-    let tokens = lex(src);
-    let (pragmas, pragma_violations) = parse_pragmas(&tokens, file);
-    let sig = parse::significant(&tokens);
-    let skip = parse::test_skip_mask(&sig);
-    let ast = parse::parse_file(&sig, &skip);
-    analyze_prepared(file, &sig, &skip, &ast, &pragmas, pragma_violations, rules)
-}
-
-/// The per-file pass over pre-lexed, pre-parsed inputs (the workspace
-/// analysis lexes and parses each file exactly once and shares the
-/// result between this pass and the call-graph build).
-pub(crate) fn analyze_prepared(
-    file: &str,
-    sig: &[SigTok],
-    skip: &[bool],
-    ast: &FileAst,
-    pragmas: &[Pragma],
-    mut violations: Vec<Violation>,
-    rules: &[Rule],
-) -> Vec<Violation> {
-    let (r1_alias, r2_alias) = banned_aliases(ast);
-
-    let mut candidates: Vec<Violation> = Vec::new();
-    for &rule in rules {
-        let hits = match rule {
-            Rule::WallClock => {
-                check_banned_idents(sig, skip, WALL_CLOCK_IDENTS, &r1_alias, |name| {
-                    format!(
-                        "`{name}` reaches wall-clock time or OS entropy in a deterministic crate; \
-                     derive time from the simulation clock and plumb seeds through the spec"
-                    )
-                })
-            }
-            Rule::DefaultHasher => {
-                check_banned_idents(sig, skip, HASHER_IDENTS, &r2_alias, |name| {
-                    format!(
-                        "`{name}` iterates in randomized order, which can leak into simulation \
-                     state or serialized output; use `BTreeMap`/`BTreeSet` instead"
-                    )
-                })
-            }
-            Rule::UnorderedParallel => check_unordered_parallel(sig, skip),
-            Rule::NoUnwrap => check_no_unwrap(sig, skip),
-            Rule::MissingDocs => check_missing_docs(sig, skip),
-            // Workspace-level rules (need the call graph) and the
-            // pragma meta-rule produce nothing in the per-file pass.
-            Rule::TransitiveNondet | Rule::UnguardedIo | Rule::Pragma => Vec::new(),
-        };
-        candidates.extend(hits.into_iter().map(|(line, message)| Violation {
-            rule,
-            file: file.to_string(),
-            line,
-            message,
-        }));
-    }
-
-    violations.extend(
-        candidates
-            .into_iter()
-            .filter(|v| !pragmas.iter().any(|p| p.suppresses(v.rule, v.line))),
-    );
-    violations.sort_by_key(|v| (v.line, v.rule));
-    violations
-}
-
-/// Flags any identifier from `banned` (or a tracked `use … as` alias of
-/// one), with `message(name)` as the text. The alias identifier inside
-/// its own `use` declaration (directly after `as`) is not re-flagged —
-/// the original name on that line already fires.
-fn check_banned_idents(
-    sig: &[SigTok],
-    skip: &[bool],
-    banned: &[&str],
-    aliases: &BTreeSet<String>,
-    message: impl Fn(&str) -> String,
-) -> Vec<(u32, String)> {
-    let mut hits = Vec::new();
-    for (i, t) in sig.iter().enumerate() {
-        if skip[i] || t.kind != TokenKind::Ident {
-            continue;
-        }
-        if i > 0 && sig[i - 1].is_ident("as") {
-            continue;
-        }
-        if banned.contains(&t.text.as_str()) {
-            hits.push((t.line, message(&t.text)));
-        } else if aliases.contains(&t.text) {
-            hits.push((
-                t.line,
-                format!("{} (via `use … as {}`)", message(&t.text), t.text),
-            ));
-        }
-    }
-    hits
-}
-
-/// R3: `thread::spawn`, and parallel-iterator chains that end in an
-/// order-sensitive reduction before the statement ends.
-fn check_unordered_parallel(sig: &[SigTok], skip: &[bool]) -> Vec<(u32, String)> {
-    let mut hits = Vec::new();
-    for i in 0..sig.len() {
-        if skip[i] {
-            continue;
-        }
-        if sig[i].is_ident("thread")
-            && i + 3 < sig.len()
-            && sig[i + 1].is_punct(':')
-            && sig[i + 2].is_punct(':')
-            && sig[i + 3].is_ident("spawn")
-        {
-            hits.push((
-                sig[i].line,
-                "`thread::spawn` bypasses the campaign engine's order-preserving pool; \
-                 submit work as campaign units (or rayon with per-index collection) instead"
-                    .to_string(),
-            ));
-        }
-        if sig[i].kind == TokenKind::Ident && PAR_ENTRY_IDENTS.contains(&sig[i].text.as_str()) {
-            // Scan ahead to the end of the statement for a reducer.
-            for j in i + 1..sig.len().min(i + 60) {
-                if sig[j].is_punct(';') {
-                    break;
-                }
-                if sig[j].kind == TokenKind::Ident
-                    && PAR_REDUCER_IDENTS.contains(&sig[j].text.as_str())
-                    && j + 1 < sig.len()
-                    && sig[j + 1].is_punct('(')
-                {
-                    hits.push((
-                        sig[i].line,
-                        format!(
-                            "`{}…{}()` combines floats in scheduler order, which is not \
-                             reproducible; collect per-index results and reduce sequentially",
-                            sig[i].text, sig[j].text
-                        ),
-                    ));
-                    break;
-                }
-            }
-        }
-    }
-    hits
-}
-
-/// R4: `.unwrap()` / `.expect(` / `panic!` in library code.
-fn check_no_unwrap(sig: &[SigTok], skip: &[bool]) -> Vec<(u32, String)> {
-    let mut hits = Vec::new();
-    for i in 0..sig.len() {
-        if skip[i] || sig[i].kind != TokenKind::Ident {
-            continue;
-        }
-        let t = &sig[i];
-        let next_is_open = |c| i + 1 < sig.len() && sig[i + 1].is_punct(c);
-        if (t.text == "unwrap" || t.text == "expect")
-            && i > 0
-            && sig[i - 1].is_punct('.')
-            && next_is_open('(')
-        {
-            hits.push((
-                t.line,
-                format!(
-                    "`.{}()` can panic in a library crate; propagate a `Result` with context \
-                     (or justify with an allow pragma if the invariant is structural)",
-                    t.text
-                ),
-            ));
-        }
-        if t.text == "panic" && next_is_open('!') {
-            hits.push((
-                t.line,
-                "`panic!` in a library crate; return an error so callers (and the campaign \
-                 engine's isolation layer) can handle it"
-                    .to_string(),
-            ));
-        }
-    }
-    hits
-}
-
-/// R5: `pub` items outside function bodies must carry a doc comment.
-fn check_missing_docs(sig: &[SigTok], skip: &[bool]) -> Vec<(u32, String)> {
-    let mut hits = Vec::new();
-    let mut brace_depth = 0usize;
-    let mut paren_depth = 0usize;
-    let mut fn_body_at: Option<usize> = None;
-    let mut head_has_fn = false;
-    for i in 0..sig.len() {
-        if skip[i] {
-            continue;
-        }
-        let t = &sig[i];
-        if t.is_punct('(') {
-            paren_depth += 1;
-        } else if t.is_punct(')') {
-            paren_depth = paren_depth.saturating_sub(1);
-        } else if t.is_punct('{') {
-            if fn_body_at.is_none() && head_has_fn {
-                fn_body_at = Some(brace_depth);
-            }
-            brace_depth += 1;
-            head_has_fn = false;
-        } else if t.is_punct('}') {
-            brace_depth = brace_depth.saturating_sub(1);
-            if fn_body_at == Some(brace_depth) {
-                fn_body_at = None;
-            }
-            head_has_fn = false;
-        } else if t.is_punct(';') {
-            head_has_fn = false;
-        } else if t.is_ident("fn") && fn_body_at.is_none() {
-            head_has_fn = true;
-        } else if t.is_ident("pub") && fn_body_at.is_none() && paren_depth == 0 {
-            let next = sig.get(i + 1);
-            let restricted = next.is_some_and(|n| n.is_punct('('));
-            // `pub use` re-exports need no docs; `pub mod x;` carries
-            // its docs as `//!` inside the module file (rustc's
-            // `warn(missing_docs)` checks those).
-            let exempt_kind = next
-                .is_some_and(|n| n.is_ident("use") || n.is_ident("extern") || n.is_ident("mod"));
-            if !restricted && !exempt_kind && !t.doc {
-                hits.push((
-                    t.line,
-                    "public item lacks a doc comment (`///`)".to_string(),
-                ));
-            }
-        }
-    }
-    hits
 }

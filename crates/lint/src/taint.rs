@@ -2,8 +2,10 @@
 //!
 //! **R6 `transitive-nondet`** — a function is a *taint seed* when its
 //! body directly uses a banned nondeterminism source (wall-clock or
-//! entropy, a default-hasher map, an unordered parallel reduction)
-//! without a justifying pragma. Taint propagates backwards along the
+//! entropy, a default-hasher map, an ad-hoc `thread::spawn`), in any
+//! crate and whatever clippy allows there, without a justifying pragma.
+//! Seeds are found by identifier, so holding an `Instant` or naming a
+//! `use … as` alias of one counts. Taint propagates backwards along the
 //! workspace call graph: every function that can reach a seed is
 //! tainted, across crate boundaries, with a witness chain recorded for
 //! the diagnostic. The rule fires for tainted members of the
@@ -13,7 +15,7 @@
 //! chain, or pragma-ing the root itself (each with a reason).
 //!
 //! **R7 `unguarded-io`** — every `std::fs` / `std::net` entry point in
-//! the `campaign` and `serve` crates must belong to a function
+//! the [`IO_SCOPED_CRATES`] must belong to a function
 //! registered in the checked-in I/O-site manifest
 //! (`crates/lint/io_sites.txt`), which maps it to one of the chaos
 //! injector's named fault sites. New I/O can therefore never silently
@@ -27,8 +29,8 @@ use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use crate::diagnostics::Violation;
 use crate::graph::{CallGraph, Edge, FileUnit};
 use crate::lexer::TokenKind;
-use crate::parse::SigTok;
-use crate::rules::{self, Rule};
+use crate::parse::{FileAst, SigTok};
+use crate::rules::Rule;
 
 /// The deterministic root set: `(crate, module-prefix)` pairs. An empty
 /// prefix covers the whole crate. These are the functions whose
@@ -83,15 +85,63 @@ pub const CHAOS_SITE_NAMES: &[&str] = &[
     "ckpt-read-error",
 ];
 
+/// Identifiers that mean wall-clock time or OS entropy reached the code.
+const WALL_CLOCK_IDENTS: &[&str] = &[
+    "SystemTime",
+    "Instant",
+    "UNIX_EPOCH",
+    "thread_rng",
+    "OsRng",
+    "from_entropy",
+];
+
+/// Default-hasher collection types with randomized iteration order.
+const HASHER_IDENTS: &[&str] = &["HashMap", "HashSet"];
+
+/// Seed kinds, named after the per-file rule (now a clippy lint) whose
+/// source they are; each witness chain ends in one.
+const WALL_CLOCK: &str = "wall-clock";
+const DEFAULT_HASHER: &str = "default-hasher";
+const UNORDERED_PARALLEL: &str = "unordered-parallel";
+
 /// One direct use of a banned source inside a fn body.
 #[derive(Debug, Clone)]
 struct Seed {
     node: usize,
     /// Rendered source token (`Instant::now`, `HashMap`, `thread::spawn`).
     token: String,
-    /// Taint kind id (the base rule's id).
+    /// Seed kind (`wall-clock`, `default-hasher`, `unordered-parallel`).
     kind: &'static str,
     line: u32,
+}
+
+/// The seed kind of a banned identifier, if `name` is one.
+fn ident_kind(name: &str) -> Option<&'static str> {
+    if WALL_CLOCK_IDENTS.contains(&name) {
+        Some(WALL_CLOCK)
+    } else if HASHER_IDENTS.contains(&name) {
+        Some(DEFAULT_HASHER)
+    } else {
+        None
+    }
+}
+
+/// Names bound to a banned identifier by `use … as …`, mapped to its
+/// seed kind. The parser resolves nested groups, so
+/// `use std::collections::{HashMap as Map, …}` is tracked the same as
+/// a plain rename.
+fn banned_aliases(ast: &FileAst) -> BTreeMap<&str, &'static str> {
+    let mut aliases = BTreeMap::new();
+    for u in &ast.uses {
+        let Some(last) = u.path.last() else { continue };
+        if u.alias == "*" || u.alias == *last {
+            continue;
+        }
+        if let Some(kind) = ident_kind(last) {
+            aliases.insert(u.alias.as_str(), kind);
+        }
+    }
+    aliases
 }
 
 /// Scans every non-test fn body for unsuppressed banned sources.
@@ -100,78 +150,37 @@ fn collect_seeds(units: &[FileUnit], graph: &CallGraph) -> Vec<Seed> {
     for (id, f) in graph.fns.iter().enumerate() {
         let unit = &units[f.file_idx];
         let Some((start, end)) = f.body else { continue };
-        let (r1_alias, r2_alias) = rules::banned_aliases(&unit.ast);
+        let aliases = banned_aliases(&unit.ast);
         let sig = &unit.sig;
-        let suppressed = |rule: Rule, line: u32| {
-            unit.pragmas
-                .iter()
-                .any(|p| p.suppresses(rule, line) || p.suppresses(Rule::TransitiveNondet, line))
-        };
-        let mut j = start;
-        while j <= end && j < sig.len() {
-            if unit.skip.get(j).copied().unwrap_or(false) || sig[j].kind != TokenKind::Ident {
-                j += 1;
+        for j in start..=end.min(sig.len().saturating_sub(1)) {
+            let t = &sig[j];
+            if unit.skip[j] || t.kind != TokenKind::Ident {
                 continue;
             }
-            let t = &sig[j];
             let text = t.text.as_str();
-            if rules::WALL_CLOCK_IDENTS.contains(&text) || r1_alias.contains(text) {
-                if !suppressed(Rule::WallClock, t.line) {
+            let hit = match ident_kind(text).or_else(|| aliases.get(text).copied()) {
+                Some(WALL_CLOCK) => Some((path_render(sig, j, end), WALL_CLOCK)),
+                Some(kind) => Some((text.to_string(), kind)),
+                None if text == "thread"
+                    && j + 3 <= end
+                    && sig[j + 1].is_punct(':')
+                    && sig[j + 2].is_punct(':')
+                    && sig[j + 3].is_ident("spawn") =>
+                {
+                    Some(("thread::spawn".to_string(), UNORDERED_PARALLEL))
+                }
+                None => None,
+            };
+            if let Some((token, kind)) = hit {
+                if !unit.allows(Rule::TransitiveNondet, t.line) {
                     seeds.push(Seed {
                         node: id,
-                        token: path_render(sig, j, end),
-                        kind: Rule::WallClock.id(),
+                        token,
+                        kind,
                         line: t.line,
                     });
-                }
-            } else if rules::HASHER_IDENTS.contains(&text) || r2_alias.contains(text) {
-                if !suppressed(Rule::DefaultHasher, t.line) {
-                    seeds.push(Seed {
-                        node: id,
-                        token: text.to_string(),
-                        kind: Rule::DefaultHasher.id(),
-                        line: t.line,
-                    });
-                }
-            } else if text == "thread"
-                && j + 3 <= end
-                && sig[j + 1].is_punct(':')
-                && sig[j + 2].is_punct(':')
-                && sig[j + 3].is_ident("spawn")
-            {
-                if !suppressed(Rule::UnorderedParallel, t.line) {
-                    seeds.push(Seed {
-                        node: id,
-                        token: "thread::spawn".to_string(),
-                        kind: Rule::UnorderedParallel.id(),
-                        line: t.line,
-                    });
-                }
-            } else if rules::PAR_ENTRY_IDENTS.contains(&text) {
-                // Same shape as the R3 token rule: a reducer before the
-                // statement ends makes the fold order scheduler-driven.
-                for m in j + 1..(j + 60).min(end + 1).min(sig.len()) {
-                    if sig[m].is_punct(';') {
-                        break;
-                    }
-                    if sig[m].kind == TokenKind::Ident
-                        && rules::PAR_REDUCER_IDENTS.contains(&sig[m].text.as_str())
-                        && m + 1 < sig.len()
-                        && sig[m + 1].is_punct('(')
-                    {
-                        if !suppressed(Rule::UnorderedParallel, t.line) {
-                            seeds.push(Seed {
-                                node: id,
-                                token: format!("{}…{}()", text, sig[m].text),
-                                kind: Rule::UnorderedParallel.id(),
-                                line: t.line,
-                            });
-                        }
-                        break;
-                    }
                 }
             }
-            j += 1;
         }
     }
     seeds
@@ -261,11 +270,7 @@ pub fn propagate(units: &[FileUnit], graph: &CallGraph) -> TaintMap {
     let mut rev: BTreeMap<usize, Vec<Edge>> = BTreeMap::new();
     for e in &graph.edges {
         let caller = &graph.fns[e.from];
-        let cut = units[caller.file_idx]
-            .pragmas
-            .iter()
-            .any(|p| p.suppresses(Rule::TransitiveNondet, e.line));
-        if cut {
+        if units[caller.file_idx].allows(Rule::TransitiveNondet, e.line) {
             continue;
         }
         rev.entry(e.to).or_default().push(*e);
@@ -293,8 +298,8 @@ pub fn propagate(units: &[FileUnit], graph: &CallGraph) -> TaintMap {
 }
 
 /// R6: one violation per tainted deterministic-root function that is
-/// not itself a seed (direct uses are the base rules' jurisdiction —
-/// every root lives in a fully-scoped file).
+/// not itself a seed (direct uses are clippy's jurisdiction — no root
+/// file allows `disallowed_methods` or `disallowed_types`).
 pub fn transitive_violations(
     units: &[FileUnit],
     graph: &CallGraph,
@@ -305,11 +310,7 @@ pub fn transitive_violations(
         if !is_root(f) || !taint.next_hop.contains_key(&id) {
             continue;
         }
-        let suppressed = units[f.file_idx]
-            .pragmas
-            .iter()
-            .any(|p| p.suppresses(Rule::TransitiveNondet, f.line));
-        if suppressed {
+        if units[f.file_idx].allows(Rule::TransitiveNondet, f.line) {
             continue;
         }
         let Some(chain) = taint.chain(id, graph) else {
@@ -413,35 +414,22 @@ pub fn io_violations(
         let qual = f.qual();
         let is_registered = registered.contains(&(f.file.as_str(), qual.as_str()));
         let sig = &unit.sig;
-        let mut j = start;
-        while j <= end && j < sig.len() {
-            let t = &sig[j];
-            let io_hit = t.kind == TokenKind::Ident
-                && IO_IDENTS.contains(&t.text.as_str())
-                && j + 2 <= end
-                && sig[j + 1].is_punct(':')
-                && sig[j + 2].is_punct(':')
-                && !unit.skip.get(j).copied().unwrap_or(false);
-            if io_hit {
-                let suppressed = unit
-                    .pragmas
-                    .iter()
-                    .any(|p| p.suppresses(Rule::UnguardedIo, t.line));
-                if !is_registered && !suppressed {
-                    out.push(Violation {
-                        rule: Rule::UnguardedIo,
-                        file: f.file.clone(),
-                        line: t.line,
-                        message: format!(
-                            "`{}` in `{qual}` is not a registered chaos injection site; \
-                             add it to {manifest_label} under one of the fault sites \
-                             so the chaos soak covers it, or justify with allow(unguarded-io)",
-                            path_render(sig, j, end)
-                        ),
-                    });
-                }
+        for j in start..=end.min(sig.len().saturating_sub(1)) {
+            let line = sig[j].line;
+            if is_io_entry(unit, j, end) && !is_registered && !unit.allows(Rule::UnguardedIo, line)
+            {
+                out.push(Violation {
+                    rule: Rule::UnguardedIo,
+                    file: f.file.clone(),
+                    line,
+                    message: format!(
+                        "`{}` in `{qual}` is not a registered chaos injection site; \
+                         add it to {manifest_label} under one of the fault sites \
+                         so the chaos soak covers it, or justify with allow(unguarded-io)",
+                        path_render(sig, j, end)
+                    ),
+                });
             }
-            j += 1;
         }
     }
 
@@ -476,13 +464,17 @@ fn fn_has_io(unit: &FileUnit, f: &crate::graph::FnNode) -> bool {
     let Some((start, end)) = f.body else {
         return false;
     };
+    (start..=end.min(unit.sig.len().saturating_sub(1))).any(|j| is_io_entry(unit, j, end))
+}
+
+/// True when token `j` (inside a body ending at `end`) is an I/O entry
+/// in path position (`fs::…`, `TcpStream::…`) outside test code.
+fn is_io_entry(unit: &FileUnit, j: usize, end: usize) -> bool {
     let sig = &unit.sig;
-    (start..=end.min(sig.len().saturating_sub(1))).any(|j| {
-        sig[j].kind == TokenKind::Ident
-            && IO_IDENTS.contains(&sig[j].text.as_str())
-            && j + 2 <= end
-            && sig[j + 1].is_punct(':')
-            && sig[j + 2].is_punct(':')
-            && !unit.skip.get(j).copied().unwrap_or(false)
-    })
+    sig[j].kind == TokenKind::Ident
+        && IO_IDENTS.contains(&sig[j].text.as_str())
+        && j + 2 <= end
+        && sig[j + 1].is_punct(':')
+        && sig[j + 2].is_punct(':')
+        && !unit.skip[j]
 }

@@ -5,30 +5,34 @@
 
 use rsls_lint::lexer::{lex, TokenKind};
 use rsls_lint::pragma::parse_pragmas;
-use rsls_lint::{analyze_source, Rule};
+use rsls_lint::Rule;
+
+mod common;
 
 fn kinds(src: &str) -> Vec<(TokenKind, String)> {
     lex(src).into_iter().map(|t| (t.kind, t.text)).collect()
 }
 
-fn unwrap_lines(src: &str) -> Vec<u32> {
-    analyze_source("t.rs", src, &[Rule::NoUnwrap])
+/// Lines where `src`, analyzed as `crates/campaign/src/lib.rs`, makes
+/// an unregistered `std::fs` call.
+fn io_lines(src: &str) -> Vec<u32> {
+    common::findings(&[("crates/campaign/src/lib.rs", src)])
         .into_iter()
-        .map(|v| v.line)
+        .map(|(_, _, line)| line)
         .collect()
 }
 
 #[test]
 fn raw_string_contents_are_not_code() {
-    // `.unwrap()` and `//` inside a raw string must stay inside the
-    // Str token; the real `.unwrap()` on line 2 must still be seen.
+    // `fs::read` and `//` inside a raw string must stay inside the Str
+    // token; the real `fs::read` on line 3 must still be seen.
     let src =
-        "let s = r#\"x.unwrap() // not code \"quoted\" \"#;\nlet y = s.parse::<u32>().unwrap();\n";
+        "fn f() {\n    let s = r#\"fs::read(p) // not code \"quoted\" \"#;\n    let _ = fs::read(s);\n}\n";
     let toks = lex(src);
     let strs: Vec<_> = toks.iter().filter(|t| t.kind == TokenKind::Str).collect();
     assert_eq!(strs.len(), 1);
     assert!(strs[0].text.starts_with("r#\"") && strs[0].text.ends_with("\"#"));
-    assert_eq!(unwrap_lines(src), vec![2]);
+    assert_eq!(io_lines(src), vec![3]);
 }
 
 #[test]
@@ -43,25 +47,25 @@ fn raw_string_hash_arity_matters() {
 
 #[test]
 fn nested_block_comments() {
-    let src = "/* outer /* inner.unwrap() */ still comment */ let x = 1;\nv.unwrap();\n";
+    let src = "/* outer /* inner fs::read(p) */ still comment */ fn f() {\n    fs::read(p);\n}\n";
     let toks = lex(src);
     assert_eq!(toks[0].kind, TokenKind::BlockComment);
     assert!(toks[0].text.ends_with("still comment */"));
-    assert!(toks.iter().any(|t| t.is_ident("let")));
-    assert_eq!(unwrap_lines(src), vec![2]);
+    assert!(toks.iter().any(|t| t.is_ident("fn")));
+    assert_eq!(io_lines(src), vec![2]);
 }
 
 #[test]
 fn multiline_block_comment_tracks_lines() {
-    let src = "/* line1\nline2\nline3 */\nv.unwrap();\n";
-    assert_eq!(unwrap_lines(src), vec![4]);
+    let src = "/* line1\nline2\nline3 */\nfn f() { fs::read(p); }\n";
+    assert_eq!(io_lines(src), vec![4]);
 }
 
 #[test]
 fn slashes_inside_string_are_not_a_comment() {
     // The `//` in the URL must not eat the rest of the line.
-    let src = "let url = \"https://example.com\"; v.unwrap();\n";
-    assert_eq!(unwrap_lines(src), vec![1]);
+    let src = "fn f() { let url = \"https://example.com\"; fs::read(url); }\n";
+    assert_eq!(io_lines(src), vec![1]);
     let toks = kinds(src);
     assert!(toks
         .iter()
@@ -71,14 +75,14 @@ fn slashes_inside_string_are_not_a_comment() {
 
 #[test]
 fn escaped_quotes_do_not_end_strings() {
-    let src = "let s = \"he said \\\"hi\\\" once\"; v.unwrap();\n";
-    assert_eq!(unwrap_lines(src), vec![1]);
+    let src = "fn f() { let s = \"he said \\\"hi\\\" once\"; fs::read(s); }\n";
+    assert_eq!(io_lines(src), vec![1]);
 }
 
 #[test]
 fn multiline_string_tracks_lines() {
-    let src = "let s = \"line one\nline two\";\nv.unwrap();\n";
-    assert_eq!(unwrap_lines(src), vec![3]);
+    let src = "fn f() {\n    let s = \"line one\nline two\";\n    fs::read(s);\n}\n";
+    assert_eq!(io_lines(src), vec![4]);
 }
 
 #[test]
@@ -133,19 +137,22 @@ fn numbers_do_not_swallow_range_dots() {
 #[test]
 fn pragma_parses_rules_and_reason() {
     let toks = lex(
-        "// rsls-lint: allow(no-unwrap, wall-clock) -- benchmark timing is display-only\nfoo();\n",
+        "// rsls-lint: allow(unguarded-io, transitive-nondet) -- timing is display-only\nfoo();\n",
     );
     let (pragmas, violations) = parse_pragmas(&toks, "t.rs");
     assert!(violations.is_empty(), "{violations:?}");
     assert_eq!(pragmas.len(), 1);
-    assert_eq!(pragmas[0].rules, vec![Rule::NoUnwrap, Rule::WallClock]);
-    assert_eq!(pragmas[0].reason, "benchmark timing is display-only");
+    assert_eq!(
+        pragmas[0].rules,
+        vec![Rule::UnguardedIo, Rule::TransitiveNondet]
+    );
+    assert_eq!(pragmas[0].reason, "timing is display-only");
     assert_eq!(pragmas[0].line, 1);
     // Scope: own line and the next line only.
-    assert!(pragmas[0].suppresses(Rule::NoUnwrap, 1));
-    assert!(pragmas[0].suppresses(Rule::NoUnwrap, 2));
-    assert!(!pragmas[0].suppresses(Rule::NoUnwrap, 3));
-    assert!(!pragmas[0].suppresses(Rule::MissingDocs, 2));
+    assert!(pragmas[0].suppresses(Rule::UnguardedIo, 1));
+    assert!(pragmas[0].suppresses(Rule::UnguardedIo, 2));
+    assert!(!pragmas[0].suppresses(Rule::UnguardedIo, 3));
+    assert!(!pragmas[0].suppresses(Rule::Pragma, 2));
 }
 
 #[test]
@@ -159,16 +166,26 @@ fn pragma_unknown_rule_is_an_error() {
         .message
         .contains("unknown rule `no-such-rule`"));
     // The diagnostic lists the known rules so the fix is obvious.
-    assert!(violations[0].message.contains("no-unwrap"));
+    assert!(violations[0].message.contains("unguarded-io"));
+    // The per-file rules are clippy lints now: their old ids are unknown.
+    for retired in [
+        "wall-clock",
+        "default-hasher",
+        "unordered-parallel",
+        "no-unwrap",
+        "missing-docs",
+    ] {
+        assert!(Rule::from_id(retired).is_none(), "{retired}");
+    }
 }
 
 #[test]
 fn pragma_missing_reason_is_an_error() {
     for src in [
-        "// rsls-lint: allow(no-unwrap)\n",
-        "// rsls-lint: allow(no-unwrap) --\n",
+        "// rsls-lint: allow(unguarded-io)\n",
+        "// rsls-lint: allow(unguarded-io) --\n",
         "// rsls-lint: allow() -- empty list\n",
-        "// rsls-lint: deny(no-unwrap) -- wrong verb\n",
+        "// rsls-lint: deny(unguarded-io) -- wrong verb\n",
     ] {
         let (pragmas, violations) = parse_pragmas(&lex(src), "t.rs");
         assert!(pragmas.is_empty(), "{src}");
@@ -183,7 +200,7 @@ fn pragma_in_doc_comment_is_inert() {
     // without it being a malformed-pragma error either.
     for src in [
         "/// rsls-lint: allow(bogus-rule) -- doc example\n",
-        "//! rsls-lint: allow(no-unwrap)\n",
+        "//! rsls-lint: allow(unguarded-io)\n",
         "/* rsls-lint: allow(bogus-rule) -- block comments inert */\n",
     ] {
         let (pragmas, violations) = parse_pragmas(&lex(src), "t.rs");

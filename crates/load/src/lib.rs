@@ -16,6 +16,7 @@
 //! [`mix`]. Timings are of course machine-dependent and only reported.
 
 #![warn(missing_docs)]
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
 pub mod histogram;
 pub mod mix;

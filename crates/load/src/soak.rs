@@ -189,6 +189,10 @@ fn parse_listing_ids(body: &str) -> Vec<String> {
 /// the quantity the soak pins at exactly zero. Plain `4xx`
 /// responses are expected traffic (miss storms exist to generate them)
 /// and only show up in `status_counts`.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "the soak measures wall-clock throughput by design"
+)]
 pub fn run_soak(opts: &SoakOptions) -> io::Result<SoakOutcome> {
     let connections = opts.connections.max(1);
     let corpus = discover_experiments(opts.addr, opts.chaos.as_ref())?;
@@ -241,6 +245,10 @@ pub fn run_soak(opts: &SoakOptions) -> io::Result<SoakOutcome> {
 }
 
 /// Drives one connection worker: `share` requests from RNG stream `w`.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "open-loop pacing is against the wall clock"
+)]
 fn run_connection(
     opts: &SoakOptions,
     corpus: &[String],
@@ -278,6 +286,10 @@ fn run_connection(
 /// Issues one request with reconnect and `503` retries, recording its
 /// round-trip latency (reconnect time included — that is what a real
 /// client pays).
+#[expect(
+    clippy::disallowed_methods,
+    reason = "the soak measures wall-clock latency by design"
+)]
 fn issue_one(
     opts: &SoakOptions,
     conn: &mut Option<Conn>,
@@ -321,6 +333,10 @@ fn issue_one(
 
 /// Issues a pipelined burst of health probes, all written before any
 /// response is read; responses must come back in order.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "the soak measures wall-clock latency by design"
+)]
 fn issue_pipelined_health(
     opts: &SoakOptions,
     conn: &mut Option<Conn>,

@@ -12,6 +12,11 @@
 //! fault-free single-shard soak leaves — the content-addressed store
 //! makes shard count and injected faults invisible in the artifacts.
 
+#![expect(
+    clippy::disallowed_methods,
+    reason = "tests run servers on their own threads"
+)]
+
 use std::collections::BTreeMap;
 use std::path::Path;
 use std::sync::{Arc, Once};

@@ -1,4 +1,5 @@
 #![deny(unsafe_code)]
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 //! Power, DVFS, and energy-accounting substrate.

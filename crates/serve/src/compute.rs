@@ -5,9 +5,12 @@
 //! wall-clock time, thread scheduling, or iteration order: the response
 //! body for a given `(experiment, scale)` must be byte-identical across
 //! runs, processes, and worker interleavings, because its sha256 is the
-//! `ETag` clients revalidate against. `rsls-lint` holds this file to
-//! the same wall-clock/ordering rules as the numeric crates (the rest
-//! of the crate is I/O edge and may read clocks for latency metrics).
+//! `ETag` clients revalidate against. This file is held to the same
+//! wall-clock/threading rules as the numeric crates (the rest of the
+//! crate is I/O edge and may read clocks for latency metrics), and
+//! `rsls-lint` checks that nothing it calls reaches a clock.
+
+#![deny(clippy::disallowed_methods)]
 
 use rsls_experiments::{Scale, Table};
 

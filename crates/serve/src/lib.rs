@@ -1,4 +1,9 @@
 #![warn(missing_docs)]
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#![allow(
+    clippy::disallowed_methods,
+    reason = "I/O edge: spawns connection and worker threads and times requests; compute.rs opts back in"
+)]
 //! `rsls-serve`: a concurrent results service over the campaign engine.
 //!
 //! A dependency-free HTTP/1.1 service (std `TcpListener`, no external

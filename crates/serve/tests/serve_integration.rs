@@ -8,6 +8,11 @@
 //! requests are concurrently in flight" is a guaranteed state, not a
 //! race the test hopes to win.
 
+#![expect(
+    clippy::disallowed_methods,
+    reason = "tests run servers on their own threads and bound waits with wall-clock deadlines"
+)]
+
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Mutex, Once};
 use std::time::{Duration, Instant};

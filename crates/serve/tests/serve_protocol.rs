@@ -8,6 +8,11 @@
 //! response ordering, partial-read handling — which one-shot client
 //! helpers deliberately hide.
 
+#![expect(
+    clippy::disallowed_methods,
+    reason = "tests run servers on their own threads and bound waits with wall-clock deadlines"
+)]
+
 use std::collections::BTreeMap;
 use std::io::{BufReader, Read, Write};
 use std::net::TcpStream;

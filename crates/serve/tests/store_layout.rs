@@ -7,6 +7,11 @@
 //!
 //! Its own test binary: the process-wide engine is configured once.
 
+#![expect(
+    clippy::disallowed_methods,
+    reason = "tests run servers on their own threads"
+)]
+
 use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;

@@ -200,13 +200,16 @@ impl DistCg {
             let mut values = Vec::new();
             for r in range.clone() {
                 for (&c, &v) in a.row_cols(r).iter().zip(a.row_vals(r)) {
+                    #[expect(
+                        clippy::expect_used,
+                        reason = "recv is built from exactly these off-range columns"
+                    )]
                     let lc = if range.contains(&c) {
                         c - range.start
                     } else {
                         range.len()
                             + recv
                                 .binary_search(&c)
-                                // rsls-lint: allow(no-unwrap) -- recv is built from exactly these off-range columns
                                 .expect("halo plan must cover every off-range column")
                     };
                     col_idx.push(lc);
@@ -229,9 +232,12 @@ impl DistCg {
                     values[lo + k] = v;
                 }
             }
+            #[expect(
+                clippy::expect_used,
+                reason = "panel arrays are built row-by-row above, invariants hold"
+            )]
             local_a.push(
                 CsrMatrix::from_raw_parts(range.len(), local_cols, row_ptr, col_idx, values)
-                    // rsls-lint: allow(no-unwrap) -- panel arrays are built row-by-row above, invariants hold
                     .expect("remapped local panel must be valid CSR"),
             );
         }

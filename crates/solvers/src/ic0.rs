@@ -158,6 +158,10 @@ impl Ic0 {
     }
 
     /// The factor as a [`CsrMatrix`] (tests and inspection).
+    #[expect(
+        clippy::expect_used,
+        reason = "the factorization stores each row's strictly-lower columns ascending then the diagonal, so the CSR invariants hold by construction"
+    )]
     pub fn to_csr(&self) -> CsrMatrix {
         CsrMatrix::from_raw_parts(
             self.n,
@@ -166,7 +170,6 @@ impl Ic0 {
             self.cols.clone(),
             self.vals.clone(),
         )
-        // rsls-lint: allow(no-unwrap) -- the factorization stores each row's strictly-lower columns ascending then the diagonal, so the CSR invariants hold by construction
         .expect("IC(0) factor rows are ascending with in-bounds columns")
     }
 }

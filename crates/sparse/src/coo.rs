@@ -100,6 +100,10 @@ impl CooMatrix {
     }
 
     /// Converts to CSR format, summing duplicate coordinates.
+    #[expect(
+        clippy::expect_used,
+        reason = "conversion sorts and merges per row; CSR invariants hold by construction"
+    )]
     pub fn to_csr(&self) -> CsrMatrix {
         // Classic two-pass counting sort on rows, then a per-row column sort
         // with duplicate coalescing.
@@ -152,7 +156,6 @@ impl CooMatrix {
         }
 
         CsrMatrix::from_raw_parts(self.nrows, self.ncols, out_ptr, out_cols, out_vals)
-            // rsls-lint: allow(no-unwrap) -- conversion sorts and merges per row; CSR invariants hold by construction
             .expect("COO->CSR conversion produced invalid CSR; this is a bug")
     }
 }

@@ -27,12 +27,18 @@ use crate::CooMatrix;
 /// Inserts an entry whose indices the generator's loops guarantee are
 /// in bounds; a rejected push is a generator bug, not a caller error.
 pub(crate) fn put(coo: &mut CooMatrix, r: usize, c: usize, v: f64) {
-    // rsls-lint: allow(no-unwrap) -- generator loops keep indices in-bounds by construction
+    #[expect(
+        clippy::expect_used,
+        reason = "generator loops keep indices in-bounds by construction"
+    )]
     coo.push(r, c, v).expect("index in bounds by construction");
 }
 
 /// Symmetric-pair variant of [`put`].
 pub(crate) fn put_sym(coo: &mut CooMatrix, r: usize, c: usize, v: f64) {
-    // rsls-lint: allow(no-unwrap) -- generator loops keep indices in-bounds by construction
+    #[expect(
+        clippy::expect_used,
+        reason = "generator loops keep indices in-bounds by construction"
+    )]
     coo.push_sym(r, c, v).expect("in bounds by construction");
 }
