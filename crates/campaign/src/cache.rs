@@ -312,8 +312,7 @@ impl ResultCache {
     /// re-storing an identical result rewrites identical bytes under an
     /// identical object name.
     pub fn store(&self, spec_hash: &str, report: &RunReport) -> io::Result<String> {
-        let json = serde_json::to_string(report)
-            .map_err(|e| io::Error::other(format!("report serialization failed: {e}")))?;
+        let json = serde_json::Writer::compact().render(report);
         let report_hash = rsls_core::sha256_hex(json.as_bytes());
         self.write_atomic(
             &self.object_path(&report_hash),
@@ -332,8 +331,7 @@ impl ResultCache {
     /// (atomic temp + rename, canonical JSON — byte-deterministic for a
     /// given record, like the object store proper).
     pub fn store_provenance(&self, prov: &Provenance) -> io::Result<()> {
-        let json = serde_json::to_string(prov)
-            .map_err(|e| io::Error::other(format!("provenance serialization failed: {e}")))?;
+        let json = serde_json::Writer::compact().render(prov);
         fs::create_dir_all(self.dir.join("provenance"))?; // rsls-lint: allow(unguarded-io) -- mkdir before the registered torn-write site (write_atomic) takes over
         self.write_atomic(
             &self.provenance_path(&prov.spec_hash),

@@ -28,7 +28,7 @@ use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex};
 
 use rsls_chaos::{ChaosInjector, ChaosSite};
-use serde_json::Value;
+use serde_json::{Serialize, Value, Writer};
 
 /// One journal record.
 #[derive(Debug, Clone, PartialEq)]
@@ -98,82 +98,53 @@ pub enum JournalEvent {
     },
 }
 
-impl JournalEvent {
-    /// The unit name (or chaos site) carried by this event, for error
-    /// context.
-    fn unit(&self) -> &str {
-        match self {
-            JournalEvent::Start { unit, .. }
-            | JournalEvent::Done { unit, .. }
-            | JournalEvent::Failed { unit, .. }
-            | JournalEvent::CacheCorrupt { unit, .. }
-            | JournalEvent::Degraded { unit, .. }
-            | JournalEvent::Retry { unit, .. } => unit,
-            JournalEvent::Chaos { site, .. } => site,
-        }
-    }
-
-    fn to_line(&self) -> io::Result<String> {
-        let obj = |fields: &[(&str, Value)]| {
-            serde_json::to_string(&Value::Object(
-                fields
-                    .iter()
-                    .map(|(k, v)| (k.to_string(), v.clone()))
-                    .collect(),
-            ))
-            .map_err(|e| {
-                io::Error::other(format!(
-                    "serializing journal record for unit `{}` failed: {e}",
-                    self.unit()
-                ))
-            })
+/// The record layout in the module docs: an `"event"` tag, then the
+/// variant's fields in declaration order.
+impl Serialize for JournalEvent {
+    fn serialize(&self, w: &mut Writer) {
+        let unit_event = |w: &mut Writer, event: &str, hash: &str, unit: &str| {
+            w.field("event", event);
+            w.field("hash", hash);
+            w.field("unit", unit);
         };
-        match self {
-            JournalEvent::Start { hash, unit } => obj(&[
-                ("event", Value::Str("start".into())),
-                ("hash", Value::Str(hash.clone())),
-                ("unit", Value::Str(unit.clone())),
-            ]),
-            JournalEvent::Done { hash, unit, wall_s } => obj(&[
-                ("event", Value::Str("done".into())),
-                ("hash", Value::Str(hash.clone())),
-                ("unit", Value::Str(unit.clone())),
-                ("wall_s", Value::Float(*wall_s)),
-            ]),
-            JournalEvent::Failed { hash, unit, error } => obj(&[
-                ("event", Value::Str("failed".into())),
-                ("hash", Value::Str(hash.clone())),
-                ("unit", Value::Str(unit.clone())),
-                ("error", Value::Str(error.clone())),
-            ]),
-            JournalEvent::CacheCorrupt { hash, unit, object } => obj(&[
-                ("event", Value::Str("cache-corrupt".into())),
-                ("hash", Value::Str(hash.clone())),
-                ("unit", Value::Str(unit.clone())),
-                ("object", Value::Str(object.clone())),
-            ]),
-            JournalEvent::Degraded { hash, unit, reason } => obj(&[
-                ("event", Value::Str("degraded".into())),
-                ("hash", Value::Str(hash.clone())),
-                ("unit", Value::Str(unit.clone())),
-                ("reason", Value::Str(reason.clone())),
-            ]),
+        w.object(|w| match self {
+            JournalEvent::Start { hash, unit } => unit_event(w, "start", hash, unit),
+            JournalEvent::Done { hash, unit, wall_s } => {
+                unit_event(w, "done", hash, unit);
+                w.field("wall_s", wall_s);
+            }
+            JournalEvent::Failed { hash, unit, error } => {
+                unit_event(w, "failed", hash, unit);
+                w.field("error", error);
+            }
+            JournalEvent::CacheCorrupt { hash, unit, object } => {
+                unit_event(w, "cache-corrupt", hash, unit);
+                w.field("object", object);
+            }
+            JournalEvent::Degraded { hash, unit, reason } => {
+                unit_event(w, "degraded", hash, unit);
+                w.field("reason", reason);
+            }
             JournalEvent::Retry {
                 hash,
                 unit,
                 attempt,
-            } => obj(&[
-                ("event", Value::Str("retry".into())),
-                ("hash", Value::Str(hash.clone())),
-                ("unit", Value::Str(unit.clone())),
-                ("attempt", Value::UInt(*attempt)),
-            ]),
-            JournalEvent::Chaos { site, fired } => obj(&[
-                ("event", Value::Str("chaos".into())),
-                ("site", Value::Str(site.clone())),
-                ("fired", Value::UInt(*fired)),
-            ]),
-        }
+            } => {
+                unit_event(w, "retry", hash, unit);
+                w.field("attempt", attempt);
+            }
+            JournalEvent::Chaos { site, fired } => {
+                w.field("event", "chaos");
+                w.field("site", site);
+                w.field("fired", fired);
+            }
+        });
+    }
+}
+
+impl JournalEvent {
+    fn to_line(&self) -> String {
+        Writer::compact().render(self)
     }
 
     /// Parses one journal line back into an event. Unknown event kinds
@@ -341,12 +312,12 @@ impl Journal {
 
     /// Appends one event and flushes it to the OS.
     ///
-    /// Fails with context (unit name, journal path) if serialization or
-    /// the write fails, or if the journal mutex was poisoned by a
-    /// writer that panicked mid-append — the caller decides whether a
-    /// lost journal record is fatal (the engine logs and continues).
+    /// Fails if the write fails, or (naming the journal path) if the
+    /// journal mutex was poisoned by a writer that panicked mid-append —
+    /// the caller decides whether a lost journal record is fatal (the
+    /// engine logs and continues).
     pub fn record(&self, event: &JournalEvent) -> io::Result<()> {
-        let line = event.to_line()?;
+        let line = event.to_line();
         let mut appender = self.appender.lock().map_err(|_| {
             io::Error::other(format!(
                 "journal {} is poisoned: a writer panicked while appending",
@@ -771,7 +742,7 @@ mod tests {
         j.record(&done("h1", 0.5)).unwrap();
         drop(j);
         let clean = fs::metadata(&path).unwrap().len();
-        let line = done("h2", 1.5).to_line().unwrap();
+        let line = done("h2", 1.5).to_line();
         let mut f = OpenOptions::new().append(true).open(&path).unwrap();
 
         // Half a record: nothing to report, nothing consumed.

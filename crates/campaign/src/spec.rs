@@ -45,11 +45,7 @@ impl UnitSpec {
     /// Stable content address of this spec: SHA-256 of its canonical
     /// JSON serialization, as lowercase hex.
     pub fn content_hash(&self) -> String {
-        #[expect(
-            clippy::expect_used,
-            reason = "serializing a plain in-memory struct cannot fail"
-        )]
-        let json = serde_json::to_string(self).expect("UnitSpec serialization cannot fail");
+        let json = serde_json::Writer::compact().render(self);
         rsls_core::sha256_hex(json.as_bytes())
     }
 

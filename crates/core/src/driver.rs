@@ -112,11 +112,7 @@ impl RunConfig {
     /// system* — callers caching across systems must also key on the
     /// matrix and right-hand side (see `rsls-campaign`'s `UnitSpec`).
     pub fn spec_hash(&self) -> String {
-        #[expect(
-            clippy::expect_used,
-            reason = "serializing a plain in-memory struct cannot fail"
-        )]
-        let json = serde_json::to_string(self).expect("RunConfig serialization cannot fail");
+        let json = serde_json::Writer::compact().render(self);
         crate::hash::sha256_hex(json.as_bytes())
     }
 }

@@ -393,24 +393,22 @@ mod tests {
 
     #[test]
     fn real_matrix_override_is_honored() {
-        // Write a tiny Matrix Market file and point the loader at it.
-        // (Serial: uses a process-wide env var; restore it afterwards.)
+        // Write a Matrix Market file with the crate's own writer and point
+        // the loader at it. (Serial: uses a process-wide env var; restore
+        // it afterwards.)
         let dir = std::env::temp_dir().join("rsls-suite-real");
         std::fs::create_dir_all(&dir).unwrap();
         // bcsstk06 is not generated by any other test in this binary, so
         // the process-wide env var cannot race a concurrent workload().
-        let path = dir.join("bcsstk06.mtx");
-        std::fs::write(
-            &path,
-            "%%MatrixMarket matrix coordinate real symmetric\n2 2 2\n1 1 4.0\n2 2 4.0\n",
-        )
-        .unwrap();
+        let real = stencil_2d(4, 4);
+        let file = std::fs::File::create(dir.join("bcsstk06.mtx")).unwrap();
+        rsls_sparse::io::write_matrix_market(&real, file).unwrap();
         std::env::set_var("RSLS_MATRIX_DIR", &dir);
         let a = by_name("bcsstk06").unwrap().generate(Scale::Quick);
         std::env::remove_var("RSLS_MATRIX_DIR");
         let _ = std::fs::remove_dir_all(&dir);
-        assert_eq!(a.nrows(), 2);
-        assert_eq!(a.get(0, 0), 4.0);
+        // `{:.17e}` round-trips every value exactly.
+        assert_eq!(a, real);
     }
 
     #[test]

@@ -6,7 +6,6 @@
 //! rsls-lab scoreboard                     Fig-5-style energy ranking
 //! rsls-lab compare --a "scheme = 'CR-M'" --b "scheme = 'CR-D'"
 //! rsls-lab compare results/cache other/cache
-//! rsls-lab views-live --ticks 10 --interval-ms 500
 //! ```
 //!
 //! All commands read `--cache-dir` (default `results/cache`) and the
@@ -29,15 +28,12 @@ fn usage() -> ! {
          \x20 scoreboard             render the per-scheme energy ranking\n\
          \x20 compare <dirA> <dirB>  diff two campaign stores\n\
          \x20 compare --a <f> --b <f> diff two filtered slices of one store\n\
-         \x20 views-live             poll the store and redraw the scoreboard\n\
          options:\n\
          \x20 --cache-dir <dir>      campaign cache (default results/cache)\n\
          \x20 --journal <file>       campaign journal (default <cache-dir>/../campaign.journal)\n\
          \x20 --bench-dir <dir>      directory of benchmark run files (*.json)\n\
          \x20                        for the kernels view (default benchmark)\n\
-         \x20 --format <json|table>  query output format (default json)\n\
-         \x20 --ticks <n>            views-live: number of polls (default 10)\n\
-         \x20 --interval-ms <ms>     views-live: delay between polls (default 500)"
+         \x20 --format <json|table>  query output format (default json)"
     );
     std::process::exit(2);
 }
@@ -86,8 +82,6 @@ fn main() {
     let mut format = "json".to_string();
     let mut filter_a: Option<String> = None;
     let mut filter_b: Option<String> = None;
-    let mut ticks = 10u64;
-    let mut interval_ms = 500u64;
     let mut i = 1;
     while i < args.len() {
         let need = |i: usize| {
@@ -129,28 +123,6 @@ fn main() {
                 need(i);
                 i += 1;
                 filter_b = Some(args[i].clone());
-            }
-            "--ticks" => {
-                need(i);
-                i += 1;
-                ticks = match args[i].parse() {
-                    Ok(n) => n,
-                    Err(_) => {
-                        eprintln!("--ticks takes an unsigned integer");
-                        usage();
-                    }
-                };
-            }
-            "--interval-ms" => {
-                need(i);
-                i += 1;
-                interval_ms = match args[i].parse() {
-                    Ok(n) => n,
-                    Err(_) => {
-                        eprintln!("--interval-ms takes an unsigned integer");
-                        usage();
-                    }
-                };
             }
             other if other.starts_with("--") => {
                 eprintln!("unknown argument: {other}");
@@ -231,18 +203,6 @@ fn main() {
                 }
             };
             println!("{}", rsls_lab::canonical_json(&report));
-        }
-        "views-live" => {
-            for tick in 0..ticks {
-                let w = load(&cache_dir, &journal);
-                // ANSI clear + home, then the scoreboard and a tick
-                // footer so progress is visible even when nothing moves.
-                print!("\x1b[2J\x1b[H{}", render_scoreboard(&w));
-                println!("tick {}/{ticks}", tick + 1);
-                if tick + 1 < ticks {
-                    std::thread::sleep(std::time::Duration::from_millis(interval_ms));
-                }
-            }
         }
         _ => {
             eprintln!("unknown command: {command}");

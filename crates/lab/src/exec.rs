@@ -9,7 +9,7 @@
 //! for the same query, which is the invariant `rsls-serve`'s `/query`
 //! ETags certify.
 
-use serde_json::Value;
+use serde_json::{Serialize, Writer};
 
 use crate::sql::{AggFunc, CmpOp, Expr, Operand, Query, SelectItem};
 use crate::table::{Datum, Table};
@@ -24,29 +24,20 @@ pub struct QueryResult {
     pub rows: Vec<Vec<Datum>>,
 }
 
-impl QueryResult {
-    /// Canonical JSON form: `{"columns":[…],"rows":[[…],…]}`.
-    pub fn to_json(&self) -> Value {
-        Value::Object(vec![
-            (
-                "columns".to_string(),
-                Value::Array(self.columns.iter().map(|c| Value::Str(c.clone())).collect()),
-            ),
-            (
-                "rows".to_string(),
-                Value::Array(
-                    self.rows
-                        .iter()
-                        .map(|row| Value::Array(row.iter().map(Datum::to_json).collect()))
-                        .collect(),
-                ),
-            ),
-        ])
+/// Canonical JSON form: `{"columns":[…],"rows":[[…],…]}`.
+impl Serialize for QueryResult {
+    fn serialize(&self, w: &mut Writer) {
+        w.object(|w| {
+            w.field("columns", &self.columns);
+            w.field("rows", &self.rows);
+        });
     }
+}
 
+impl QueryResult {
     /// Canonical JSON text — byte-deterministic for a given result.
     pub fn to_canonical_json(&self) -> String {
-        crate::canonical_json(&self.to_json())
+        Writer::compact().render(self)
     }
 
     /// Fixed-width text table for terminal output.

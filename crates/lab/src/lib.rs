@@ -43,14 +43,12 @@
 //!   rendered from the `schemes` view.
 //!
 //! Surfaces: the `rsls-lab` CLI (`query`, `views`, `scoreboard`,
-//! `compare`, `views-live`), `rsls-serve`'s `GET /query` and
-//! `GET /compare` routes, and the `rsls_lab_*` Prometheus families
-//! exported from the counters below.
+//! `compare`), `rsls-serve`'s `GET /query` and `GET /compare` routes,
+//! and the `rsls_lab_*` Prometheus families exported from the counters
+//! below.
 //!
 //! The crate is lint-scoped to the full deterministic rule set: no
-//! wall clock, no randomized hashers, no panics. Polling (`views-live`)
-//! lives in the binary, which takes its tick count and interval from
-//! caller-supplied parameters.
+//! wall clock, no randomized hashers, no panics.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -100,9 +98,7 @@ impl From<SqlError> for LabError {
 /// keys, deterministic float formatting) — the bytes `/query` ETags
 /// are computed over.
 pub fn canonical_json(v: &serde_json::Value) -> String {
-    // Serializing an in-memory Value cannot fail; an empty string would
-    // only ever signal a vendored-serializer bug.
-    serde_json::to_string(v).unwrap_or_default()
+    serde_json::Writer::compact().render(v)
 }
 
 /// Objects successfully ingested into warehouses, process-wide.

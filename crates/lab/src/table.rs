@@ -13,7 +13,7 @@
 
 use std::cmp::Ordering;
 
-use serde_json::{Deserialize, Error, Number, Parser, Value};
+use serde_json::{Deserialize, Error, Number, Parser, Serialize, Value, Writer};
 
 /// One cell of a warehouse table.
 #[derive(Debug, Clone, PartialEq)]
@@ -98,24 +98,6 @@ impl Datum {
         }
     }
 
-    /// Canonical JSON form of this cell (`Int` stays integral, floats
-    /// keep the vendored serializer's deterministic `{:?}` formatting).
-    pub fn to_json(&self) -> Value {
-        match self {
-            Datum::Null => Value::Null,
-            Datum::Bool(b) => Value::Bool(*b),
-            Datum::Int(n) => {
-                if *n >= 0 {
-                    Value::UInt(*n as u64)
-                } else {
-                    Value::Int(*n)
-                }
-            }
-            Datum::Float(f) => Value::Float(*f),
-            Datum::Str(s) => Value::Str(s.clone()),
-        }
-    }
-
     /// Tolerant conversion from object-store JSON: anything the
     /// warehouse cannot type (arrays, objects) reads as `NULL` rather
     /// than failing the row.
@@ -147,6 +129,20 @@ impl Datum {
             Datum::Int(n) => n.to_string(),
             Datum::Float(f) => format!("{f:?}"),
             Datum::Str(s) => s.clone(),
+        }
+    }
+}
+
+/// Canonical JSON form of a cell: `Int` stays integral, floats keep the
+/// vendored writer's deterministic `{:?}` formatting.
+impl Serialize for Datum {
+    fn serialize(&self, w: &mut Writer) {
+        match self {
+            Datum::Null => w.null(),
+            Datum::Bool(b) => w.bool(*b),
+            Datum::Int(n) => w.int(*n),
+            Datum::Float(f) => w.float(*f),
+            Datum::Str(s) => w.str(s),
         }
     }
 }
@@ -245,11 +241,19 @@ mod tests {
 
     #[test]
     fn json_round_trip_is_type_preserving() {
-        assert_eq!(Datum::from_json(&Datum::Int(-3).to_json()), Datum::Int(-3));
-        assert_eq!(
-            Datum::from_json(&Datum::Float(1.25).to_json()),
-            Datum::Float(1.25)
-        );
+        let round_trip =
+            |d: Datum| serde_json::from_str::<Datum>(&serde_json::to_string(&d).unwrap()).unwrap();
+        for d in [
+            Datum::Null,
+            Datum::Bool(true),
+            Datum::Int(-3),
+            Datum::Int(7),
+            Datum::Float(1.25),
+            Datum::Float(2.0),
+            Datum::Str("a\"b".into()),
+        ] {
+            assert_eq!(round_trip(d.clone()), d);
+        }
         assert_eq!(Datum::from_json(&Value::Array(vec![])), Datum::Null);
     }
 

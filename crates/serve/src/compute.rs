@@ -36,9 +36,7 @@ pub fn tables_to_json(id: &str, scale: Scale, tables: Vec<Table>) -> Result<Vec<
         scale: scale.label().to_string(),
         tables,
     };
-    serde_json::to_string(&result)
-        .map(String::into_bytes)
-        .map_err(|e| format!("serializing {id} result: {e}"))
+    Ok(serde_json::Writer::compact().render(&result).into_bytes())
 }
 
 /// The `ETag` for a response body: its own sha256, so the tag is

@@ -224,10 +224,8 @@ fn metrics_response(shared: &Shared) -> Response {
 }
 
 fn listing_response(shared: &Shared) -> Response {
-    match serde_json::to_string(&shared.source.list()) {
-        Ok(json) => Response::json(200, json.into_bytes()),
-        Err(e) => Response::text(500, format!("serializing listing: {e}\n")),
-    }
+    let json = serde_json::Writer::compact().render(&shared.source.list());
+    Response::json(200, json.into_bytes())
 }
 
 /// `200` with body + `ETag`, or `304` when `If-None-Match` matches.
