@@ -798,11 +798,30 @@ mod tests {
         let range = part.range(2);
         let res = li(&a, &part, 2, &x_mid, &b, ConstructionMethod::Exact, 1e-8);
         let li_err = dist2(&res.x_block, &xstar[range.clone()]);
-        let zero_err = dist2(&vec![0.0; range.len()], &xstar[range]);
+        let zero_err = dist2(&vec![0.0; range.len()], &xstar[range.clone()]);
         assert!(
             li_err < 0.1 * zero_err,
             "LI error {li_err} should beat F0 error {zero_err}"
         );
+
+        // On a CG state whose failed block is NaN-filled, as a node loss
+        // leaves it, LI reads only the surviving blocks: the lost values
+        // never reach the reconstruction.
+        let mut cg = Cg::from_zero(&a, &b);
+        for _ in 0..10 {
+            cg.step();
+        }
+        let intact = cg.x().to_vec();
+        cg.x_slice_mut(range).fill(f64::NAN);
+        for method in [
+            ConstructionMethod::Exact,
+            ConstructionMethod::local_cg_default(),
+        ] {
+            let want = li(&a, &part, 2, &intact, &b, method, 1e-3);
+            let got = li(&a, &part, 2, cg.x(), &b, method, 1e-3);
+            assert!(got.x_block.iter().all(|v| v.is_finite()));
+            assert_eq!(got.x_block, want.x_block);
+        }
     }
 
     #[test]
