@@ -25,15 +25,7 @@ impl Scale {
     /// Default rank count standing in for the paper's 256-process runs.
     /// Quick scale uses 64 so per-rank blocks stay small relative to the
     /// matrices (the paper's forward-recovery costs assume thin blocks).
-    /// Override with `RSLS_RANKS=<n>`.
     pub fn default_ranks(&self) -> usize {
-        if let Ok(v) = std::env::var("RSLS_RANKS") {
-            if let Ok(n) = v.parse::<usize>() {
-                if n >= 1 {
-                    return n;
-                }
-            }
-        }
         match self {
             Scale::Quick => 64,
             Scale::Full => 256,
@@ -60,8 +52,6 @@ mod tests {
 
     #[test]
     fn quick_is_the_default() {
-        // Do not mutate the environment (tests run in parallel); just
-        // check the parsing contract.
         assert_eq!(Scale::Quick.default_ranks(), 64);
         assert_eq!(Scale::Full.default_ranks(), 256);
         assert_eq!(Scale::Quick.node_ranks(), 24);

@@ -13,7 +13,7 @@ use std::time::Duration;
 use rsls_campaign::CampaignSummary;
 
 /// Snapshot of the process-wide artifact caches (sparse block cache,
-/// workload interner, halo-plan memo), gathered at scrape time by the
+/// workload interner), gathered at scrape time by the
 /// server and folded into the exposition alongside the campaign totals.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ArtifactCounters {
@@ -31,10 +31,6 @@ pub struct ArtifactCounters {
     pub fingerprint_hits: u64,
     /// Matrix fingerprints computed from scratch.
     pub fingerprint_misses: u64,
-    /// Halo-plan memo hits (`rsls_solvers::dist`).
-    pub halo_hits: u64,
-    /// Halo-plan memo misses (plans built).
-    pub halo_misses: u64,
 }
 
 /// Snapshot of the `rsls-lab` warehouse counters (process-wide,
@@ -270,11 +266,6 @@ impl Metrics {
         self.coalesced.load(Ordering::Relaxed)
     }
 
-    /// Running total of jobs that invoked a harness.
-    pub fn computed_total(&self) -> u64 {
-        self.computed.load(Ordering::Relaxed)
-    }
-
     /// Renders the exposition text. `campaign`/`campaign_waiters` fold
     /// in the engine's own totals, and `artifacts` the process-wide
     /// artifact-cache counters, so one scrape covers every layer.
@@ -498,18 +489,6 @@ impl Metrics {
             "Matrix fingerprints hashed from scratch.",
             artifacts.fingerprint_misses,
         );
-        scalar(
-            "rsls_artifact_halo_plan_hits_total",
-            "counter",
-            "Halo exchange plans served from the dist-solver memo.",
-            artifacts.halo_hits,
-        );
-        scalar(
-            "rsls_artifact_halo_plan_misses_total",
-            "counter",
-            "Halo exchange plans built from the matrix structure.",
-            artifacts.halo_misses,
-        );
 
         scalar(
             "rsls_lab_ingested_objects_total",
@@ -693,8 +672,6 @@ mod tests {
             workload_misses: 2,
             fingerprint_hits: 5,
             fingerprint_misses: 2,
-            halo_hits: 3,
-            halo_misses: 1,
         };
         let lab = LabCounters {
             ingested_objects: 12,
@@ -729,8 +706,6 @@ mod tests {
         assert!(text.contains("rsls_artifact_workload_misses_total 2"));
         assert!(text.contains("rsls_artifact_fingerprint_hits_total 5"));
         assert!(text.contains("rsls_artifact_fingerprint_misses_total 2"));
-        assert!(text.contains("rsls_artifact_halo_plan_hits_total 3"));
-        assert!(text.contains("rsls_artifact_halo_plan_misses_total 1"));
         assert!(text.contains("rsls_serve_request_duration_seconds_count 3"));
         assert!(text.contains("rsls_lab_ingested_objects_total 12"));
         assert!(text.contains("rsls_lab_ingest_rejected_total 3"));

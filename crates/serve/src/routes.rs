@@ -189,7 +189,6 @@ pub(crate) fn route(shared: &Shared, req: &Request) -> Routed {
 fn gather_artifact_counters() -> ArtifactCounters {
     let sparse = rsls_sparse::artifacts::global().stats();
     let workload = rsls_experiments::artifacts::stats();
-    let (halo_hits, halo_misses) = rsls_solvers::halo_plan_cache_stats();
     ArtifactCounters {
         sparse_hits: sparse.hits,
         sparse_misses: sparse.misses,
@@ -198,8 +197,6 @@ fn gather_artifact_counters() -> ArtifactCounters {
         workload_misses: workload.misses,
         fingerprint_hits: workload.fingerprint_hits,
         fingerprint_misses: workload.fingerprint_misses,
-        halo_hits,
-        halo_misses,
     }
 }
 

@@ -93,8 +93,6 @@ fn populated_two_shard_exposition_matches_the_golden_file() {
         workload_misses: 2,
         fingerprint_hits: 5,
         fingerprint_misses: 2,
-        halo_hits: 3,
-        halo_misses: 1,
     };
     let lab = LabCounters {
         ingested_objects: 12,

@@ -1,4 +1,4 @@
-//! Residual histories and solve outcomes.
+//! Residual histories.
 
 use serde::{Deserialize, Serialize};
 
@@ -78,17 +78,6 @@ impl ResidualHistory {
     pub fn is_empty(&self) -> bool {
         self.samples.is_empty()
     }
-}
-
-/// Summary of a completed solve.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct SolveOutcome {
-    /// Iterations executed.
-    pub iterations: usize,
-    /// Whether the tolerance was reached.
-    pub converged: bool,
-    /// Final relative residual.
-    pub final_relative_residual: f64,
 }
 
 #[cfg(test)]

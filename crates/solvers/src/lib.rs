@@ -12,26 +12,17 @@
 //! * [`Cgls`] — CGLS/CGNR for least-squares systems, used by the paper's
 //!   optimized LSI reconstruction (§4.1, Eq. 21: solve
 //!   `(A_{p_i,:} A_{p_i,:}ᵀ) x = A_{p_i,:} β` locally with CG).
-//! * [`jacobi`] — Jacobi-preconditioned CG (an extension beyond the
-//!   paper's plain-CG evaluation).
-//! * [`ic0`] — IC(0) incomplete-Cholesky preconditioned CG with
-//!   deterministic sequential triangular solves; the iteration-count
-//!   lever on the paper's stencil/banded model problems.
-//! * [`dist`] — a distributed-memory (SPMD) CG with explicit halo
-//!   exchange plans, the physical counterpart of the driver's logical
-//!   distribution model.
-//! * [`convergence`] — residual histories and outcome summaries.
+//! * [`HaloPlan`] — the halo exchange a block-row SPMD SpMV performs,
+//!   the reference the driver's charged communication volume is checked
+//!   against.
+//! * [`convergence`] — residual histories with fault/recovery markers.
 
 pub mod cg;
 pub mod cgls;
 pub mod convergence;
 pub mod dist;
-pub mod ic0;
-pub mod jacobi;
 
 pub use cg::{Cg, CgConfig, KrylovState};
 pub use cgls::{Cgls, CglsConfig};
-pub use convergence::{ResidualHistory, SolveOutcome};
-pub use dist::{halo_plan_cache_stats, DistCg, HaloPlan};
-pub use ic0::{Ic0, Ic0Pcg};
-pub use jacobi::JacobiPcg;
+pub use convergence::ResidualHistory;
+pub use dist::HaloPlan;

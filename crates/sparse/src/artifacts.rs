@@ -17,7 +17,7 @@
 
 use std::collections::BTreeMap;
 use std::ops::Range;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 
 use crate::dense::DenseMatrix;
@@ -69,11 +69,6 @@ impl MatrixKey {
             hash: h,
         }
     }
-
-    /// The folded 64-bit content hash.
-    pub fn raw_hash(self) -> u64 {
-        self.hash
-    }
 }
 
 /// One FNV-1a step absorbing a 64-bit word.
@@ -118,10 +113,6 @@ impl ArtifactStats {
 type SupportPanel = Arc<(CsrMatrix, Vec<usize>)>;
 
 /// Process-global memo for block extractions and derived panels.
-///
-/// Disabled caches degrade to pass-through builders (every lookup
-/// computes fresh and counts nothing), which is how the benchmark
-/// measures the uncached baseline.
 #[derive(Debug, Default)]
 pub struct ArtifactCache {
     sparse_blocks: Mutex<BTreeMap<BlockKey, Arc<CsrMatrix>>>,
@@ -132,24 +123,12 @@ pub struct ArtifactCache {
     sells: Mutex<BTreeMap<SellKey, Arc<SellMatrix>>>,
     hits: AtomicU64,
     misses: AtomicU64,
-    disabled: AtomicBool,
 }
 
 impl ArtifactCache {
-    /// An empty, enabled cache.
+    /// An empty cache.
     pub fn new() -> Self {
         ArtifactCache::default()
-    }
-
-    /// Whether lookups consult the memo (true by default).
-    pub fn enabled(&self) -> bool {
-        !self.disabled.load(Ordering::Relaxed)
-    }
-
-    /// Turns the memo on or off. Disabling does not drop resident
-    /// entries; pair with [`ArtifactCache::clear`] for a cold baseline.
-    pub fn set_enabled(&self, on: bool) {
-        self.disabled.store(!on, Ordering::Relaxed);
     }
 
     /// Drops every resident artifact and zeroes the counters.
@@ -250,9 +229,6 @@ impl ArtifactCache {
         key: K,
         build: impl FnOnce() -> V,
     ) -> Arc<V> {
-        if !self.enabled() {
-            return Arc::new(build());
-        }
         if let Some(hit) = lock(map).get(&key).cloned() {
             self.hits.fetch_add(1, Ordering::Relaxed);
             return hit;
@@ -359,20 +335,6 @@ mod tests {
         assert_eq!(first.nnz(), a.nnz());
         let stats = cache.stats();
         assert_eq!((stats.hits, stats.misses), (1, 2));
-    }
-
-    #[test]
-    fn disabled_cache_builds_fresh_and_counts_nothing() {
-        let cache = ArtifactCache::new();
-        cache.set_enabled(false);
-        let a = sample();
-        let key = MatrixKey::of(&a);
-        let first = cache.sparse_block(key, &a, 0..2, 0..2);
-        let second = cache.sparse_block(key, &a, 0..2, 0..2);
-        assert!(!Arc::ptr_eq(&first, &second));
-        assert_eq!(*first, *second);
-        let stats = cache.stats();
-        assert_eq!((stats.hits, stats.misses, stats.entries), (0, 0, 0));
     }
 
     #[test]

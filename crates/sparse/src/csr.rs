@@ -356,8 +356,6 @@ impl CsrMatrix {
     }
 
     /// Restricted product over a row range: `y = A[rows, :] x`.
-    ///
-    /// Used by the distributed CG to compute each rank's local rows.
     pub fn spmv_rows(&self, rows: std::ops::Range<usize>, x: &[f64], y: &mut [f64]) {
         assert_eq!(x.len(), self.ncols);
         assert_eq!(y.len(), rows.len());

@@ -53,11 +53,6 @@ impl DenseMatrix {
         &self.data[r * self.ncols..(r + 1) * self.ncols]
     }
 
-    /// Mutable view of row `r`.
-    pub fn row_mut(&mut self, r: usize) -> &mut [f64] {
-        &mut self.data[r * self.ncols..(r + 1) * self.ncols]
-    }
-
     /// Swaps rows `a` and `b`.
     pub fn swap_rows(&mut self, a: usize, b: usize) {
         if a == b {
@@ -129,16 +124,6 @@ impl DenseMatrix {
             }
         }
         g
-    }
-
-    /// Frobenius norm.
-    pub fn frobenius_norm(&self) -> f64 {
-        self.data.iter().map(|v| v * v).sum::<f64>().sqrt()
-    }
-
-    /// Maximum absolute entry.
-    pub fn max_abs(&self) -> f64 {
-        self.data.iter().fold(0.0f64, |m, v| m.max(v.abs()))
     }
 }
 

@@ -1,8 +1,7 @@
 //! BLAS-1 vector kernels.
 //!
 //! All kernels are plain slices-in, slices-out so the solver crates can use
-//! them on globally stored vectors or on per-rank slices alike. Flop-count
-//! helpers feed the cluster performance model.
+//! them on globally stored vectors or on per-rank slices alike.
 
 /// Dot product `xᵀ y`.
 ///
@@ -34,24 +33,6 @@ pub fn axpy_dot(alpha: f64, x: &[f64], y: &mut [f64]) -> f64 {
     for (yi, xi) in y.iter_mut().zip(x) {
         *yi += alpha * xi;
         acc += *yi * *yi;
-    }
-    acc
-}
-
-/// Fused Jacobi application `z = D⁻¹ r` returning `rᵀ z`, in one pass.
-///
-/// Bit-identical to the two-pass form (elementwise `z[i] = r[i] *
-/// inv_diag[i]` followed by [`dot`]`(r, z)`): both walk the vectors left
-/// to right and the accumulator folds `r[i] * z[i]` in exactly the order
-/// [`dot`]'s `sum()` does. One traversal instead of two halves the
-/// memory traffic of the PCG preconditioner step.
-pub fn jacobi_dot(inv_diag: &[f64], r: &[f64], z: &mut [f64]) -> f64 {
-    assert_eq!(inv_diag.len(), r.len(), "jacobi_dot: length mismatch");
-    assert_eq!(r.len(), z.len(), "jacobi_dot: length mismatch");
-    let mut acc = 0.0;
-    for ((zi, ri), di) in z.iter_mut().zip(r).zip(inv_diag) {
-        *zi = ri * di;
-        acc += ri * *zi;
     }
     acc
 }
@@ -91,16 +72,6 @@ pub fn dist2(x: &[f64], y: &[f64]) -> f64 {
         .sqrt()
 }
 
-/// Flops of a dot product over `n` elements.
-pub fn dot_flops(n: usize) -> u64 {
-    2 * n as u64
-}
-
-/// Flops of an axpy over `n` elements.
-pub fn axpy_flops(n: usize) -> u64 {
-    2 * n as u64
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -127,22 +98,6 @@ mod tests {
         let want = dot(&separate, &separate);
         let mut fused = y0.clone();
         let got = axpy_dot(alpha, &x, &mut fused);
-        assert_eq!(separate, fused);
-        assert_eq!(want.to_bits(), got.to_bits());
-    }
-
-    #[test]
-    fn jacobi_dot_is_bit_identical_to_apply_then_dot() {
-        let n = 193;
-        let inv_diag: Vec<f64> = (0..n).map(|i| 1.0 / (2.0 + (i % 9) as f64)).collect();
-        let r: Vec<f64> = (0..n).map(|i| (i as f64).sin() * 41.0 - 17.0).collect();
-        let mut separate = vec![0.0; n];
-        for ((zi, ri), di) in separate.iter_mut().zip(&r).zip(&inv_diag) {
-            *zi = ri * di;
-        }
-        let want = dot(&r, &separate);
-        let mut fused = vec![f64::NAN; n];
-        let got = jacobi_dot(&inv_diag, &r, &mut fused);
         assert_eq!(separate, fused);
         assert_eq!(want.to_bits(), got.to_bits());
     }
