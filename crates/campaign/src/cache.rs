@@ -94,12 +94,16 @@ impl ResultCache {
 
     /// Opens a cache with an optional chaos injector wired into its
     /// read/write edges (see the module docs).
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "unguarded: one-time layout mkdir at open; fails before any campaign state exists"
+    )]
     pub fn open_chaotic(
         dir: impl Into<PathBuf>,
         chaos: Option<Arc<ChaosInjector>>,
     ) -> io::Result<Self> {
         let dir = dir.into();
-        fs::create_dir_all(dir.join("objects"))?; // rsls-lint: allow(unguarded-io) -- one-time layout mkdir at open; fails before any campaign state exists
+        fs::create_dir_all(dir.join("objects"))?;
         fs::create_dir_all(dir.join("units"))?;
         Ok(ResultCache {
             dir,
@@ -154,8 +158,11 @@ impl ResultCache {
 
     /// Sorted sha256 stems of `<dir>/*.<ext>` entries; missing or
     /// unreadable directories are simply empty.
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "unguarded: name enumeration only (warehouse ingest order, rsls-serve's generation probe, stats); an unreadable directory is an empty listing, and per-object read faults are injected in read_object"
+    )]
     fn hashes_in(dir: &Path, ext: &str) -> Vec<String> {
-        // rsls-lint: allow(unguarded-io) -- name enumeration only (warehouse ingest order, rsls-serve's generation probe, stats); an unreadable directory is an empty listing, and per-object read faults are injected in read_object
         let Ok(entries) = fs::read_dir(dir) else {
             return Vec::new();
         };
@@ -184,8 +191,11 @@ impl ResultCache {
     }
 
     /// The report object a unit resolves to, if a valid pointer exists.
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "unguarded: unit-ref indirection read; a bad ref fails is_sha256_hex below and degrades to a miss"
+    )]
     pub fn object_hash(&self, spec_hash: &str) -> Option<String> {
-        // rsls-lint: allow(unguarded-io) -- unit-ref indirection read; a bad ref fails is_sha256_hex below and degrades to a miss
         let raw = fs::read_to_string(self.unit_ref_path(spec_hash)).ok()?;
         let hash = raw.trim().to_string();
         if is_sha256_hex(&hash) {
@@ -241,6 +251,10 @@ impl ResultCache {
 
     /// Reads and verifies one object, retrying transient errors and
     /// quarantining verification failures.
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "chaos: cache-read-error, cache-corrupt, cache-truncate"
+    )]
     fn read_object(&self, report_hash: &str) -> ObjectRead {
         let path = self.object_path(report_hash);
         let mut bytes: Option<Vec<u8>> = None;
@@ -292,6 +306,7 @@ impl ResultCache {
     /// never be served again, and counts it. Best-effort: if the move
     /// fails the object is deleted instead; either way the address is
     /// free for a clean re-store.
+    #[expect(clippy::disallowed_methods, reason = "chaos: cache-corrupt")]
     fn quarantine(&self, report_hash: &str) {
         let from = self.object_path(report_hash);
         let to = self.quarantine_path(report_hash);
@@ -330,9 +345,13 @@ impl ResultCache {
     /// Persists the provenance sidecar record for its `spec_hash`
     /// (atomic temp + rename, canonical JSON — byte-deterministic for a
     /// given record, like the object store proper).
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "unguarded: mkdir before the registered torn-write site (write_atomic) takes over"
+    )]
     pub fn store_provenance(&self, prov: &Provenance) -> io::Result<()> {
         let json = serde_json::Writer::compact().render(prov);
-        fs::create_dir_all(self.dir.join("provenance"))?; // rsls-lint: allow(unguarded-io) -- mkdir before the registered torn-write site (write_atomic) takes over
+        fs::create_dir_all(self.dir.join("provenance"))?;
         self.write_atomic(
             &self.provenance_path(&prov.spec_hash),
             json.as_bytes(),
@@ -344,8 +363,11 @@ impl ResultCache {
     /// and parses. Stores that predate provenance (or a corrupted
     /// sidecar) read as `None` — provenance is advisory metadata, never
     /// a reason to fail a lookup.
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "unguarded: advisory sidecar read; any failure reads as None and provenance is re-derived"
+    )]
     pub fn load_provenance(&self, spec_hash: &str) -> Option<Provenance> {
-        // rsls-lint: allow(unguarded-io) -- advisory sidecar read; any failure reads as None and provenance is re-derived
         let bytes = fs::read(self.provenance_path(spec_hash)).ok()?;
         serde_json::from_slice(&bytes).ok()
     }
@@ -353,6 +375,7 @@ impl ResultCache {
     /// Atomic write with bounded retries: a torn or failing write (real
     /// or injected) costs a retry, never a half-written entry — the
     /// rename only happens after a complete temp file landed.
+    #[expect(clippy::disallowed_methods, reason = "chaos: cache-write-torn")]
     fn write_atomic(&self, path: &Path, bytes: &[u8], key: &str) -> io::Result<()> {
         let tmp = path.with_extension("tmp");
         let mut last_err = io::Error::other("no write attempt made");
@@ -389,6 +412,10 @@ pub fn is_sha256_hex(s: &str) -> bool {
 }
 
 #[cfg(test)]
+#[expect(
+    clippy::disallowed_methods,
+    reason = "unguarded: test fixtures: temp stores, planted corruption, and byte checks of what the store wrote"
+)]
 mod tests {
     use super::*;
     use rsls_chaos::ChaosPlan;

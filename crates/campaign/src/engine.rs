@@ -355,7 +355,7 @@ impl Engine {
         F: Fn(&UnitSpec) -> RunReport + Sync,
     {
         let name = spec.qualified_name();
-        let start = Instant::now();
+        let start = Stopwatch::start();
 
         // Cache consultation covers both plain re-runs and --resume: a
         // completed unit's report loads from its content address. A
@@ -474,7 +474,7 @@ impl Engine {
                         }
                     }
                     self.record_unit_success(&spec.experiment);
-                    let wall_s = start.elapsed().as_secs_f64();
+                    let wall_s = start.wall_s();
                     self.journal_record(&JournalEvent::Done {
                         hash: hash.to_string(),
                         unit: name.clone(),
@@ -508,7 +508,7 @@ impl Engine {
             hash: hash.to_string(),
             report: None,
             status: UnitStatus::Failed,
-            wall_s: start.elapsed().as_secs_f64(),
+            wall_s: start.wall_s(),
             error: Some(last_error),
         }
     }
@@ -528,14 +528,14 @@ impl Engine {
     /// A [`UnitStatus::Cached`] outcome for `hash`, if the cache holds a
     /// valid report for it. Detected corruption is journaled and
     /// counted — never a silent miss.
-    fn cached_outcome(&self, hash: &str, name: &str, start: &Instant) -> Option<UnitOutcome> {
+    fn cached_outcome(&self, hash: &str, name: &str, start: &Stopwatch) -> Option<UnitOutcome> {
         match self.cache.as_ref()?.lookup(hash) {
             Lookup::Hit(report) => Some(UnitOutcome {
                 name: name.to_string(),
                 hash: hash.to_string(),
                 report: Some(report),
                 status: UnitStatus::Cached,
-                wall_s: start.elapsed().as_secs_f64(),
+                wall_s: start.wall_s(),
                 error: None,
             }),
             Lookup::Miss => None,
@@ -558,7 +558,7 @@ impl Engine {
         spec: &UnitSpec,
         hash: &str,
         name: &str,
-        start: &Instant,
+        start: &Stopwatch,
     ) -> Option<UnitOutcome> {
         if self.opts.circuit_threshold == 0 {
             return None;
@@ -586,7 +586,7 @@ impl Engine {
             hash: hash.to_string(),
             report: None,
             status: UnitStatus::Degraded,
-            wall_s: start.elapsed().as_secs_f64(),
+            wall_s: start.wall_s(),
             error: Some(reason),
         })
     }
@@ -768,6 +768,26 @@ impl rsls_core::CheckpointChaos for CkptChaosAdapter {
 
     fn read_error(&self, key: &str) -> bool {
         self.0.fire(ChaosSite::CkptReadError, key)
+    }
+}
+
+/// The wall clock of one unit: the only place campaign reads the OS
+/// clock. Its readings go to the journal's `Done.wall_s` and
+/// [`CampaignSummary::unit_wall_s`], never into a spec or a report.
+struct Stopwatch(Instant);
+
+#[expect(
+    clippy::disallowed_methods,
+    reason = "per-unit wall time is a timing sidecar: it is journaled and summed, and never reaches a spec hash or a stored report"
+)]
+impl Stopwatch {
+    fn start() -> Self {
+        Stopwatch(Instant::now())
+    }
+
+    /// Seconds since [`Stopwatch::start`].
+    fn wall_s(&self) -> f64 {
+        self.0.elapsed().as_secs_f64()
     }
 }
 

@@ -249,6 +249,7 @@ impl Journal {
         Self::open_with(path, truncate, chaos)
     }
 
+    #[expect(clippy::disallowed_methods, reason = "chaos: journal-torn")]
     fn open_with(
         path: impl Into<PathBuf>,
         truncate: bool,
@@ -282,6 +283,7 @@ impl Journal {
     /// the signature of a crash (or injected tear) mid-append — back to
     /// its last complete line, returning how many bytes were trimmed.
     /// A missing, empty, or cleanly terminated journal is left alone.
+    #[expect(clippy::disallowed_methods, reason = "chaos: journal-torn")]
     pub fn repair_torn_tail(path: impl AsRef<Path>) -> io::Result<u64> {
         let path = path.as_ref();
         let bytes = match fs::read(path) {
@@ -356,6 +358,7 @@ impl Journal {
     /// The set is ordered (`BTreeSet`) so that anything iterating it —
     /// logging, resume planning — sees a stable order regardless of
     /// hasher seeding.
+    #[expect(clippy::disallowed_methods, reason = "chaos: journal-torn")]
     pub fn completed_hashes(path: impl AsRef<Path>) -> io::Result<BTreeSet<String>> {
         let file = match File::open(path.as_ref()) {
             Ok(f) => f,
@@ -446,6 +449,7 @@ impl JournalCursor {
     /// journal; unparsable and unknown-kind lines are skipped, exactly
     /// as [`Journal::read_events`] skips them. On an error (unreadable
     /// file, invalid UTF-8) the cursor does not move.
+    #[expect(clippy::disallowed_methods, reason = "chaos: journal-torn")]
     pub fn read_new(&mut self, path: impl AsRef<Path>) -> io::Result<JournalTail> {
         let mut tail = JournalTail::default();
         let mut next = JournalCursor::default();
@@ -500,6 +504,10 @@ impl JournalCursor {
 }
 
 #[cfg(test)]
+#[expect(
+    clippy::disallowed_methods,
+    reason = "unguarded: test fixtures: temp journals, cut and rewritten to plant torn tails"
+)]
 mod tests {
     use super::*;
     use rsls_chaos::ChaosPlan;

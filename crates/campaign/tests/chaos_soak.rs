@@ -10,6 +10,11 @@
 //! asserts the faults *actually fired* (per-site counters), so a green
 //! run proves resilience rather than quiet luck.
 
+#![expect(
+    clippy::disallowed_methods,
+    reason = "unguarded: scratch stores, and the byte comparison of what each run stored"
+)]
+
 use std::collections::BTreeMap;
 use std::fs;
 use std::path::{Path, PathBuf};

@@ -17,6 +17,7 @@
 // A cache hit must be bitwise the miss that would have built it, so this
 // module is held to the library crates' no-panic rule.
 #![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#![forbid(clippy::disallowed_methods, clippy::disallowed_types)]
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};

@@ -1,5 +1,6 @@
 #![deny(unsafe_code)]
 #![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#![forbid(clippy::disallowed_methods, clippy::disallowed_types)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 //! `rsls-lab`: a results warehouse over the campaign object store.
@@ -23,7 +24,7 @@
 //!   unparsable object increments [`ingest_rejected_total`] instead of
 //!   failing the load.
 //! * **SQL subset** ([`sql`], [`exec`]) — its own lexer and
-//!   recursive-descent parser (in the spirit of `rsls-lint`'s):
+//!   recursive-descent parser:
 //!   `SELECT` projection, `WHERE` with comparisons/`AND`/`OR`/`NOT`/
 //!   `IS NULL`, `GROUP BY` with `count`/`min`/`max`/`avg`/`sum`,
 //!   `ORDER BY`, `LIMIT`. Execution is deterministic end to end, so a

@@ -21,10 +21,10 @@
 //! operand    := ident | number | 'string' | true | false | null
 //! ```
 //!
-//! The parser is hand-rolled in the spirit of `rsls-lint`'s: a flat
-//! token list, a cursor, and errors that carry the byte offset of the
-//! offending token so `rsls-run --query` can exit nonzero with a
-//! pointed message instead of a stack trace.
+//! The parser is hand-rolled: a flat token list, a cursor, and errors
+//! that carry the byte offset of the offending token so
+//! `rsls-run --query` can exit nonzero with a pointed message instead of
+//! a stack trace.
 
 use crate::table::Datum;
 

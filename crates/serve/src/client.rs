@@ -95,6 +95,10 @@ impl Conn {
     /// [`ChaosSite::ClientReset`], the freshly-opened connection is
     /// torn down immediately so callers exercise their reconnect path
     /// on schedule.
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "chaos: client-reset, client-garble, client-delay"
+    )]
     pub fn connect(addr: impl ToSocketAddrs, chaos: Option<&ChaosInjector>) -> io::Result<Conn> {
         let stream = TcpStream::connect(addr)?;
         stream.set_nodelay(true)?;
@@ -249,6 +253,10 @@ pub fn get_with_retry(
 /// [`get_with_retry`] with a chaos injector on the connection: resets,
 /// garbled status lines, and delays fire client-side and must be
 /// absorbed by the retry loop.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "the retry loop stops at the policy's wall-clock deadline"
+)]
 pub fn get_with_retry_chaotic(
     addr: impl ToSocketAddrs + Copy,
     path: &str,
@@ -371,6 +379,10 @@ mod tests {
         }
     }
 
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the test serves from its own thread"
+    )]
     fn with_server(f: impl FnOnce(std::net::SocketAddr)) {
         let server = Server::bind(
             "127.0.0.1:0",
@@ -456,6 +468,10 @@ mod tests {
     }
 
     #[test]
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the test measures the retry loop against its wall-clock deadline"
+    )]
     fn deadline_stops_retrying_early() {
         let policy = RetryPolicy {
             attempts: 100,

@@ -7,10 +7,11 @@
 //! runs, processes, and worker interleavings, because its sha256 is the
 //! `ETag` clients revalidate against. This file is held to the same
 //! wall-clock/threading rules as the numeric crates (the rest of the
-//! crate is I/O edge and may read clocks for latency metrics), and
-//! `rsls-lint` checks that nothing it calls reaches a clock.
+//! crate is I/O edge and may read clocks for latency metrics): it
+//! `forbid`s them, and it names nothing of its own crate, so everything
+//! it calls lives in a root crate that forbids them too.
 
-#![deny(clippy::disallowed_methods)]
+#![forbid(clippy::disallowed_methods, clippy::disallowed_types)]
 
 use rsls_experiments::{Scale, Table};
 

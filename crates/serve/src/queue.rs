@@ -154,6 +154,10 @@ impl WorkQueue {
     /// `capacity` pending jobs (executing jobs do not count against the
     /// bound). Counters feed the metric slice of campaign shard `shard`
     /// (the service runs one queue per shard).
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the queue's fixed pool of named worker threads; jobs carry their own result latch, so completion order cannot reach a response"
+    )]
     pub fn new(workers: usize, capacity: usize, metrics: Arc<Metrics>, shard: usize) -> WorkQueue {
         let inner = Arc::new(Inner {
             state: Mutex::new(QueueState::default()),

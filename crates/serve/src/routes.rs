@@ -121,6 +121,10 @@ impl AnswerMemo {
 }
 
 /// Turns a completed job result into its response.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "times the warehouse query for rsls_lab_query_seconds"
+)]
 pub(crate) fn finish_job(
     shared: &Shared,
     kind: &JobKind,
@@ -487,6 +491,10 @@ mod tests {
 
     /// A bound (never run) one-shard server over its own store under
     /// `dir`, and a second cache handle on that store.
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "unguarded: removes the test store left by an earlier run"
+    )]
     fn server_over(dir: &std::path::Path, workers: usize) -> (Server, ResultCache) {
         let _ = std::fs::remove_dir_all(dir);
         let opts = ServeOptions {
@@ -514,6 +522,10 @@ mod tests {
     /// one store generation must neither grow the memo past its cap nor
     /// get a wrong answer on either side of a clear.
     #[test]
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "unguarded: temp store cleanup, and a job start stamp for finish_job"
+    )]
     fn ten_thousand_distinct_queries_on_one_generation_stay_bounded_and_right() {
         let dir = std::env::temp_dir().join(format!("rsls-serve-memo-{}", std::process::id()));
         let (server, writer) = server_over(&dir, 2);
@@ -574,6 +586,10 @@ mod tests {
     /// request routed after the store grew starts a job of its own
     /// instead of sharing the latch of one queued before the growth.
     #[test]
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "unguarded: temp store cleanup, and a job start stamp for finish_job"
+    )]
     fn coalescing_never_crosses_a_generation() {
         let dir = std::env::temp_dir().join(format!("rsls-serve-coalesce-{}", std::process::id()));
         let (server, writer) = server_over(&dir, 1);

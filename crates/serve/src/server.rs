@@ -218,12 +218,16 @@ impl Server {
     /// Binds `addr`, builds the engine set and the per-shard worker
     /// pools. The server does not accept
     /// connections until [`Server::run`].
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "unguarded: listener setup; bind failure aborts startup, chaos targets per-request paths"
+    )]
     pub fn bind(
         addr: impl ToSocketAddrs,
         opts: ServeOptions,
         source: Arc<dyn ExperimentSource>,
     ) -> std::io::Result<Server> {
-        let listener = TcpListener::bind(addr)?; // rsls-lint: allow(unguarded-io) -- listener setup; bind failure aborts startup, chaos targets per-request paths
+        let listener = TcpListener::bind(addr)?;
         let shards = match &opts.shard_base {
             Some(base) => ShardSet::build(base, opts.shards.max(1))?,
             None => ShardSet::global(),
@@ -273,6 +277,10 @@ impl Server {
     /// work queues finish every already-submitted job, buffered
     /// responses flush, and the campaign journals (append-on-write)
     /// are already durable.
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the drain deadline after shutdown is wall-clock"
+    )]
     pub fn run(self) -> std::io::Result<()> {
         self.listener.set_nonblocking(true)?;
         let shared = &self.shared;
@@ -463,6 +471,10 @@ struct Conn {
 }
 
 impl Conn {
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "stamps a new connection's activity for the idle timeout"
+    )]
     fn new(stream: TcpStream, peer: String) -> Conn {
         Conn {
             stream,
@@ -498,6 +510,10 @@ enum Accepted {
 /// the `server-accept` chaos site: a firing fault tears the connection
 /// down immediately after accept — exactly the "accepted then dropped"
 /// failure a client's retry path must absorb.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "chaos: server-accept, server-read, server-write (the read and write faults fire in fill_read_buf and flush_write_buf, on the socket accepted here)"
+)]
 fn accept_ready(shared: &Shared, listener: &TcpListener) -> Accepted {
     match TcpListener::accept(listener) {
         Ok((stream, peer)) => {
@@ -586,6 +602,10 @@ enum WriteOutcome {
 /// site: a firing fault writes roughly half the remaining response and
 /// tears the connection down — the torn-response failure clients must
 /// detect via `Content-Length` framing.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "stamps write progress for the idle timeout"
+)]
 fn flush_write_buf(shared: &Shared, conn: &mut Conn) -> WriteOutcome {
     if conn.write_done() {
         return WriteOutcome::Flushed;
@@ -619,6 +639,10 @@ fn flush_write_buf(shared: &Shared, conn: &mut Conn) -> WriteOutcome {
 /// One full service pass over a connection: read, parse + dispatch,
 /// drain completed responses, write. Returns `false` when the
 /// connection should be dropped from the loop.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "stamps read progress and enforces the idle timeout"
+)]
 fn service_conn(shared: &Shared, conn: &mut Conn) -> bool {
     if !conn.stop_reading {
         match fill_read_buf(shared, conn) {
@@ -698,6 +722,10 @@ fn parse_available(shared: &Shared, conn: &mut Conn) {
 /// Dispatches one parsed request: route (panic-isolated), then queue
 /// the response — serialized immediately for inline routes, as a
 /// pending job otherwise.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "times the request for rsls_serve_request_duration_seconds"
+)]
 fn dispatch(shared: &Shared, conn: &mut Conn, req: Request) {
     let started = Instant::now();
     let head_only = req.method == "HEAD";
@@ -750,6 +778,10 @@ fn dispatch(shared: &Shared, conn: &mut Conn, req: Request) {
 /// request order. A response that closes the connection clears the
 /// remainder of the queue (standard pipelining semantics: the client
 /// re-issues what it never got an answer to).
+#[expect(
+    clippy::disallowed_methods,
+    reason = "times the request for rsls_serve_request_duration_seconds"
+)]
 fn drain_pending(shared: &Shared, conn: &mut Conn) {
     loop {
         let ready = match conn.pending.front() {

@@ -14,6 +14,10 @@ use rsls_serve::client::{get_with_retry, RetryPolicy};
 use rsls_serve::metrics::{ArtifactCounters, LabCounters, Metrics};
 
 #[test]
+#[expect(
+    clippy::disallowed_methods,
+    reason = "unguarded: writes the actual bytes beside the golden on drift"
+)]
 fn populated_two_shard_exposition_matches_the_golden_file() {
     let m = Metrics::with_shards(2);
     m.observe_request("healthz", 200, Duration::from_micros(400));

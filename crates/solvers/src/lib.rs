@@ -1,5 +1,6 @@
 #![deny(unsafe_code)]
 #![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#![forbid(clippy::disallowed_methods, clippy::disallowed_types)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 //! Instrumented iterative solvers.

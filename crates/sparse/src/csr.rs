@@ -355,19 +355,6 @@ impl CsrMatrix {
         }
     }
 
-    /// Restricted product over a row range: `y = A[rows, :] x`.
-    pub fn spmv_rows(&self, rows: std::ops::Range<usize>, x: &[f64], y: &mut [f64]) {
-        assert_eq!(x.len(), self.ncols);
-        assert_eq!(y.len(), rows.len());
-        for (out, r) in y.iter_mut().zip(rows) {
-            let mut acc = 0.0;
-            for k in self.row_ptr[r]..self.row_ptr[r + 1] {
-                acc += self.values[k] * x[self.col_idx[k]];
-            }
-            *out = acc;
-        }
-    }
-
     /// Explicit transpose.
     pub fn transpose(&self) -> CsrMatrix {
         let mut counts = vec![0usize; self.ncols + 1];
@@ -739,17 +726,6 @@ mod tests {
         let mut y = vec![0.0; 4];
         i.spmv(&x, &mut y);
         assert_eq!(x, y);
-    }
-
-    #[test]
-    fn spmv_rows_matches_full_spmv() {
-        let a = sample();
-        let x = vec![1.0, 2.0, 3.0];
-        let mut full = vec![0.0; 3];
-        a.spmv(&x, &mut full);
-        let mut part = vec![0.0; 2];
-        a.spmv_rows(1..3, &x, &mut part);
-        assert_eq!(part, full[1..3]);
     }
 
     #[test]
