@@ -148,37 +148,34 @@ impl ResultCache {
     /// iteration order or job count, and (one `read_dir`, no file
     /// opened) the main part of `rsls-serve`'s store-generation probe.
     pub fn unit_spec_hashes(&self) -> Vec<String> {
-        Self::hashes_in(&self.dir.join("units"), "ref")
+        Self::hashes_in(&self.dir.join("units"), ".ref")
     }
 
     /// Sorted content hashes of every object in `objects/`.
     pub fn object_hashes(&self) -> Vec<String> {
-        Self::hashes_in(&self.dir.join("objects"), "json")
+        Self::hashes_in(&self.dir.join("objects"), ".json")
     }
 
-    /// Sorted sha256 stems of `<dir>/*.<ext>` entries; missing or
-    /// unreadable directories are simply empty.
+    /// Sorted sha256 stems of `<dir>/<sha256><suffix>` entries; missing
+    /// or unreadable directories are simply empty. Each kept name is
+    /// the entry's own file-name buffer, truncated to its stem.
     #[expect(
         clippy::disallowed_methods,
         reason = "unguarded: name enumeration only (warehouse ingest order, rsls-serve's generation probe, stats); an unreadable directory is an empty listing, and per-object read faults are injected in read_object"
     )]
-    fn hashes_in(dir: &Path, ext: &str) -> Vec<String> {
+    fn hashes_in(dir: &Path, suffix: &str) -> Vec<String> {
         let Ok(entries) = fs::read_dir(dir) else {
             return Vec::new();
         };
         let mut hashes: Vec<String> = entries
             .filter_map(|e| e.ok())
             .filter_map(|e| {
-                let path = e.path();
-                if path.extension().and_then(|x| x.to_str()) != Some(ext) {
-                    return None;
-                }
-                let stem = path.file_stem()?.to_str()?;
-                if is_sha256_hex(stem) {
-                    Some(stem.to_string())
-                } else {
-                    None
-                }
+                let mut name = e.file_name().into_string().ok()?;
+                let stem = name.strip_suffix(suffix)?.len();
+                is_sha256_hex(&name[..stem]).then(|| {
+                    name.truncate(stem);
+                    name
+                })
             })
             .collect();
         hashes.sort_unstable();

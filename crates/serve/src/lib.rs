@@ -37,13 +37,16 @@
 //! engine set keeps one incrementally ingested `rsls_lab::Snapshot`
 //! ([`ShardSet::warehouse`]) and a cheap *generation probe*
 //! ([`ShardSet::probe`]: pointer names, journal lengths, awaited
-//! sidecars — no object is opened). A `/query` or `/compare` whose
-//! answer was already computed at the probed generation is served from
-//! a bounded memo inline on the event loop, `304`s included; a miss
-//! goes to the queue keyed by `(generation, request)`, refreshes the
-//! snapshot with whatever the stores gained, and runs on the new views.
-//! A reply therefore reflects every unit whose pointer was on disk when
-//! the request was routed.
+//! sidecars — no object is opened). In steady state the probe is
+//! `stat`s only: it lists `units/` again only when the directory's
+//! stamp is new or has been in sight for less than a quiet period. A
+//! `/query` or `/compare` whose answer was already computed at the
+//! probed generation is served from a bounded memo inline on the event
+//! loop, `304`s included, before its SQL is parsed; a miss goes to the
+//! queue keyed by `(generation, request)`, refreshes the snapshot with
+//! whatever the stores gained, and runs on the new views. A reply
+//! therefore reflects every unit whose pointer was on disk when the
+//! request was routed.
 //!
 //! Responses carry self-certifying `ETag`s: every body is addressed by
 //! its own sha256 ([`compute::etag_for`]), `/reports/{sha}` doubly so —

@@ -118,6 +118,8 @@ pub struct Metrics {
     /// generation.
     query_hits: AtomicU64,
     query_misses: AtomicU64,
+    /// `units/` listings the store-generation probe ran.
+    probe_listings: AtomicU64,
     /// On-disk report-object cache (`/reports/{sha256}`).
     report_hits: AtomicU64,
     report_misses: AtomicU64,
@@ -187,6 +189,11 @@ impl Metrics {
         request_panicked => panics,
         connection_opened => connections_total,
         keepalive_reuse => keepalive_reuses,
+    }
+
+    /// Counts `n` `units/` listings the store-generation probe ran.
+    pub fn probe_listed(&self, n: u64) {
+        self.probe_listings.fetch_add(n, Ordering::Relaxed);
     }
 
     /// Counts one harness-invoking job against `shard` (and the
@@ -306,6 +313,12 @@ impl Metrics {
             "counter",
             "Warehouse requests that needed a snapshot refresh and an execution.",
             self.query_misses.load(Ordering::Relaxed),
+        );
+        scalar(
+            "rsls_serve_probe_listings_total",
+            "counter",
+            "Listings of units/ the store-generation probe ran; the other probes reused a trusted listing.",
+            self.probe_listings.load(Ordering::Relaxed),
         );
         scalar(
             "rsls_serve_report_cache_hits_total",

@@ -10,9 +10,13 @@
 //! finished experiment body for good (an `(experiment, scale)` never
 //! changes), and the [`AnswerMemo`] holds `/query` and `/compare`
 //! answers for as long as the shard stores stay at the generation they
-//! were computed for ([`crate::shard::ShardSet::probe`]).
+//! were computed for ([`crate::shard::ShardSet::probe`], on the
+//! request's start instant). A memo hit costs the probe — in steady
+//! state a few `stat`s — and one map lookup; the SQL is parsed only on
+//! a miss.
 
 use std::collections::BTreeMap;
+use std::ops::ControlFlow;
 use std::sync::{Arc, PoisonError};
 use std::time::Instant;
 
@@ -165,7 +169,8 @@ pub(crate) fn finish_job(
 }
 
 /// Routes one request, returning an inline response or a queued job.
-pub(crate) fn route(shared: &Shared, req: &Request) -> Routed {
+/// `now` is the request's start, the clock the generation probe runs on.
+pub(crate) fn route(shared: &Shared, req: &Request, now: Instant) -> Routed {
     let path = req.path.trim_end_matches('/');
     match path {
         "" | "/index.html" => Routed::Done("root", root_response()),
@@ -175,8 +180,8 @@ pub(crate) fn route(shared: &Shared, req: &Request) -> Routed {
         ),
         "/metrics" => Routed::Done("metrics", metrics_response(shared)),
         "/experiments" => Routed::Done("experiments", listing_response(shared)),
-        "/query" => query_route(shared, req),
-        "/compare" => compare_route(shared, req),
+        "/query" => query_route(shared, req, now),
+        "/compare" => compare_route(shared, req, now),
         _ => {
             if let Some(id) = path.strip_prefix("/experiments/") {
                 experiment_route(shared, req, id)
@@ -329,35 +334,53 @@ fn report_response(shared: &Shared, req: &Request, hash: &str) -> Response {
     }
 }
 
-/// Answers a warehouse request: from the memo when `key` was already
-/// answered at the generation the stores are at right now — a `200` or a
-/// `304`, inline, without touching the warehouse — and otherwise through
-/// `key`'s shard queue, where a worker refreshes the snapshot and runs
-/// `answer` on its views. The job coalesces on `(generation, key)`, never
-/// on `key` alone: a request must not be handed an answer computed for
-/// an older generation than the one it was routed at.
-fn warehouse_route(
+/// The memoized answer to `key`, when one was computed at the
+/// generation the stores are at as of `now`: a `200` or a `304`, inline,
+/// without touching the warehouse. Otherwise the probed generation
+/// (`None` when caching is disabled), for [`warehouse_job`].
+fn memo_lookup(
     shared: &Shared,
     req: &Request,
+    now: Instant,
     label: &'static str,
+    key: &str,
+) -> ControlFlow<Routed, Option<u64>> {
+    let Some(probed) = shared.shards.probe(now) else {
+        return ControlFlow::Continue(None);
+    };
+    shared.metrics.probe_listed(probed.listings);
+    let memoized = shared
+        .answers
+        .lock()
+        .unwrap_or_else(PoisonError::into_inner)
+        .get(probed.generation, key);
+    match memoized {
+        Some(out) => {
+            shared.metrics.query_cache_hit();
+            ControlFlow::Break(Routed::Done(label, conditional(req, &out)))
+        }
+        None => ControlFlow::Continue(Some(probed.generation)),
+    }
+}
+
+/// Sends a warehouse request the memo could not answer through `key`'s
+/// shard queue, where a worker refreshes the snapshot and runs `answer`
+/// on its views. The job coalesces on `(generation, key)`, never on
+/// `key` alone: a request must not be handed an answer computed for an
+/// older generation than the one it was routed at.
+fn warehouse_job(
+    shared: &Shared,
+    label: &'static str,
+    generation: Option<u64>,
     key: String,
     answer: impl FnOnce(&Warehouse) -> Result<Vec<u8>, String> + Send + 'static,
 ) -> Routed {
-    let Some(generation) = shared.shards.probe() else {
+    let Some(generation) = generation else {
         return Routed::Done(
             label,
             Response::text(404, "result caching is disabled on this server\n"),
         );
     };
-    let memoized = shared
-        .answers
-        .lock()
-        .unwrap_or_else(PoisonError::into_inner)
-        .get(generation, &key);
-    if let Some(out) = memoized {
-        shared.metrics.query_cache_hit();
-        return Routed::Done(label, conditional(req, &out));
-    }
     shared.metrics.query_cache_miss();
 
     let shards = Arc::clone(&shared.shards);
@@ -380,25 +403,31 @@ fn warehouse_route(
     }
 }
 
-fn query_route(shared: &Shared, req: &Request) -> Routed {
+fn query_route(shared: &Shared, req: &Request, now: Instant) -> Routed {
     let Some(sql) = req.query_param("sql").map(str::to_string) else {
         return Routed::Done(
             "query",
             Response::text(400, "missing query parameter: sql\n"),
         );
     };
-    // Parse before anything else: a malformed query fails fast with its
-    // byte offset instead of occupying a worker.
+    let key = format!("query:{sql}");
+    let generation = match memo_lookup(shared, req, now, "query", &key) {
+        ControlFlow::Continue(generation) => generation,
+        ControlFlow::Break(hit) => return hit,
+    };
+    // Parse on a miss only (the memo holds nothing but `Ok` answers), and
+    // before a worker is involved: a malformed query fails fast with its
+    // byte offset.
     if let Err(e) = rsls_lab::parse(&sql) {
         return Routed::Done("query", Response::text(400, format!("{e}\n")));
     }
-    warehouse_route(shared, req, "query", format!("query:{sql}"), move |w| {
+    warehouse_job(shared, "query", generation, key, move |w| {
         let result = w.query(&sql).map_err(|e| format!("sql: {e}"))?;
         Ok(result.to_canonical_json().into_bytes())
     })
 }
 
-fn compare_route(shared: &Shared, req: &Request) -> Routed {
+fn compare_route(shared: &Shared, req: &Request, now: Instant) -> Routed {
     let (Some(a), Some(b)) = (
         req.query_param("a").map(str::to_string),
         req.query_param("b").map(str::to_string),
@@ -408,14 +437,18 @@ fn compare_route(shared: &Shared, req: &Request) -> Routed {
             Response::text(400, "missing query parameters: a and b (WHERE filters)\n"),
         );
     };
+    let key = format!("compare:{a}\u{1}{b}");
+    let generation = match memo_lookup(shared, req, now, "compare", &key) {
+        ControlFlow::Continue(generation) => generation,
+        ControlFlow::Break(hit) => return hit,
+    };
     let (expr_a, expr_b) = match (rsls_lab::parse_filter(&a), rsls_lab::parse_filter(&b)) {
         (Ok(ea), Ok(eb)) => (ea, eb),
         (Err(e), _) | (_, Err(e)) => {
             return Routed::Done("compare", Response::text(400, format!("{e}\n")))
         }
     };
-    let key = format!("compare:{a}\u{1}{b}");
-    warehouse_route(shared, req, "compare", key, move |w| {
+    warehouse_job(shared, "compare", generation, key, move |w| {
         let report = rsls_lab::compare_filtered(w, &expr_a, &a, &expr_b, &b)
             .map_err(|e| format!("sql: {e}"))?;
         Ok(rsls_lab::canonical_json(&report).into_bytes())
@@ -474,6 +507,12 @@ mod tests {
         memo.insert(2, "huge", &output(&"h".repeat(ANSWER_MEMO_BYTES + 1)));
         assert!(memo.get(2, "huge").is_none());
         assert_eq!(memo.entries.len(), 1);
+    }
+
+    /// Routes `req` as the event loop does, on a request that starts now.
+    #[expect(clippy::disallowed_methods, reason = "the request's start instant")]
+    fn route(shared: &Shared, req: &Request) -> Routed {
+        super::route(shared, req, Instant::now())
     }
 
     fn query_request(sql: &str, if_none_match: Option<&str>) -> Request {
@@ -575,6 +614,71 @@ mod tests {
             route(shared, &query_request(&sql_of(0), None)),
             Routed::Queued { .. }
         ));
+
+        for queue in &shared.queues {
+            queue.shutdown();
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    fn compare_request(a: &str, b: &str) -> Request {
+        Request {
+            method: "GET".to_string(),
+            path: "/compare".to_string(),
+            query: vec![
+                ("a".to_string(), a.to_string()),
+                ("b".to_string(), b.to_string()),
+            ],
+            headers: BTreeMap::new(),
+            version_11: true,
+        }
+    }
+
+    /// The memo is looked up before the SQL is parsed, and it holds only
+    /// `Ok` answers: on a generation with memoized answers, malformed
+    /// SQL still gets its `400` with the byte offset, and the memoized
+    /// answers stay hits with the same bytes.
+    #[test]
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "unguarded: temp store cleanup, and a job start stamp for finish_job"
+    )]
+    fn malformed_sql_on_a_memoized_generation_is_still_a_400() {
+        let dir = std::env::temp_dir().join(format!("rsls-serve-parse-{}", std::process::id()));
+        let (server, writer) = server_over(&dir, 1);
+        let shared = server.shared();
+        store_unit(&writer, 10);
+        let answer = |req: &Request| {
+            let Routed::Queued { job, kind, .. } = route(shared, req) else {
+                panic!("never asked before: it cannot be answered inline");
+            };
+            let resp = finish_job(shared, &kind, req, Instant::now(), job.wait());
+            assert_eq!(resp.status, 200);
+            resp.body
+        };
+        let inline = |req: &Request| match route(shared, req) {
+            Routed::Done(_, resp) => (resp.status, resp.body),
+            Routed::Queued { .. } => panic!("answered inline"),
+        };
+        let error = |msg: String| (400, format!("{msg}\n").into_bytes());
+
+        let query = query_request("SELECT count(*) FROM runs", None);
+        let compare = compare_request("converged = true", "iterations > 5");
+        let (query_body, compare_body) = (answer(&query), answer(&compare));
+
+        let bad_sql = "SELECT count(*) FROM";
+        let parse_error = rsls_lab::parse(bad_sql).unwrap_err().to_string();
+        assert_eq!(inline(&query_request(bad_sql, None)), error(parse_error));
+        let bad_filter = "iterations >";
+        let filter_error = rsls_lab::parse_filter(bad_filter).unwrap_err().to_string();
+        assert_eq!(
+            inline(&compare_request("converged = true", bad_filter)),
+            error(filter_error)
+        );
+
+        assert_eq!(inline(&query), (200, query_body));
+        assert_eq!(inline(&compare), (200, compare_body));
+        assert_eq!(shared.answers.lock().unwrap().entries.len(), 2);
 
         for queue in &shared.queues {
             queue.shutdown();

@@ -733,13 +733,15 @@ fn dispatch(shared: &Shared, conn: &mut Conn, req: Request) {
     let routed = if req.method == "GET" || head_only {
         // Panic isolation per request: a routing bug turns into one
         // 500, not a dead event loop.
-        panic::catch_unwind(AssertUnwindSafe(|| route(shared, &req))).unwrap_or_else(|_| {
-            shared.metrics.request_panicked();
-            Routed::Done(
-                "panic",
-                Response::text(500, "internal error: request handler panicked\n"),
-            )
-        })
+        panic::catch_unwind(AssertUnwindSafe(|| route(shared, &req, started))).unwrap_or_else(
+            |_| {
+                shared.metrics.request_panicked();
+                Routed::Done(
+                    "panic",
+                    Response::text(500, "internal error: request handler panicked\n"),
+                )
+            },
+        )
     } else {
         Routed::Done(
             "other",

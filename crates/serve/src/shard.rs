@@ -21,10 +21,19 @@
 //! a number that moves exactly when the pointer names, a journal's
 //! length, or an awaited provenance sidecar did — so an answer computed
 //! for one generation can be handed out again until the next.
+//!
+//! In steady state the probe is `stat`s only. It lists `units/` again
+//! only when the directory's stamp (device, inode, mtime, ctime) is new,
+//! or has been in sight for less than [`QUIET`]: a listing that starts
+//! that long after the stamp was first seen holds every entry the stamp
+//! can cover, and any later entry change moves the stamp
+//! ([`list_or_reuse`]). The clock is the caller's; nothing here reads
+//! one.
 
 use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+use std::time::{Duration, Instant};
 
 use rsls_campaign::{shard_dir, CampaignSummary, Engine, EngineOptions, ShardRouter};
 use rsls_experiments::campaign;
@@ -43,10 +52,90 @@ pub enum ReportLookup {
     Found(Vec<u8>),
 }
 
-/// What one look at a shard's store shows without opening an object.
-#[derive(Debug, Default, PartialEq, Eq)]
+/// How long a `units/` stamp must have been in sight before a listing
+/// taken under it is trusted to be complete. A change that could share
+/// the stamp falls in the same timestamp tick, which ends within the
+/// filesystem's timestamp granularity (1 s on ext4 without nanosecond
+/// stamps) plus the kernel's coarse-clock lag; 2 s bounds both.
+const QUIET: Duration = Duration::from_secs(2);
+
+/// A directory's identity and change times, from one `stat`. Adding,
+/// removing or renaming an entry moves `mtime` and `ctime`; replacing
+/// the directory moves `dev` or `ino`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Stamp {
+    dev: u64,
+    ino: u64,
+    mtime: (i64, i64),
+    ctime: (i64, i64),
+}
+
+impl Stamp {
+    #[cfg(unix)]
+    fn of(meta: &std::fs::Metadata) -> Option<Stamp> {
+        use std::os::unix::fs::MetadataExt;
+        Some(Stamp {
+            dev: meta.dev(),
+            ino: meta.ino(),
+            mtime: (meta.mtime(), meta.mtime_nsec()),
+            ctime: (meta.ctime(), meta.ctime_nsec()),
+        })
+    }
+
+    /// No change times to trust: every probe lists.
+    #[cfg(not(unix))]
+    fn of(_: &std::fs::Metadata) -> Option<Stamp> {
+        None
+    }
+}
+
+/// What the probe knows of one `units/` stamp.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct StampRecord {
+    stamp: Stamp,
+    /// When a probe first saw `stamp`.
+    first_seen: Instant,
+    /// Whether the latest listing under `stamp` started at least
+    /// [`QUIET`] after `first_seen`.
+    trusted: bool,
+}
+
+/// The list-or-reuse decision for one `units/`, given what the probe
+/// knew (`prev`), the stamp it sees now (`None`: the directory cannot
+/// be `stat`ed) and the caller's clock: the record to keep, and whether
+/// to list. The previous listing is reused only when the stamp is
+/// unchanged and that listing was trusted; a new or missing stamp
+/// resets the record.
+fn list_or_reuse(
+    prev: Option<StampRecord>,
+    current: Option<Stamp>,
+    now: Instant,
+) -> (Option<StampRecord>, bool) {
+    let Some(stamp) = current else {
+        return (None, true);
+    };
+    let first_seen = match prev {
+        Some(rec) if rec.stamp == stamp && rec.trusted => return (prev, false),
+        Some(rec) if rec.stamp == stamp => rec.first_seen,
+        _ => now,
+    };
+    let trusted = now.saturating_duration_since(first_seen) >= QUIET;
+    let record = StampRecord {
+        stamp,
+        first_seen,
+        trusted,
+    };
+    (Some(record), true)
+}
+
+/// What the probe last saw of one shard store.
+#[derive(Debug)]
 struct StoreProbe {
-    /// Sorted `units/*.ref` names, from one `read_dir`.
+    units: PathBuf,
+    journal: Option<PathBuf>,
+    /// `units/`'s stamp as of the listing `pointers` came from.
+    stamp: Option<StampRecord>,
+    /// Sorted `units/*.ref` names.
     pointers: Vec<String>,
     /// The journal's byte length (0 without a journal).
     journal_len: u64,
@@ -57,6 +146,7 @@ struct StoreProbe {
 #[derive(Debug, Default)]
 struct Seen {
     generation: u64,
+    /// One per shard with a store, in shard order.
     stores: Vec<StoreProbe>,
     /// How many of `awaited_sidecars` were still absent.
     sidecars_absent: usize,
@@ -64,6 +154,16 @@ struct Seen {
     /// landed (the engine writes pointer → sidecar → `done`); published
     /// by the workers after every refresh.
     awaited_sidecars: Vec<PathBuf>,
+}
+
+/// What one [`ShardSet::probe`] found.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Probed {
+    /// The generation the shard stores are at.
+    pub generation: u64,
+    /// `units/` listings the probe ran; 0 when every shard reused a
+    /// trusted listing.
+    pub listings: u64,
 }
 
 /// The workers' side: the incremental ingest state and the views of its
@@ -118,10 +218,25 @@ impl ShardSet {
     }
 
     fn over(engines: Vec<Arc<Engine>>) -> ShardSet {
+        let stores = engines
+            .iter()
+            .filter_map(|e| {
+                Some(StoreProbe {
+                    units: e.cache()?.dir().join("units"),
+                    journal: e.options().journal_path.clone(),
+                    stamp: None,
+                    pointers: Vec::new(),
+                    journal_len: 0,
+                })
+            })
+            .collect();
         ShardSet {
             router: ShardRouter::new(engines.len()),
             engines,
-            seen: Mutex::new(Seen::default()),
+            seen: Mutex::new(Seen {
+                stores,
+                ..Seen::default()
+            }),
             live: Mutex::new(None),
         }
     }
@@ -224,47 +339,64 @@ impl ShardSet {
         (!stores.is_empty()).then_some(stores)
     }
 
-    /// The generation the shard stores are at, for the event loop: one
-    /// `read_dir` of `units/` and one journal `stat` per shard, plus a
-    /// `stat` per awaited sidecar — no object is opened. Two calls
-    /// return the same number exactly when they saw the same pointer
-    /// names, journal lengths and awaited sidecars; anything a
+    /// The generation the shard stores are at as of `now`, for the
+    /// event loop: per shard a `stat` of `units/` and of the journal,
+    /// plus a `stat` per awaited sidecar — no object is opened. A shard
+    /// lists `units/` (one `read_dir`) only when [`list_or_reuse`] says
+    /// its last listing cannot be trusted to be complete. Two calls
+    /// return the same generation exactly when they saw the same
+    /// pointer names, journal lengths and awaited sidecars; anything a
     /// [`Snapshot`] would ingest differently moves at least one of
     /// those. `None` when caching is disabled everywhere.
     #[expect(
         clippy::disallowed_methods,
-        reason = "unguarded: length-only stat for the generation probe; a journal that cannot be stat'ed reads as empty, exactly as ingest reads a missing one"
+        reason = "unguarded: stats for the generation probe; a units/ that cannot be stat'ed is listed, and a journal that cannot be stat'ed reads as empty, exactly as ingest reads a missing one"
     )]
-    pub fn probe(&self) -> Option<u64> {
-        let stores: Vec<StoreProbe> = self
-            .engines
-            .iter()
-            .filter_map(|e| {
-                Some(StoreProbe {
-                    pointers: e.cache()?.unit_spec_hashes(),
-                    journal_len: e
-                        .options()
-                        .journal_path
-                        .as_deref()
-                        .map_or(0, |path| std::fs::metadata(path).map_or(0, |m| m.len())),
-                })
-            })
-            .collect();
-        if stores.is_empty() {
+    pub fn probe(&self, now: Instant) -> Option<Probed> {
+        let mut guard = lock(&self.seen);
+        let seen = &mut *guard;
+        if seen.stores.is_empty() {
             return None;
         }
-        let mut seen = lock(&self.seen);
+        let mut moved = false;
+        let mut listings = 0;
+        let caches = self.engines.iter().filter_map(|e| e.cache());
+        for (store, cache) in seen.stores.iter_mut().zip(caches) {
+            let current = std::fs::metadata(&store.units)
+                .ok()
+                .and_then(|m| Stamp::of(&m));
+            let (stamp, list) = list_or_reuse(store.stamp, current, now);
+            store.stamp = stamp;
+            if list {
+                listings += 1;
+                let pointers = cache.unit_spec_hashes();
+                if pointers != store.pointers {
+                    store.pointers = pointers;
+                    moved = true;
+                }
+            }
+            let journal_len = store
+                .journal
+                .as_deref()
+                .map_or(0, |path| std::fs::metadata(path).map_or(0, |m| m.len()));
+            if journal_len != store.journal_len {
+                store.journal_len = journal_len;
+                moved = true;
+            }
+        }
         let sidecars_absent = seen
             .awaited_sidecars
             .iter()
             .filter(|path| !path.exists())
             .count();
-        if stores != seen.stores || sidecars_absent != seen.sidecars_absent {
+        if moved || sidecars_absent != seen.sidecars_absent {
             seen.generation += 1;
-            seen.stores = stores;
             seen.sidecars_absent = sidecars_absent;
         }
-        Some(seen.generation)
+        Some(Probed {
+            generation: seen.generation,
+            listings,
+        })
     }
 
     /// The warehouse views over every shard store as of now, for worker
@@ -381,10 +513,84 @@ mod tests {
     #[test]
     #[expect(
         clippy::disallowed_methods,
-        reason = "unguarded: the test grows the journal and plants sidecars by hand"
+        reason = "a base instant for the synthetic probe clock"
+    )]
+    fn a_listing_is_trusted_only_quiet_after_its_stamp_was_first_seen() {
+        let t0 = Instant::now();
+        let at = |ms: u64| t0 + Duration::from_millis(ms);
+        let stamp = |mtime: i64| Stamp {
+            dev: 1,
+            ino: 2,
+            mtime: (mtime, 0),
+            ctime: (mtime, 0),
+        };
+        let record = |stamp, first_seen, trusted| {
+            Some(StampRecord {
+                stamp,
+                first_seen,
+                trusted,
+            })
+        };
+
+        // First sight, and anything short of QUIET after it: list, and
+        // do not trust the listing.
+        let (rec, list) = list_or_reuse(None, Some(stamp(10)), t0);
+        assert_eq!((rec, list), (record(stamp(10), t0, false), true));
+        let (rec, list) = list_or_reuse(rec, Some(stamp(10)), at(1_999));
+        assert_eq!((rec, list), (record(stamp(10), t0, false), true));
+        // The listing that starts QUIET after the first sight is trusted,
+        // and from then on the same stamp reuses it.
+        let (rec, list) = list_or_reuse(rec, Some(stamp(10)), at(2_000));
+        assert_eq!((rec, list), (record(stamp(10), t0, true), true));
+        for ms in [2_001, 60_000] {
+            assert_eq!(list_or_reuse(rec, Some(stamp(10)), at(ms)), (rec, false));
+        }
+
+        // Any changed field resets the record and lists, trusted or not.
+        for changed in [
+            stamp(11),
+            Stamp {
+                ino: 3,
+                ..stamp(10)
+            },
+            Stamp {
+                dev: 4,
+                ..stamp(10)
+            },
+            Stamp {
+                ctime: (10, 1),
+                ..stamp(10)
+            },
+        ] {
+            assert_eq!(
+                list_or_reuse(rec, Some(changed), at(70_000)),
+                (record(changed, at(70_000), false), true)
+            );
+        }
+        // A missing `units/` lists and forgets: when the same stamp comes
+        // back, it is a first sight again.
+        let (gone, list) = list_or_reuse(rec, None, at(70_000));
+        assert_eq!((gone, list), (None, true));
+        assert_eq!(
+            list_or_reuse(gone, Some(stamp(10)), at(80_000)),
+            (record(stamp(10), at(80_000), false), true)
+        );
+        // A clock behind the first sight never counts as quiet.
+        let (rec, _) = list_or_reuse(None, Some(stamp(10)), at(5_000));
+        assert_eq!(
+            list_or_reuse(rec, Some(stamp(10)), at(1_000)),
+            (record(stamp(10), at(5_000), false), true)
+        );
+    }
+
+    #[test]
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "unguarded: the test grows the journal and plants sidecars and stray entries by hand; a base instant for the injected probe clock"
     )]
     fn probe_moves_exactly_when_pointers_journal_or_an_awaited_sidecar_do() {
         use rsls_campaign::{Provenance, ResultCache};
+        use std::cell::Cell;
         use std::io::Write;
 
         let dir = std::env::temp_dir().join(format!("rsls-shardset-probe-{}", std::process::id()));
@@ -397,17 +603,45 @@ mod tests {
         };
         let set = ShardSet::build(&base, 2).unwrap();
         let writer = ResultCache::open(dir.join("cache").join("shard-1")).unwrap();
+        let clock = Cell::new(Instant::now());
+        let listed = Cell::new(0);
+        let probe = || {
+            let p = set.probe(clock.get()).expect("stores exist");
+            listed.set(p.listings);
+            p.generation
+        };
         let steady = |what: &str| {
-            let g = set.probe().expect("stores exist");
-            assert_eq!(
-                set.probe(),
-                Some(g),
-                "{what}: nothing moved between two probes"
-            );
+            let g = probe();
+            assert_eq!(probe(), g, "{what}: nothing moved between two probes");
             g
         };
+        let sidecar = |spec: &str, report_hash: String| {
+            writer
+                .store_provenance(&Provenance {
+                    spec_hash: spec.to_string(),
+                    report_hash,
+                    experiment: "probe".into(),
+                    unit: "u".into(),
+                    matrix: "m".into(),
+                    scale: "quick".into(),
+                    engine_version: 1,
+                    matrix_fingerprint: None,
+                    chaos_plan_hash: None,
+                })
+                .unwrap();
+        };
+        let grow_journal = || {
+            std::fs::OpenOptions::new()
+                .append(true)
+                .open(dir.join("shard-0.campaign.journal"))
+                .and_then(|mut f| f.write_all(b"\n"))
+                .unwrap();
+        };
 
+        // The clock stands still first: no stamp has been in sight for
+        // QUIET, so every probe lists both shards.
         let empty = steady("empty stores");
+        assert_eq!(listed.get(), 2);
         assert_eq!(set.warehouse().unwrap().ingested, 0);
         assert_eq!(steady("after a refresh that found nothing"), empty);
 
@@ -423,19 +657,7 @@ mod tests {
         assert_eq!(steady("row ingested, sidecar awaited"), with_pointer);
 
         // The awaited sidecar lands: nothing else on disk changed.
-        writer
-            .store_provenance(&Provenance {
-                spec_hash: spec.clone(),
-                report_hash,
-                experiment: "probe".into(),
-                unit: "u".into(),
-                matrix: "m".into(),
-                scale: "quick".into(),
-                engine_version: 1,
-                matrix_fingerprint: None,
-                chaos_plan_hash: None,
-            })
-            .unwrap();
+        sidecar(&spec, report_hash);
         let with_sidecar = steady("sidecar landed");
         assert_ne!(with_sidecar, with_pointer);
         let w = set.warehouse().unwrap();
@@ -443,17 +665,62 @@ mod tests {
         assert_eq!(steady("sidecar ingested"), with_sidecar);
 
         // A journal grows by one byte.
-        std::fs::OpenOptions::new()
-            .append(true)
-            .open(dir.join("shard-0.campaign.journal"))
-            .and_then(|mut f| f.write_all(b"\n"))
-            .unwrap();
-        assert_ne!(steady("journal grew"), with_sidecar);
+        grow_journal();
+        let grown = steady("journal grew");
+        assert_ne!(grown, with_sidecar);
+        assert_eq!(listed.get(), 2);
+
+        // The same steps on the trusted path. Each time, the test sleeps
+        // past a 1-s timestamp tick for real before the injected clock
+        // jumps past QUIET, so no write it makes later can share a stamp
+        // with the listing it trusts.
+        let settle = || {
+            std::thread::sleep(Duration::from_millis(1_100));
+            clock.set(clock.get() + QUIET);
+        };
+        settle();
+        assert_eq!(steady("trusted listings"), grown);
+        assert_eq!(listed.get(), 0, "a trusted listing is reused");
+
+        // A pointer: only the shard whose `units/` moved lists again.
+        let spec = "6".repeat(64);
+        let report_hash = writer.store(&spec, &test_report(20)).unwrap();
+        let with_pointer = probe();
+        assert_eq!(listed.get(), 1);
+        assert_ne!(with_pointer, grown);
+        assert_eq!(set.warehouse().unwrap().ingested, 2);
+        settle();
+        assert_eq!(steady("row ingested, sidecar awaited"), with_pointer);
+        assert_eq!(listed.get(), 0);
+
+        // The sidecar, then a journal byte: the generation moves, and no
+        // listing runs.
+        sidecar(&spec, report_hash);
+        let with_sidecar = steady("sidecar landed");
+        assert_ne!(with_sidecar, with_pointer);
+        let w = set.warehouse().unwrap();
+        assert_eq!(w.runs.rows[1][0], rsls_lab::Datum::Str("probe".into()));
+        assert_eq!(steady("sidecar ingested"), with_sidecar);
+        assert_eq!(listed.get(), 0);
+        grow_journal();
+        let grown = steady("journal grew");
+        assert_ne!(grown, with_sidecar);
+        assert_eq!(listed.get(), 0);
+
+        // An entry that is no pointer moves the stamp, which lists, but
+        // not the generation; a removed pointer moves both.
+        let units = dir.join("cache").join("shard-1").join("units");
+        std::fs::write(units.join("stray.tmp"), b"").unwrap();
+        assert_eq!(probe(), grown);
+        assert_eq!(listed.get(), 1);
+        std::fs::remove_file(units.join(format!("{spec}.ref"))).unwrap();
+        assert_ne!(probe(), grown);
+        assert_eq!(listed.get(), 1);
 
         // Nothing to probe without a store.
         let uncached = ShardSet::build(&EngineOptions::default(), 1).unwrap();
         assert!(uncached.warehouse_stores().is_none());
-        assert_eq!(uncached.probe(), None);
+        assert_eq!(uncached.probe(clock.get()), None);
         assert!(uncached.warehouse().is_err());
         let _ = std::fs::remove_dir_all(&dir);
     }

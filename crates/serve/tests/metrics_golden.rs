@@ -38,6 +38,8 @@ fn populated_two_shard_exposition_matches_the_golden_file() {
         m.query_cache_hit();
     }
     m.query_cache_miss();
+    m.probe_listed(2);
+    m.probe_listed(1);
     for _ in 0..5 {
         m.report_cache_hit();
     }
