@@ -4,6 +4,7 @@
 //! <dir>/objects/<sha256-of-report-json>.json   the report bytes
 //! <dir>/units/<spec-content-hash>.ref          64-hex pointer to an object
 //! <dir>/quarantine/<sha256>.json               objects that failed verification
+//! <dir>/recipes/<sha256-of-recipe>.json        fingerprint memo of a generated operator
 //! ```
 //!
 //! Reports live in an **object store** keyed by the SHA-256 of their own
@@ -23,6 +24,15 @@
 //! followed by a rename, with bounded retries on write failure, so a
 //! killed or fault-injected campaign can leave at most a stray `*.tmp`,
 //! never a half-written addressable entry.
+//!
+//! The **recipe memo** spares a warm process from building operators
+//! only to hash them: a recipe is the text that determines a generated
+//! operator (`rsls-experiments` spells a suite row's generator
+//! parameters, scale and generator version), and its entry records the
+//! [`crate::matrix_fingerprint`] that operator hashes to. An entry is
+//! self-verifying — it repeats its recipe and carries a sha256 over
+//! recipe and fingerprint — so a torn, truncated or tampered entry reads
+//! as [`RecipeLookup::Corrupt`], never as a wrong fingerprint.
 //!
 //! Fault injection (`rsls-chaos`) hooks the read and write edges here:
 //! an injector passed via [`ResultCache::open_chaotic`] can tear writes,
@@ -64,6 +74,53 @@ pub enum Lookup {
         /// The report object hash the pointer named.
         report_hash: String,
     },
+}
+
+/// Outcome of a recipe-memo read ([`ResultCache::load_recipe`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum RecipeLookup {
+    /// A verified entry: the fingerprint of the operator the recipe builds.
+    Hit(u64),
+    /// No entry.
+    Miss,
+    /// An entry that failed verification; the caller hashes the operator
+    /// itself and may rewrite the entry.
+    Corrupt,
+}
+
+/// One `recipes/` entry, as stored.
+#[derive(serde::Serialize, serde::Deserialize)]
+struct RecipeEntry {
+    recipe: String,
+    /// 16 lowercase hex digits.
+    fingerprint: String,
+    /// sha256 of `"{recipe}\n{fingerprint}"`.
+    check: String,
+}
+
+impl RecipeEntry {
+    fn new(recipe: &str, fingerprint: u64) -> Self {
+        let fingerprint = format!("{fingerprint:016x}");
+        RecipeEntry {
+            check: recipe_check(recipe, &fingerprint),
+            recipe: recipe.to_string(),
+            fingerprint,
+        }
+    }
+
+    /// The fingerprint, if the entry is intact and records `recipe`.
+    fn verified(&self, recipe: &str) -> Option<u64> {
+        let intact = self.recipe == recipe
+            && self.fingerprint.len() == 16
+            && self.check == recipe_check(recipe, &self.fingerprint);
+        intact
+            .then(|| u64::from_str_radix(&self.fingerprint, 16).ok())
+            .flatten()
+    }
+}
+
+fn recipe_check(recipe: &str, fingerprint: &str) -> String {
+    rsls_core::sha256_hex(format!("{recipe}\n{fingerprint}").as_bytes())
 }
 
 /// How one object read ended, before JSON parsing.
@@ -140,6 +197,15 @@ impl ResultCache {
         self.dir
             .join("provenance")
             .join(format!("{spec_hash}.json"))
+    }
+
+    /// Path of the recipe-memo entry for `recipe`.
+    pub fn recipe_path(&self, recipe: &str) -> PathBuf {
+        self.recipe_path_of(&rsls_core::sha256_hex(recipe.as_bytes()))
+    }
+
+    fn recipe_path_of(&self, recipe_hash: &str) -> PathBuf {
+        self.dir.join("recipes").join(format!("{recipe_hash}.json"))
     }
 
     /// Sorted content hashes of every unit pointer in `units/` — the
@@ -367,6 +433,41 @@ impl ResultCache {
     pub fn load_provenance(&self, spec_hash: &str) -> Option<Provenance> {
         let bytes = fs::read(self.provenance_path(spec_hash)).ok()?;
         serde_json::from_slice(&bytes).ok()
+    }
+
+    /// The fingerprint the recipe memo holds for `recipe` (see the
+    /// module docs). Anything but an intact entry for exactly this
+    /// recipe is [`RecipeLookup::Corrupt`].
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "unguarded: advisory memo read; any failure is a miss or corrupt, and the caller hashes the operator instead"
+    )]
+    pub fn load_recipe(&self, recipe: &str) -> RecipeLookup {
+        match fs::read(self.recipe_path(recipe)) {
+            Ok(bytes) => serde_json::from_slice::<RecipeEntry>(&bytes)
+                .ok()
+                .and_then(|entry| entry.verified(recipe))
+                .map_or(RecipeLookup::Corrupt, RecipeLookup::Hit),
+            Err(e) if e.kind() == io::ErrorKind::NotFound => RecipeLookup::Miss,
+            Err(_) => RecipeLookup::Corrupt,
+        }
+    }
+
+    /// Records that `recipe` builds an operator fingerprinting to
+    /// `fingerprint` (atomic temp + rename, canonical JSON).
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "unguarded: mkdir before the registered torn-write site (write_atomic) takes over"
+    )]
+    pub fn store_recipe(&self, recipe: &str, fingerprint: u64) -> io::Result<()> {
+        let json = serde_json::Writer::compact().render(&RecipeEntry::new(recipe, fingerprint));
+        let recipe_hash = rsls_core::sha256_hex(recipe.as_bytes());
+        fs::create_dir_all(self.dir.join("recipes"))?;
+        self.write_atomic(
+            &self.recipe_path_of(&recipe_hash),
+            json.as_bytes(),
+            &recipe_hash,
+        )
     }
 
     /// Atomic write with bounded retries: a torn or failing write (real
@@ -625,6 +726,45 @@ mod tests {
             .unwrap();
         let second = fs::read(cache.provenance_path(&spec_hash)).unwrap();
         assert_eq!(first, second);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn recipe_entries_verify_themselves() {
+        let dir = tmp_dir("recipes");
+        let cache = ResultCache::open(&dir).unwrap();
+        let recipe = "suite v1 Kuu quick rows=7102";
+        assert_eq!(cache.load_recipe(recipe), RecipeLookup::Miss);
+        cache.store_recipe(recipe, 0x0123_4567_89ab_cdef).unwrap();
+        assert_eq!(
+            cache.load_recipe(recipe),
+            RecipeLookup::Hit(0x0123_4567_89ab_cdef)
+        );
+        let path = cache.recipe_path(recipe);
+        let good = fs::read(&path).unwrap();
+        assert!(path.starts_with(dir.join("recipes")));
+        // Re-storing writes identical bytes.
+        cache.store_recipe(recipe, 0x0123_4567_89ab_cdef).unwrap();
+        assert_eq!(fs::read(&path).unwrap(), good);
+
+        let text = String::from_utf8(good.clone()).unwrap();
+        let tampered = [
+            // Torn and truncated.
+            text[..text.len() / 2].to_string(),
+            String::new(),
+            // Still valid JSON, but the fingerprint no longer matches
+            // its check.
+            text.replace("0123456789abcdef", "0123456789abcdee"),
+            // An intact entry of another recipe under this name.
+            text.replace(recipe, "suite v1 Kuu full rows=7102"),
+            "not json".to_string(),
+        ];
+        for bad in tampered {
+            fs::write(&path, &bad).unwrap();
+            assert_eq!(cache.load_recipe(recipe), RecipeLookup::Corrupt, "{bad}");
+        }
+        // Another recipe has its own entry.
+        assert_eq!(cache.load_recipe("suite v2 Kuu quick"), RecipeLookup::Miss);
         let _ = fs::remove_dir_all(&dir);
     }
 

@@ -92,7 +92,7 @@ pub mod provenance;
 pub mod shard;
 pub mod spec;
 
-pub use cache::{is_sha256_hex, Lookup, ResultCache};
+pub use cache::{is_sha256_hex, Lookup, RecipeLookup, ResultCache};
 pub use engine::{CampaignSummary, Engine, EngineOptions, UnitOutcome, UnitStatus};
 pub use journal::{Journal, JournalCursor, JournalEvent, JournalTail};
 pub use provenance::Provenance;

@@ -11,17 +11,19 @@
 //! experiment-side context a [`UnitSpec`] needs: which experiment is
 //! currently running ([`set_experiment`]) and at which scale, plus the
 //! matrix fingerprinting that makes cache addresses collision-safe
-//! across reused tags.
+//! across reused tags. Units run on a [`Workload`] handle, so a batch
+//! whose units all hit never generates its operator.
 
 use std::cell::RefCell;
 use std::io;
 use std::sync::{Arc, OnceLock};
 
-use rsls_campaign::{matrix_fingerprint, Engine, EngineOptions, UnitSpec, ENGINE_VERSION};
+use rsls_campaign::{Engine, EngineOptions, UnitSpec, ENGINE_VERSION};
 use rsls_core::driver::run;
 use rsls_core::{RunConfig, RunReport};
 use rsls_sparse::CsrMatrix;
 
+use crate::artifacts::Workload;
 use crate::Scale;
 
 static ENGINE: OnceLock<Arc<Engine>> = OnceLock::new();
@@ -108,46 +110,51 @@ pub fn current_experiment() -> String {
     EXPERIMENT.with(|e| e.borrow().clone().unwrap_or_else(|| "adhoc".to_string()))
 }
 
-/// Builds the canonical spec for one `run(a, b, cfg)` invocation.
+/// Builds the canonical spec for one `run(a, b, cfg)` invocation on a
+/// caller-held pair (see [`unit_spec_for`]).
+pub fn unit_spec(a: &CsrMatrix, b: &[f64], matrix: &str, scale: Scale, cfg: RunConfig) -> UnitSpec {
+    unit_spec_for(&Workload::borrowed(a, b), matrix, scale, cfg)
+}
+
+/// Builds the canonical spec for one run of `cfg` on `workload`.
 ///
 /// `matrix` should name the system (`workload` names, or an experiment
 /// tag for synthesized ones); the fingerprint of `(A, b)` is folded in
-/// regardless, so reused names cannot alias distinct data.
-pub fn unit_spec(a: &CsrMatrix, b: &[f64], matrix: &str, scale: Scale, cfg: RunConfig) -> UnitSpec {
-    let unit = format!("{matrix}/{}", cfg.scheme.run_label(cfg.dvfs));
-    // Interned suite workloads hit the memoized fingerprint; foreign
-    // (synthesized) systems are hashed directly.
-    let fingerprint = crate::artifacts::fingerprint_of(a, b).unwrap_or_else(|| {
-        matrix_fingerprint(
-            a.nrows(),
-            a.ncols(),
-            a.row_ptr(),
-            a.col_idx(),
-            a.values(),
-            b,
-        )
-    });
+/// regardless, so reused names cannot alias distinct data. A suite
+/// workload's fingerprint comes from the in-process memo or the active
+/// engine's store when either has it.
+pub fn unit_spec_for(
+    workload: &Workload<'_>,
+    matrix: &str,
+    scale: Scale,
+    cfg: RunConfig,
+) -> UnitSpec {
     UnitSpec {
         experiment: current_experiment(),
-        unit,
+        unit: format!("{matrix}/{}", cfg.scheme.run_label(cfg.dvfs)),
         matrix: matrix.to_string(),
-        matrix_fingerprint: fingerprint,
+        matrix_fingerprint: workload.fingerprint(active_engine().cache()),
         scale: scale.label().to_string(),
         engine_version: ENGINE_VERSION,
         config: cfg,
     }
 }
 
-/// Executes one batch of units against `(a, b)` on this thread's active
-/// engine, returning reports in submission order.
+/// Executes one batch of units on `workload` on this thread's active
+/// engine, returning reports in submission order. The system is built
+/// only if a unit misses.
 ///
 /// A failed (panicking) unit is journaled and isolated by the engine;
 /// here — where an experiment needs every report to build its table —
 /// the failure is re-raised after the whole batch has finished, so
 /// sibling units still complete and cache.
-pub fn execute_units(a: &CsrMatrix, b: &[f64], specs: &[UnitSpec]) -> Vec<RunReport> {
-    active_engine()
-        .run_units(specs, |spec| run(a, b, &spec.config))
+pub fn execute_units(workload: &Workload<'_>, specs: &[UnitSpec]) -> Vec<RunReport> {
+    let engine = active_engine();
+    engine
+        .run_units(specs, |spec| {
+            let (a, b) = workload.system_for_miss(engine.cache());
+            run(a, b, &spec.config)
+        })
         .into_iter()
         .map(|o| match o.report {
             Some(report) => report,
@@ -161,8 +168,8 @@ pub fn execute_units(a: &CsrMatrix, b: &[f64], specs: &[UnitSpec]) -> Vec<RunRep
 }
 
 /// Executes a single unit (see [`execute_units`]).
-pub fn execute_unit(a: &CsrMatrix, b: &[f64], spec: UnitSpec) -> RunReport {
-    execute_units(a, b, std::slice::from_ref(&spec))
+pub fn execute_unit(workload: &Workload<'_>, spec: UnitSpec) -> RunReport {
+    execute_units(workload, std::slice::from_ref(&spec))
         .pop()
         .expect("one spec yields one report")
 }

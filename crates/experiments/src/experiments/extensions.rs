@@ -11,11 +11,12 @@ use rsls_core::interval::CheckpointInterval;
 use rsls_core::{CompressionModel, Scheme};
 use rsls_faults::{FaultClass, FaultSchedule};
 
-use crate::campaign::{execute_units, unit_spec};
+use crate::artifacts::suite;
+use crate::campaign::{execute_units, unit_spec_for};
 use crate::output::{f2, Table};
 use crate::runners::{
     cr_interval_for, evenly_spaced_faults, execute_runs, lineup, poisson_faults_for, run_cached,
-    run_fault_free, run_lineup, workload, SchemeRun,
+    run_fault_free, run_lineup, SchemeRun,
 };
 use crate::Scale;
 
@@ -41,7 +42,7 @@ pub fn run(scale: Scale) -> Vec<Table> {
 
 /// SZ-style lossy checkpoint compression on the disk tier.
 fn checkpoint_compression(scale: Scale, ranks: usize) -> Table {
-    let (a, b) = workload("crystm02", scale);
+    let w = suite("crystm02", scale);
     // A congested shared PFS (50 MB/s aggregate): the regime where
     // checkpoint *bandwidth* dominates and compression pays off.
     let machine = rsls_cluster::MachineConfig {
@@ -51,11 +52,11 @@ fn checkpoint_compression(scale: Scale, ranks: usize) -> Table {
     let ff = {
         let mut cfg = RunConfig::new(Scheme::FaultFree, ranks);
         cfg.machine = machine.clone();
-        run_cached(&a, &b, "ext-comp", scale, cfg)
+        run_cached(&w, "ext-comp", scale, cfg)
     };
     let interval = CheckpointInterval::EveryIterations(cr_interval_for(scale, ff.iterations));
     let faults = evenly_spaced_faults(10, ff.iterations, ranks, "ext-comp");
-    let template = SchemeRun::fault_free(&a, &b, ranks).faults(faults);
+    let template = SchemeRun::fault_free(&w, ranks).faults(faults);
 
     let mut t = Table::new(
         "Extension — lossy checkpoint compression (crystm02, CR-D on a congested PFS)",
@@ -82,10 +83,10 @@ fn checkpoint_compression(scale: Scale, ranks: usize) -> Table {
             cfg.machine = machine.clone();
             cfg.checkpoint_compression = *comp;
             cfg.run_tag = format!("ext-comp-{}", name.replace([' ', '@', '/'], ""));
-            specs.push(unit_spec(&a, &b, "ext-comp", scale, cfg));
+            specs.push(unit_spec_for(&w, "ext-comp", scale, cfg));
         }
     }
-    for ((name, _), r) in compressors.iter().zip(execute_units(&a, &b, &specs)) {
+    for ((name, _), r) in compressors.iter().zip(execute_units(&w, &specs)) {
         let n = r.normalized_vs(&ff);
         t.push_row(vec![
             name.to_string(),
@@ -99,10 +100,10 @@ fn checkpoint_compression(scale: Scale, ranks: usize) -> Table {
 
 /// TMR and CR-ML against the paper's schemes under node faults.
 fn redundancy_and_multilevel(scale: Scale, ranks: usize) -> Table {
-    let (a, b) = workload("crystm02", scale);
-    let ff = run_fault_free(&a, &b, ranks, scale);
+    let w = suite("crystm02", scale);
+    let ff = run_fault_free(&w, ranks, scale);
     let interval = CheckpointInterval::EveryIterations(cr_interval_for(scale, ff.iterations));
-    let template = SchemeRun::fault_free(&a, &b, ranks)
+    let template = SchemeRun::fault_free(&w, ranks)
         .faults(evenly_spaced_faults(10, ff.iterations, ranks, "ext-rm"))
         .tag("ext-rm");
 
@@ -132,10 +133,10 @@ fn redundancy_and_multilevel(scale: Scale, ranks: usize) -> Table {
 
 /// Checkpoint-interval policies: fixed vs Young vs Daly vs energy-optimal.
 fn interval_policies(scale: Scale, ranks: usize) -> Table {
-    let (a, b) = workload("Kuu", scale);
-    let ff = run_fault_free(&a, &b, ranks, scale);
+    let w = suite("Kuu", scale);
+    let ff = run_fault_free(&w, ranks, scale);
     let (faults, mtbf_s) = poisson_faults_for(&ff, 4.0, ranks, "ext-int");
-    let template = SchemeRun::fault_free(&a, &b, ranks)
+    let template = SchemeRun::fault_free(&w, ranks)
         .faults(faults)
         .mtbf_s(mtbf_s);
 
@@ -173,13 +174,11 @@ fn interval_policies(scale: Scale, ranks: usize) -> Table {
 
 /// System-wide outages: which schemes retain progress.
 fn swo_survival(scale: Scale, ranks: usize) -> Table {
-    let (a, b) = workload("Kuu", scale);
-    let ff = run_fault_free(&a, &b, ranks, scale);
+    let w = suite("Kuu", scale);
+    let ff = run_fault_free(&w, ranks, scale);
     let interval = CheckpointInterval::EveryIterations(cr_interval_for(scale, ff.iterations));
     let swo = FaultSchedule::single_at_iteration(ff.iterations / 2, 0, FaultClass::Swo);
-    let template = SchemeRun::fault_free(&a, &b, ranks)
-        .faults(swo)
-        .tag("ext-swo");
+    let template = SchemeRun::fault_free(&w, ranks).faults(swo).tag("ext-swo");
 
     let mut t = Table::new(
         "Extension — system-wide outage at mid-solve (Kuu)",
@@ -202,15 +201,15 @@ mod tests {
         // Energy-optimal checkpoints at least as often as Young (ρ ≤ 1),
         // and all policies converge.
         let ranks = 16;
-        let (a, b) = workload("wathen100", Scale::Quick);
-        let ff = run_fault_free(&a, &b, ranks, Scale::Quick);
+        let w = suite("wathen100", Scale::Quick);
+        let ff = run_fault_free(&w, ranks, Scale::Quick);
         let (faults, mtbf) = poisson_faults_for(&ff, 3.0, ranks, "ext-test");
         let interval_of = |interval| {
             let scheme = Scheme::Checkpoint {
                 storage: CheckpointStorage::Memory,
                 interval,
             };
-            let r = SchemeRun::new(&a, &b, ranks, scheme)
+            let r = SchemeRun::on(&w, ranks, scheme)
                 .faults(faults.clone())
                 .tag("ext-test")
                 .mtbf_s(mtbf)

@@ -2,8 +2,9 @@
 
 use rsls_core::interval::CheckpointInterval;
 
+use crate::artifacts::suite;
 use crate::output::{f2, sci, Table};
-use crate::runners::{lineup, poisson_faults_for, run_fault_free, run_lineup, workload, SchemeRun};
+use crate::runners::{lineup, poisson_faults_for, run_fault_free, run_lineup, SchemeRun};
 use crate::Scale;
 
 /// Figure 3's recovery mechanisms after FF: RD, CR to disk, and the two
@@ -17,8 +18,8 @@ pub const LINEUP: &[&str] = &["RD", "CR-D", "LI-DVFS", "LSI-DVFS"];
 /// (≈ 4 faults per FF execution — see EXPERIMENTS.md).
 pub fn run(scale: Scale) -> Vec<Table> {
     let ranks = scale.default_ranks();
-    let (a, b) = workload("Andrews", scale);
-    let ff = run_fault_free(&a, &b, ranks, scale);
+    let w = suite("Andrews", scale);
+    let ff = run_fault_free(&w, ranks, scale);
     let (faults, mtbf_s) = poisson_faults_for(&ff, 4.0, ranks, "fig3");
 
     let mut t = Table::new(
@@ -31,7 +32,7 @@ pub fn run(scale: Scale) -> Vec<Table> {
             "faults",
         ],
     );
-    let template = SchemeRun::fault_free(&a, &b, ranks)
+    let template = SchemeRun::fault_free(&w, ranks)
         .faults(faults)
         .tag("fig3")
         .mtbf_s(mtbf_s);
@@ -62,21 +63,21 @@ mod tests {
         // (and hence the reconstruction) stays thin, as on the paper's
         // 192-core platform.
         let ranks = 64;
-        let (a, b) = workload("Andrews", Scale::Quick);
-        let ff = run_fault_free(&a, &b, ranks, Scale::Quick);
+        let w = suite("Andrews", Scale::Quick);
+        let ff = run_fault_free(&w, ranks, Scale::Quick);
         let (faults, mtbf) = poisson_faults_for(&ff, 3.0, ranks, "fig3-test");
-        let rd = SchemeRun::new(&a, &b, ranks, Scheme::Dmr)
+        let rd = SchemeRun::on(&w, ranks, Scheme::Dmr)
             .faults(faults.clone())
             .tag("f3t")
             .mtbf_s(mtbf)
             .execute(Scale::Quick);
-        let fw = SchemeRun::new(&a, &b, ranks, Scheme::li_local_cg())
+        let fw = SchemeRun::on(&w, ranks, Scheme::li_local_cg())
             .dvfs(DvfsPolicy::ThrottleWaiters)
             .faults(faults.clone())
             .tag("f3t")
             .mtbf_s(mtbf)
             .execute(Scale::Quick);
-        let cr = SchemeRun::new(&a, &b, ranks, Scheme::cr_disk())
+        let cr = SchemeRun::on(&w, ranks, Scheme::cr_disk())
             .faults(faults)
             .tag("f3t")
             .mtbf_s(mtbf)

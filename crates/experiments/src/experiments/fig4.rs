@@ -2,8 +2,9 @@
 
 use rsls_core::{ConstructionMethod, ForwardKind, Scheme};
 
+use crate::artifacts::suite;
 use crate::output::{f2, sci, Table};
-use crate::runners::{evenly_spaced_faults, execute_runs, run_fault_free, workload, SchemeRun};
+use crate::runners::{evenly_spaced_faults, execute_runs, run_fault_free, SchemeRun};
 use crate::Scale;
 
 /// Construction tolerances swept for the CG-based schemes (the paper's
@@ -15,8 +16,8 @@ const TOLERANCES: [f64; 5] = [1e-2, 1e-4, 1e-6, 1e-8, 1e-10];
 /// exact LU-based LI and QR-based LSI baselines.
 pub fn run(scale: Scale) -> Vec<Table> {
     let ranks = scale.default_ranks();
-    let (a, b) = workload("Kuu", scale);
-    let ff = run_fault_free(&a, &b, ranks, scale);
+    let w = suite("Kuu", scale);
+    let ff = run_fault_free(&w, ranks, scale);
     let faults = evenly_spaced_faults(5, ff.iterations, ranks, "fig4");
 
     let mut t = Table::new(
@@ -45,9 +46,7 @@ pub fn run(scale: Scale) -> Vec<Table> {
             points.push((label, sci(tol), Scheme::Forward(kind(method))));
         }
     }
-    let template = SchemeRun::fault_free(&a, &b, ranks)
-        .faults(faults)
-        .tag("fig4");
+    let template = SchemeRun::fault_free(&w, ranks).faults(faults).tag("fig4");
     let runs: Vec<_> = points
         .iter()
         .map(|&(_, _, scheme)| template.clone().scheme(scheme))
@@ -73,16 +72,15 @@ mod tests {
         // Figure 4's claim: "using CG has a shorter time-to-solution than
         // previous solutions for both LI and LSI" (4–15%).
         let ranks = 8;
-        let (a, b) = workload("Kuu", Scale::Quick);
-        let ff = run_fault_free(&a, &b, ranks, Scale::Quick);
+        let w = suite("Kuu", Scale::Quick);
+        let ff = run_fault_free(&w, ranks, Scale::Quick);
         let faults = evenly_spaced_faults(5, ff.iterations, ranks, "fig4-test");
-        let lu = SchemeRun::new(&a, &b, ranks, Scheme::li_exact())
+        let lu = SchemeRun::on(&w, ranks, Scheme::li_exact())
             .faults(faults.clone())
             .tag("f4t")
             .execute(Scale::Quick);
-        let cg = SchemeRun::new(
-            &a,
-            &b,
+        let cg = SchemeRun::on(
+            &w,
             ranks,
             Scheme::Forward(ForwardKind::Linear(ConstructionMethod::local_cg_fixed(
                 1e-6, 2000,
@@ -104,14 +102,14 @@ mod tests {
     fn qr_baseline_pays_for_communication() {
         // The parallel-QR baseline must carry visible reconstruction cost.
         let ranks = 8;
-        let (a, b) = workload("Kuu", Scale::Quick);
-        let ff = run_fault_free(&a, &b, ranks, Scale::Quick);
+        let w = suite("Kuu", Scale::Quick);
+        let ff = run_fault_free(&w, ranks, Scale::Quick);
         let faults = evenly_spaced_faults(5, ff.iterations, ranks, "fig4-test2");
-        let qr = SchemeRun::new(&a, &b, ranks, Scheme::lsi_exact())
+        let qr = SchemeRun::on(&w, ranks, Scheme::lsi_exact())
             .faults(faults.clone())
             .tag("f4t2")
             .execute(Scale::Quick);
-        let cgls = SchemeRun::new(&a, &b, ranks, Scheme::lsi_local_cg())
+        let cgls = SchemeRun::on(&w, ranks, Scheme::lsi_local_cg())
             .faults(faults)
             .tag("f4t2")
             .execute(Scale::Quick);

@@ -1,7 +1,8 @@
 //! Figure 5 — iterations to convergence for the full suite, 10 faults.
 
+use crate::artifacts::suite;
 use crate::output::{f2, Table};
-use crate::runners::{lineup_labels, run_standard_lineup, workload};
+use crate::runners::{lineup_labels, run_standard_lineup};
 use crate::{Scale, SUITE};
 
 /// Reproduces Figure 5: for every suite matrix, the number of iterations
@@ -20,8 +21,8 @@ pub fn run(scale: Scale) -> Vec<Table> {
         &headers.iter().map(String::as_str).collect::<Vec<_>>(),
     );
     for spec in SUITE {
-        let (a, b) = workload(spec.name, scale);
-        let (ff, reports) = run_standard_lineup(&a, &b, ranks, 10, spec.name, scale);
+        let w = suite(spec.name, scale);
+        let (ff, reports) = run_standard_lineup(&w, ranks, 10, spec.name, scale);
         let mut row = vec![spec.name.to_string()];
         for r in &reports {
             row.push(f2(r.iterations as f64 / ff.iterations.max(1) as f64));
@@ -40,8 +41,8 @@ mod tests {
     fn one_matrix_shows_the_papers_ordering() {
         // Spot-check the Figure 5 shape on one representative matrix:
         // RD == FF <= {LI, LSI} <= CR (rollback) and F0/FI worst.
-        let (a, b) = workload("crystm02", Scale::Quick);
-        let (ff, reports) = run_standard_lineup(&a, &b, 8, 10, "crystm02", Scale::Quick);
+        let w = suite("crystm02", Scale::Quick);
+        let (ff, reports) = run_standard_lineup(&w, 8, 10, "crystm02", Scale::Quick);
         let iters: Vec<usize> = reports.iter().map(|r| r.iterations).collect();
         let (rd, f0, fi, li, lsi, cr) =
             (iters[1], iters[2], iters[3], iters[4], iters[5], iters[6]);

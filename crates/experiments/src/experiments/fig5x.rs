@@ -15,9 +15,10 @@ use rsls_core::interval::CheckpointInterval;
 use rsls_core::RunReport;
 use rsls_faults::{FaultClass, FaultSchedule};
 
+use crate::artifacts::suite;
 use crate::output::{f2, f3, Table};
 use crate::runners::{
-    cr_interval_for, execute_runs, lineup, run_fault_free, run_lineup, workload, SchemeRun,
+    cr_interval_for, execute_runs, lineup, run_fault_free, run_lineup, SchemeRun,
 };
 use crate::Scale;
 
@@ -81,8 +82,8 @@ pub fn run(scale: Scale) -> Vec<Table> {
     );
 
     for &name in MATRICES {
-        let (a, b) = workload(name, scale);
-        let ff = run_fault_free(&a, &b, ranks, scale);
+        let w = suite(name, scale);
+        let ff = run_fault_free(&w, ranks, scale);
         let interval = cr_interval_for(scale, ff.iterations);
         // One fault strictly between two checkpoints, so the rollback
         // distance is the same for every checkpointed scheme.
@@ -90,7 +91,7 @@ pub fn run(scale: Scale) -> Vec<Table> {
         let fault = FaultSchedule::single_at_iteration(fault_iter.max(1), 3, FaultClass::Snf);
         let every = CheckpointInterval::EveryIterations(interval);
 
-        let template = SchemeRun::fault_free(&a, &b, ranks).tag(name);
+        let template = SchemeRun::fault_free(&w, ranks).tag(name);
         lineup_table.push_row(scheme_row(name, &ff, &ff));
         let single = template.clone().faults(fault);
         for r in run_lineup(&single, &lineup(LINEUP, every), scale) {

@@ -4,11 +4,11 @@ use rsls_core::interval::CheckpointInterval;
 use rsls_core::RunReport;
 use rsls_faults::{FaultClass, FaultSchedule};
 
-use crate::campaign::{execute_units, unit_spec};
+use crate::artifacts::suite;
+use crate::campaign::{execute_units, unit_spec_for};
 use crate::output::{f2, sci, Table};
 use crate::runners::{
-    cr_interval_for, evenly_spaced_faults, lineup, run_fault_free, workload, SchemeRun,
-    STANDARD_LINEUP,
+    cr_interval_for, evenly_spaced_faults, lineup, run_fault_free, SchemeRun, STANDARD_LINEUP,
 };
 use crate::Scale;
 
@@ -58,16 +58,16 @@ fn history_lineup(
             let mut cfg = run.config();
             cfg.record_history = true;
             cfg.run_tag = format!("{figure}-{}", e.scheme.label().replace([' ', '(', ')'], ""));
-            unit_spec(run.a, run.b, &run.tag, scale, cfg)
+            unit_spec_for(&run.workload, &run.tag, scale, cfg)
         })
         .collect();
-    execute_units(template.a, template.b, &specs)
+    execute_units(&template.workload, &specs)
 }
 
 fn single_fault_table(scale: Scale, ranks: usize) -> (Table, Table) {
     // A matrix that needs comfortably more than 200 iterations.
-    let (a, b) = workload("cvxbqp1", scale);
-    let ff = run_fault_free(&a, &b, ranks, scale);
+    let w = suite("cvxbqp1", scale);
+    let ff = run_fault_free(&w, ranks, scale);
     // The paper injects at iteration 200; we nudge off any multiple of the
     // checkpoint interval so CR's rollback distance is visible.
     let fault_iter = (ff.iterations / 3).clamp(10, 250);
@@ -77,7 +77,7 @@ fn single_fault_table(scale: Scale, ranks: usize) -> (Table, Table) {
         format!("Figure 6a — single fault at iteration {fault_iter} (cvxbqp1 analog)"),
         &["scheme", "iters", "norm iters", "residual jump after fault"],
     );
-    let template = SchemeRun::fault_free(&a, &b, ranks)
+    let template = SchemeRun::fault_free(&w, ranks)
         .faults(fault)
         .tag("fig6a-cvxbqp1");
     let runs = history_lineup(&template, "fig6a", &ff, scale);
@@ -94,14 +94,14 @@ fn single_fault_table(scale: Scale, ranks: usize) -> (Table, Table) {
 }
 
 fn stencil_table(scale: Scale, ranks: usize) -> Table {
-    let (a, b) = workload("5-point stencil", scale);
-    let ff = run_fault_free(&a, &b, ranks, scale);
+    let w = suite("5-point stencil", scale);
+    let ff = run_fault_free(&w, ranks, scale);
 
     let mut t = Table::new(
         "Figure 6b — 10 faults on the 5-point stencil",
         &["scheme", "iters", "norm iters", "converged"],
     );
-    let template = SchemeRun::fault_free(&a, &b, ranks)
+    let template = SchemeRun::fault_free(&w, ranks)
         .faults(evenly_spaced_faults(10, ff.iterations, ranks, "fig6b"))
         .tag("fig6b-stencil");
     let runs = history_lineup(&template, "fig6b", &ff, scale);
@@ -128,9 +128,9 @@ mod tests {
     fn single_fault_residual_jumps_except_for_rd() {
         // Figure 6a's observation: "the residual increases for all
         // recovery schemes except for RD, which overlaps with the FF case".
-        let (a, b) = workload("wathen100", Scale::Quick);
+        let w = suite("wathen100", Scale::Quick);
         let ranks = 8;
-        let ff = run_fault_free(&a, &b, ranks, Scale::Quick);
+        let ff = run_fault_free(&w, ranks, Scale::Quick);
         let fault_iter = ff.iterations / 2;
 
         let jump_of = |scheme: Scheme| {
@@ -139,7 +139,7 @@ mod tests {
             );
             cfg.record_history = true;
             cfg.run_tag = format!("fig6-test-{}", scheme.label().replace([' ', '(', ')'], ""));
-            run_cached(&a, &b, "fig6-test", Scale::Quick, cfg)
+            run_cached(&w, "fig6-test", Scale::Quick, cfg)
                 .history
                 .worst_fault_jump()
         };

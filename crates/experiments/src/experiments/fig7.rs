@@ -2,10 +2,9 @@
 
 use rsls_core::interval::CheckpointInterval;
 
+use crate::artifacts::suite;
 use crate::output::{f2, f3, Table};
-use crate::runners::{
-    evenly_spaced_faults, lineup, run_fault_free, run_lineup, workload, SchemeRun,
-};
+use crate::runners::{evenly_spaced_faults, lineup, run_fault_free, run_lineup, SchemeRun};
 use crate::{Scale, SUITE};
 
 /// LI and LSI with and without the DVFS optimization; Figure 7a is the
@@ -17,8 +16,8 @@ pub const LINEUP: &[&str] = &["LI", "LI-DVFS", "LSI", "LSI-DVFS"];
 /// the full resampled profile is what the CSV dump carries.
 pub fn run_a(scale: Scale) -> Vec<Table> {
     let ranks = scale.node_ranks();
-    let (a, b) = workload("nd24k", scale);
-    let ff = run_fault_free(&a, &b, ranks, scale);
+    let w = suite("nd24k", scale);
+    let ff = run_fault_free(&w, ranks, scale);
     let faults = evenly_spaced_faults(5, ff.iterations, ranks, "fig7a");
 
     let mut t = Table::new(
@@ -37,9 +36,7 @@ pub fn run_a(scale: Scale) -> Vec<Table> {
         "Figure 7a — power traces (long format)",
         &["scheme", "time (s)", "power (W)"],
     );
-    let template = SchemeRun::fault_free(&a, &b, ranks)
-        .faults(faults)
-        .tag("fig7a");
+    let template = SchemeRun::fault_free(&w, ranks).faults(faults).tag("fig7a");
     let entries = lineup(&LINEUP[..2], CheckpointInterval::Young);
     for r in run_lineup(&template, &entries, scale) {
         // Plateau detection from the recorded profile: the top level is the
@@ -99,12 +96,10 @@ pub fn run_b(scale: Scale) -> Vec<Table> {
     let mut sums = vec![(0.0f64, 0.0f64, 0.0f64, 0.0f64); entries.len()];
     let mut count = 0usize;
     for spec in SUITE {
-        let (a, b) = workload(spec.name, scale);
-        let ff = run_fault_free(&a, &b, ranks, scale);
+        let w = suite(spec.name, scale);
+        let ff = run_fault_free(&w, ranks, scale);
         let faults = evenly_spaced_faults(10, ff.iterations, ranks, spec.name);
-        let template = SchemeRun::fault_free(&a, &b, ranks)
-            .faults(faults)
-            .tag("fig7b");
+        let template = SchemeRun::fault_free(&w, ranks).faults(faults).tag("fig7b");
         for (sum, r) in sums.iter_mut().zip(run_lineup(&template, &entries, scale)) {
             let n = r.normalized_vs(&ff);
             sum.0 += n.time;
@@ -143,11 +138,11 @@ mod tests {
         // relative to the un-throttled construction phase, and the node
         // sits near 0.45x of the compute plateau.
         let ranks = 24;
-        let (a, b) = workload("nd24k", Scale::Quick);
-        let ff = run_fault_free(&a, &b, ranks, Scale::Quick);
+        let w = suite("nd24k", Scale::Quick);
+        let ff = run_fault_free(&w, ranks, Scale::Quick);
         let faults = evenly_spaced_faults(5, ff.iterations, ranks, "fig7a-test");
         let trough_of = |dvfs| {
-            let r = SchemeRun::new(&a, &b, ranks, Scheme::li_local_cg())
+            let r = SchemeRun::on(&w, ranks, Scheme::li_local_cg())
                 .dvfs(dvfs)
                 .faults(faults.clone())
                 .tag("f7t")

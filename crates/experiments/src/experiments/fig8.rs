@@ -2,9 +2,10 @@
 
 use rsls_core::interval::CheckpointInterval;
 
+use crate::artifacts::suite;
 use crate::output::{f2, Table};
 use crate::runners::{
-    lineup, poisson_faults_for, run_fault_free, run_lineup, workload, SchemeRun, TRADEOFF_LINEUP,
+    lineup, poisson_faults_for, run_fault_free, run_lineup, SchemeRun, TRADEOFF_LINEUP,
 };
 use crate::Scale;
 
@@ -20,8 +21,8 @@ pub fn run(scale: Scale) -> Vec<Table> {
     let entries = lineup(TRADEOFF_LINEUP, CheckpointInterval::Young);
     let mut tables = Vec::new();
     for name in MATRICES {
-        let (a, b) = workload(name, scale);
-        let ff = run_fault_free(&a, &b, ranks, scale);
+        let w = suite(name, scale);
+        let ff = run_fault_free(&w, ranks, scale);
         let (faults, mtbf_s) = poisson_faults_for(&ff, 4.0, ranks, name);
 
         let mut t = Table::new(
@@ -35,7 +36,7 @@ pub fn run(scale: Scale) -> Vec<Table> {
             f2(1.0),
             ff.iterations.to_string(),
         ]);
-        let template = SchemeRun::fault_free(&a, &b, ranks)
+        let template = SchemeRun::fault_free(&w, ranks)
             .faults(faults)
             .tag(format!("fig8-{name}"))
             .mtbf_s(mtbf_s);
@@ -71,10 +72,10 @@ mod tests {
         let ranks = 8;
         let mut overheads = Vec::new();
         for name in ["crystm02", "nd24k"] {
-            let (a, b) = workload(name, Scale::Quick);
-            let ff = run_fault_free(&a, &b, ranks, Scale::Quick);
+            let w = suite(name, Scale::Quick);
+            let ff = run_fault_free(&w, ranks, Scale::Quick);
             let faults = evenly_spaced_faults(5, ff.iterations, ranks, "f8t");
-            let fw = SchemeRun::new(&a, &b, ranks, Scheme::li_local_cg())
+            let fw = SchemeRun::on(&w, ranks, Scheme::li_local_cg())
                 .dvfs(DvfsPolicy::ThrottleWaiters)
                 .faults(faults)
                 .tag(format!("f8t-{name}"))

@@ -3,6 +3,7 @@
 use rsls_core::driver::RunConfig;
 use rsls_core::Scheme;
 
+use crate::artifacts::suite;
 use crate::output::{f2, Table};
 use crate::runners::run_cached;
 use crate::{Scale, SUITE};
@@ -25,10 +26,10 @@ pub fn run(scale: Scale) -> Vec<Table> {
         ],
     );
     for spec in SUITE {
-        let a = spec.generate(scale);
-        let b = spec.rhs(&a);
+        let w = suite(spec.name, scale);
         let cfg = RunConfig::new(Scheme::FaultFree, 1);
-        let ff = run_cached(&a, &b, spec.name, scale, cfg);
+        let ff = run_cached(&w, spec.name, scale, cfg);
+        let (a, _) = w.system();
         t.push_row(vec![
             spec.name.to_string(),
             spec.problem_kind.to_string(),

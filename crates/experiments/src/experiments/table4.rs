@@ -1,7 +1,8 @@
 //! Table 4 — normalized iterations vs process count (crystm02).
 
+use crate::artifacts::suite;
 use crate::output::{f2, Table};
-use crate::runners::{lineup_labels, run_standard_lineup, workload};
+use crate::runners::{lineup_labels, run_standard_lineup};
 use crate::Scale;
 
 /// Process counts exercised per scale (the paper uses 4–256; quick runs
@@ -19,7 +20,7 @@ fn process_counts(scale: Scale) -> Vec<usize> {
 /// *data* lost, not on how many processes hold it... up to the caveat that
 /// a larger process count means a *smaller* lost block per fault.
 pub fn run(scale: Scale) -> Vec<Table> {
-    let (a, b) = workload("crystm02", scale);
+    let w = suite("crystm02", scale);
     let mut headers = vec!["#p".to_string()];
     headers.extend(lineup_labels());
     let mut t = Table::new(
@@ -27,7 +28,7 @@ pub fn run(scale: Scale) -> Vec<Table> {
         &headers.iter().map(String::as_str).collect::<Vec<_>>(),
     );
     for p in process_counts(scale) {
-        let (ff, reports) = run_standard_lineup(&a, &b, p, 10, "crystm02-t4", scale);
+        let (ff, reports) = run_standard_lineup(&w, p, 10, "crystm02-t4", scale);
         let mut row = vec![p.to_string()];
         for r in &reports {
             row.push(f2(r.iterations as f64 / ff.iterations.max(1) as f64));
@@ -46,11 +47,11 @@ mod tests {
     #[test]
     fn rd_is_invariant_across_process_counts() {
         // The cheapest slice of the Table 4 claim: RD tracks FF at any p.
-        let (a, b) = workload("wathen100", Scale::Quick);
+        let w = suite("wathen100", Scale::Quick);
         for p in [4usize, 16] {
-            let ff = run_fault_free(&a, &b, p, Scale::Quick);
+            let ff = run_fault_free(&w, p, Scale::Quick);
             let faults = evenly_spaced_faults(5, ff.iterations, p, "t4-rd");
-            let rd = SchemeRun::new(&a, &b, p, Scheme::Dmr)
+            let rd = SchemeRun::on(&w, p, Scheme::Dmr)
                 .faults(faults)
                 .tag("t4-rd")
                 .execute(Scale::Quick);

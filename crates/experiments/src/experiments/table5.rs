@@ -2,9 +2,10 @@
 
 use rsls_core::interval::CheckpointInterval;
 
+use crate::artifacts::suite;
 use crate::output::{f2, Table};
 use crate::runners::{
-    lineup, poisson_faults_for, run_fault_free, run_lineup, workload, SchemeRun, TRADEOFF_LINEUP,
+    lineup, poisson_faults_for, run_fault_free, run_lineup, SchemeRun, TRADEOFF_LINEUP,
 };
 use crate::{Scale, SUITE};
 
@@ -19,10 +20,10 @@ pub fn run(scale: Scale) -> Vec<Table> {
     let mut sums = vec![(0.0f64, 0.0f64, 0.0f64); entries.len()];
     let mut count = 0usize;
     for spec in SUITE {
-        let (a, b) = workload(spec.name, scale);
-        let ff = run_fault_free(&a, &b, ranks, scale);
+        let w = suite(spec.name, scale);
+        let ff = run_fault_free(&w, ranks, scale);
         let (faults, mtbf_s) = poisson_faults_for(&ff, 4.0, ranks, spec.name);
-        let template = SchemeRun::fault_free(&a, &b, ranks)
+        let template = SchemeRun::fault_free(&w, ranks)
             .faults(faults)
             .tag(format!("t5-{}", spec.name))
             .mtbf_s(mtbf_s);
@@ -62,26 +63,26 @@ mod tests {
         // The cheap slice of Table 5's ordering: RD power 2x;
         // CR-D time > CR-M time; LI-DVFS power < 1.
         let ranks = 8;
-        let (a, b) = workload("crystm02", Scale::Quick);
-        let ff = run_fault_free(&a, &b, ranks, Scale::Quick);
+        let w = suite("crystm02", Scale::Quick);
+        let ff = run_fault_free(&w, ranks, Scale::Quick);
         let (faults, mtbf) = poisson_faults_for(&ff, 4.0, ranks, "t5-test");
-        let rd = SchemeRun::new(&a, &b, ranks, Scheme::Dmr)
+        let rd = SchemeRun::on(&w, ranks, Scheme::Dmr)
             .faults(faults.clone())
             .tag("t5t")
             .mtbf_s(mtbf)
             .execute(Scale::Quick);
-        let li = SchemeRun::new(&a, &b, ranks, Scheme::li_local_cg())
+        let li = SchemeRun::on(&w, ranks, Scheme::li_local_cg())
             .dvfs(DvfsPolicy::ThrottleWaiters)
             .faults(faults.clone())
             .tag("t5t")
             .mtbf_s(mtbf)
             .execute(Scale::Quick);
-        let crm = SchemeRun::new(&a, &b, ranks, Scheme::cr_memory())
+        let crm = SchemeRun::on(&w, ranks, Scheme::cr_memory())
             .faults(faults.clone())
             .tag("t5t")
             .mtbf_s(mtbf)
             .execute(Scale::Quick);
-        let crd = SchemeRun::new(&a, &b, ranks, Scheme::cr_disk())
+        let crd = SchemeRun::on(&w, ranks, Scheme::cr_disk())
             .faults(faults)
             .tag("t5t")
             .mtbf_s(mtbf)

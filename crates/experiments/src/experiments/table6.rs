@@ -3,9 +3,10 @@
 use rsls_core::interval::CheckpointInterval;
 use rsls_models::validate;
 
+use crate::artifacts::suite;
 use crate::output::{f2, Table};
 use crate::runners::{
-    lineup, poisson_faults_for, run_fault_free, run_lineup, workload, SchemeRun, TRADEOFF_LINEUP,
+    lineup, poisson_faults_for, run_fault_free, run_lineup, SchemeRun, TRADEOFF_LINEUP,
 };
 use crate::Scale;
 
@@ -14,8 +15,8 @@ use crate::Scale;
 /// values, per scheme.
 pub fn run(scale: Scale) -> Vec<Table> {
     let ranks = scale.default_ranks();
-    let (a, b) = workload("x104", scale);
-    let ff = run_fault_free(&a, &b, ranks, scale);
+    let w = suite("x104", scale);
+    let ff = run_fault_free(&w, ranks, scale);
     let (faults, mtbf_s) = poisson_faults_for(&ff, 4.0, ranks, "table6");
 
     let mut t = Table::new(
@@ -39,7 +40,7 @@ pub fn run(scale: Scale) -> Vec<Table> {
         f2(1.0),
         f2(0.0),
     ]);
-    let template = SchemeRun::fault_free(&a, &b, ranks)
+    let template = SchemeRun::fault_free(&w, ranks)
         .faults(faults)
         .tag("table6")
         .mtbf_s(mtbf_s);
@@ -70,15 +71,15 @@ mod tests {
         // relative order between the schemes". Check that model and
         // experiment order CR-D vs CR-M the same way.
         let ranks = 8;
-        let (a, b) = workload("x104", Scale::Quick);
-        let ff = run_fault_free(&a, &b, ranks, Scale::Quick);
+        let w = suite("x104", Scale::Quick);
+        let ff = run_fault_free(&w, ranks, Scale::Quick);
         let (faults, mtbf) = poisson_faults_for(&ff, 4.0, ranks, "t6-test");
-        let crm = SchemeRun::new(&a, &b, ranks, Scheme::cr_memory())
+        let crm = SchemeRun::on(&w, ranks, Scheme::cr_memory())
             .faults(faults.clone())
             .tag("t6t")
             .mtbf_s(mtbf)
             .execute(Scale::Quick);
-        let crd = SchemeRun::new(&a, &b, ranks, Scheme::cr_disk())
+        let crd = SchemeRun::on(&w, ranks, Scheme::cr_disk())
             .faults(faults)
             .tag("t6t")
             .mtbf_s(mtbf)

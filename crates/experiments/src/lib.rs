@@ -28,4 +28,4 @@ pub mod suite;
 pub use output::Table;
 pub use registry::ExperimentRegistry;
 pub use scale::Scale;
-pub use suite::{MatrixSpec, Structure, SUITE};
+pub use suite::{MatrixSpec, Structure, GENERATOR_VERSION, SUITE};

@@ -8,7 +8,7 @@
 //! batch — cached by content address when the engine has a cache, and
 //! executed in parallel under `--jobs N`.
 
-use std::sync::{Arc, OnceLock};
+use std::sync::OnceLock;
 
 use rsls_campaign::UnitSpec;
 use rsls_core::driver::RunConfig;
@@ -17,7 +17,8 @@ use rsls_core::{DvfsPolicy, RunReport, Scheme};
 use rsls_faults::{FaultClass, FaultSchedule};
 use rsls_sparse::CsrMatrix;
 
-use crate::campaign::{execute_unit, execute_units, unit_spec};
+use crate::artifacts::Workload;
+use crate::campaign::{execute_unit, execute_units, unit_spec_for};
 use crate::Scale;
 
 /// The §5.2 line-up (Fig. 5, Fig. 6, Table 4): FF, RD, F0, FI, LI, LSI
@@ -122,21 +123,19 @@ pub fn cr_interval_for(scale: Scale, ff_iters: usize) -> usize {
 }
 
 /// Runs the fault-free baseline.
-pub fn run_fault_free(a: &CsrMatrix, b: &[f64], ranks: usize, scale: Scale) -> RunReport {
-    SchemeRun::fault_free(a, b, ranks).execute(scale)
+pub fn run_fault_free(workload: &Workload<'_>, ranks: usize, scale: Scale) -> RunReport {
+    SchemeRun::fault_free(workload, ranks).execute(scale)
 }
 
 /// Parameters of one scheme run — the experiment knobs, named.
 ///
-/// Construct with [`SchemeRun::new`] (fault-free, OS-default DVFS, no
+/// Construct with [`SchemeRun::on`] (fault-free, OS-default DVFS, no
 /// MTBF), adjust with the builder methods, and submit through
 /// [`execute_runs`] / [`run_lineup`].
 #[derive(Debug, Clone)]
 pub struct SchemeRun<'a> {
-    /// System matrix.
-    pub a: &'a CsrMatrix,
-    /// Right-hand side.
-    pub b: &'a [f64],
+    /// The system solved.
+    pub workload: Workload<'a>,
     /// Virtual rank count.
     pub ranks: usize,
     /// Recovery scheme under test.
@@ -154,11 +153,15 @@ pub struct SchemeRun<'a> {
 }
 
 impl<'a> SchemeRun<'a> {
-    /// A run with no faults, OS-default DVFS, and no MTBF.
+    /// A run of `scheme` on a caller-held pair (see [`SchemeRun::on`]).
     pub fn new(a: &'a CsrMatrix, b: &'a [f64], ranks: usize, scheme: Scheme) -> Self {
+        SchemeRun::on(&Workload::borrowed(a, b), ranks, scheme)
+    }
+
+    /// A run with no faults, OS-default DVFS, and no MTBF.
+    pub fn on(workload: &Workload<'a>, ranks: usize, scheme: Scheme) -> Self {
         SchemeRun {
-            a,
-            b,
+            workload: workload.clone(),
             ranks,
             scheme,
             dvfs: DvfsPolicy::OsDefault,
@@ -170,8 +173,8 @@ impl<'a> SchemeRun<'a> {
 
     /// The fault-free baseline run — also the template a line-up starts
     /// from ([`run_lineup`] sets each entry's scheme on it).
-    pub fn fault_free(a: &'a CsrMatrix, b: &'a [f64], ranks: usize) -> Self {
-        SchemeRun::new(a, b, ranks, Scheme::FaultFree)
+    pub fn fault_free(workload: &Workload<'a>, ranks: usize) -> Self {
+        SchemeRun::on(workload, ranks, Scheme::FaultFree)
     }
 
     /// Sets the scheme.
@@ -226,13 +229,13 @@ impl<'a> SchemeRun<'a> {
 
     /// The campaign unit this run is at `scale`.
     pub fn spec(&self, scale: Scale) -> UnitSpec {
-        unit_spec(self.a, self.b, &self.tag, scale, self.config())
+        unit_spec_for(&self.workload, &self.tag, scale, self.config())
     }
 
     /// Executes the run through the campaign engine — a one-unit batch,
     /// for tests and examples.
     pub fn execute(&self, scale: Scale) -> RunReport {
-        execute_unit(self.a, self.b, self.spec(scale))
+        execute_unit(&self.workload, self.spec(scale))
     }
 }
 
@@ -242,9 +245,9 @@ pub fn execute_runs(runs: &[SchemeRun<'_>], scale: Scale) -> Vec<RunReport> {
     let Some(first) = runs.first() else {
         return Vec::new();
     };
-    debug_assert!(runs.iter().all(|r| std::ptr::eq(r.a, first.a)));
+    debug_assert!(runs.iter().all(|r| r.workload.same_as(&first.workload)));
     let specs: Vec<UnitSpec> = runs.iter().map(|r| r.spec(scale)).collect();
-    execute_units(first.a, first.b, &specs)
+    execute_units(&first.workload, &specs)
 }
 
 /// Runs `template` once per line-up entry — the entry's scheme and DVFS
@@ -267,8 +270,8 @@ pub fn run_lineup(
 /// Routes an arbitrary [`RunConfig`] through the campaign engine —
 /// for harnesses that need knobs [`SchemeRun`] does not carry
 /// (residual-history recording, frequency pinning, compression).
-pub fn run_cached(a: &CsrMatrix, b: &[f64], tag: &str, scale: Scale, cfg: RunConfig) -> RunReport {
-    execute_unit(a, b, unit_spec(a, b, tag, scale, cfg))
+pub fn run_cached(workload: &Workload<'_>, tag: &str, scale: Scale, cfg: RunConfig) -> RunReport {
+    execute_unit(workload, unit_spec_for(workload, tag, scale, cfg))
 }
 
 /// The §5.2 fault plan: `k` faults spread evenly over the fault-free
@@ -312,16 +315,17 @@ pub fn poisson_faults_for(
 /// fault schedule and checkpoint interval); the remaining schemes are
 /// one batch.
 pub fn run_standard_lineup(
-    a: &CsrMatrix,
-    b: &[f64],
+    workload: &Workload<'_>,
     ranks: usize,
     k_faults: usize,
     name: &str,
     scale: Scale,
 ) -> (RunReport, Vec<RunReport>) {
-    let ff = SchemeRun::fault_free(a, b, ranks).tag(name).execute(scale);
+    let ff = SchemeRun::fault_free(workload, ranks)
+        .tag(name)
+        .execute(scale);
     let interval = CheckpointInterval::EveryIterations(cr_interval_for(scale, ff.iterations));
-    let faulted = SchemeRun::fault_free(a, b, ranks)
+    let faulted = SchemeRun::fault_free(workload, ranks)
         .faults(evenly_spaced_faults(k_faults, ff.iterations, ranks, name))
         .tag(name);
     let mut reports = run_lineup(&faulted, &lineup(STANDARD_LINEUP, interval), scale);
@@ -329,16 +333,10 @@ pub fn run_standard_lineup(
     (ff, reports)
 }
 
-/// Convenience: fetch a suite matrix + rhs at the given scale from the
-/// process-wide workload cache ([`crate::artifacts`]) — every harness
-/// requesting the same `(name, scale)` shares one generated instance.
-pub fn workload(name: &str, scale: Scale) -> (Arc<CsrMatrix>, Arc<Vec<f64>>) {
-    crate::artifacts::workload(name, scale)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::artifacts::suite;
     use crate::experiments::{extensions, fig3, fig5x, fig7};
 
     /// Every line-up constant a harness resolves.
@@ -429,8 +427,8 @@ mod tests {
 
     #[test]
     fn lineup_runs_on_a_small_matrix() {
-        let (a, b) = workload("wathen100", Scale::Quick);
-        let (ff, reports) = run_standard_lineup(&a, &b, 8, 2, "wathen100", Scale::Quick);
+        let w = suite("wathen100", Scale::Quick);
+        let (ff, reports) = run_standard_lineup(&w, 8, 2, "wathen100", Scale::Quick);
         assert!(ff.converged);
         assert_eq!(reports.len(), 7);
         for r in &reports {
@@ -442,8 +440,7 @@ mod tests {
 
     #[test]
     fn poisson_plan_matches_expected_rate() {
-        let (a, b) = workload("wathen100", Scale::Quick);
-        let ff = run_fault_free(&a, &b, 8, Scale::Quick);
+        let ff = run_fault_free(&suite("wathen100", Scale::Quick), 8, Scale::Quick);
         let (sched, mtbf) = poisson_faults_for(&ff, 3.0, 8, "wathen100");
         assert!(mtbf > 0.0);
         // Expected ~3 over FF horizon, ~12 over the 4x horizon; allow slack.

@@ -101,6 +101,30 @@ impl MatrixSpec {
         }
     }
 
+    /// The text that determines the operator [`MatrixSpec::generate`]
+    /// builds at `scale`, and with it [`MatrixSpec::rhs`]: the
+    /// [`GENERATOR_VERSION`], the row's generator parameters and the
+    /// scale. It keys the store's fingerprint memo
+    /// (`rsls_campaign::ResultCache::load_recipe`). `None` while
+    /// `RSLS_MATRIX_DIR` is set: the operator may then come from a file.
+    pub fn recipe(&self, scale: Scale) -> Option<String> {
+        if std::env::var_os("RSLS_MATRIX_DIR").is_some() {
+            return None;
+        }
+        Some(format!(
+            "rsls suite generator v{GENERATOR_VERSION}: {} at {} scale, rows {}, nnz/row {}, \
+             {:?}, dominance {:?}, scaling {:?}, decay {:?}",
+            self.name,
+            scale.label(),
+            self.rows(scale),
+            self.paper_nnz_per_row,
+            self.structure,
+            self.dominance,
+            self.scaling,
+            self.decay,
+        ))
+    }
+
     /// Attempts to load the real SuiteSparse matrix from `RSLS_MATRIX_DIR`.
     fn load_real(&self) -> Option<CsrMatrix> {
         let dir = std::env::var("RSLS_MATRIX_DIR").ok()?;
@@ -137,6 +161,14 @@ fn fxhash(s: &str) -> u64 {
         (h ^ b as u64).wrapping_mul(0x100000001b3)
     })
 }
+
+/// Version of the suite's operators, part of every
+/// [`MatrixSpec::recipe`]. Bump it with any change that moves an
+/// operator's bytes — a generator, a [`SUITE`] row, [`MatrixSpec::rhs`]
+/// — so stores stop vouching for the old operators' fingerprints.
+/// `tests/suite_fingerprints.rs` pins every quick-scale fingerprint and
+/// fails until the bump is made.
+pub const GENERATOR_VERSION: u32 = 1;
 
 /// The evaluation suite, in Table 3 order.
 ///

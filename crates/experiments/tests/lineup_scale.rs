@@ -11,6 +11,7 @@ use std::sync::Arc;
 use rsls_campaign::{Engine, EngineOptions};
 use rsls_core::interval::CheckpointInterval;
 use rsls_core::{RunConfig, Scheme};
+use rsls_experiments::artifacts::Workload;
 use rsls_experiments::campaign;
 use rsls_experiments::runners::{
     evenly_spaced_faults, execute_runs, resolve_lineup, run_cached, run_fault_free, run_lineup,
@@ -71,30 +72,29 @@ fn stencil_12() -> (CsrMatrix, Vec<f64>) {
 #[test]
 fn lineup_provenance_records_the_scale_it_was_called_with() {
     let (a, b) = stencil_12();
+    let w = Workload::borrowed(&a, &b);
     // Both scales: whatever the environment says, one of them disagrees
     // with it.
     for scale in [Scale::Full, Scale::Quick] {
         assert_units_record(scale, "standard-lineup", || {
-            run_standard_lineup(&a, &b, 4, 2, "stencil-12", scale)
-                .1
-                .len()
+            run_standard_lineup(&w, 4, 2, "stencil-12", scale).1.len()
         });
         assert_units_record(scale, "fault-free", || {
-            run_fault_free(&a, &b, 4, scale);
+            run_fault_free(&w, 4, scale);
             1
         });
         assert_units_record(scale, "execute", || {
-            SchemeRun::new(&a, &b, 4, Scheme::Dmr)
+            SchemeRun::on(&w, 4, Scheme::Dmr)
                 .tag("stencil-12")
                 .execute(scale);
             1
         });
         assert_units_record(scale, "run-cached", || {
-            run_cached(&a, &b, "stencil-12", scale, RunConfig::new(Scheme::Tmr, 4));
+            run_cached(&w, "stencil-12", scale, RunConfig::new(Scheme::Tmr, 4));
             1
         });
         assert_units_record(scale, "batch", || {
-            let template = SchemeRun::fault_free(&a, &b, 4)
+            let template = SchemeRun::fault_free(&w, 4)
                 .faults(evenly_spaced_faults(2, 40, 4, "stencil-12"))
                 .tag("stencil-12");
             let entries = resolve_lineup(TRADEOFF_LINEUP, CheckpointInterval::Young, None);

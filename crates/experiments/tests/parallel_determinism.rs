@@ -15,7 +15,8 @@ use rsls_campaign::{Engine, EngineOptions, UnitSpec, ENGINE_VERSION};
 use rsls_core::driver::run;
 use rsls_core::interval::CheckpointInterval;
 use rsls_core::RunConfig;
-use rsls_experiments::runners::{evenly_spaced_faults, resolve_lineup, workload, STANDARD_LINEUP};
+use rsls_experiments::artifacts::workload;
+use rsls_experiments::runners::{evenly_spaced_faults, resolve_lineup, STANDARD_LINEUP};
 use rsls_experiments::{Scale, SUITE};
 use rsls_sparse::csr::{set_par_spmv_threshold, PAR_SPMV_CHUNK_ROWS};
 use rsls_sparse::generators::stencil_2d;

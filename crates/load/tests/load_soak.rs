@@ -23,6 +23,7 @@ use std::sync::{Arc, Once};
 
 use rsls_campaign::EngineOptions;
 use rsls_chaos::{ChaosInjector, ChaosPlan};
+use rsls_experiments::artifacts::Workload;
 use rsls_experiments::{campaign, Scale, Table};
 use rsls_load::{run_soak, MixWeights, SoakOptions};
 use rsls_serve::server::{ExperimentInfo, ExperimentSource, ServeOptions, Server, ServerHandle};
@@ -74,8 +75,9 @@ impl ExperimentSource for TinyCampaignSource {
         let mut b = vec![0.0; a.nrows()];
         a.spmv(&ones, &mut b);
         let cfg = rsls_core::RunConfig::new(rsls_core::Scheme::FaultFree, 2);
-        let spec = campaign::unit_spec(&a, &b, id, scale, cfg);
-        let report = campaign::execute_unit(&a, &b, spec);
+        let system = Workload::borrowed(&a, &b);
+        let spec = campaign::unit_spec_for(&system, id, scale, cfg);
+        let report = campaign::execute_unit(&system, spec);
         let mut t = Table::new(format!("{id} result"), &["iterations", "converged"]);
         t.push_row(vec![
             report.iterations.to_string(),

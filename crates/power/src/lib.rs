@@ -16,18 +16,14 @@
 //!   (busy-wait node at 0.75× of compute power; f_min-throttled node at
 //!   0.45×; see §4.2),
 //! * [`EnergyMeter`] — RAPL-style energy accounting over virtual time,
-//!   with a power trace for profile plots (Figure 7a),
-//! * [`PowerCap`] — pick the highest frequency that fits a node power
-//!   budget.
+//!   with a power trace for profile plots (Figure 7a).
 
-pub mod cap;
 pub mod freq;
 pub mod governor;
 pub mod meter;
 pub mod model;
 pub mod state;
 
-pub use cap::PowerCap;
 pub use freq::FreqTable;
 pub use governor::Governor;
 pub use meter::{EnergyMeter, PowerSample, RaplCounter};

@@ -1,8 +1,9 @@
 //! On-disk layout pin: a server over the process-wide engine and a
 //! server over one owned engine (`shards: 1`) must be indistinguishable
 //! — same response bytes, same ETag, same files at the same relative
-//! paths (`cache/objects`, `cache/units`, `cache/provenance`, an
-//! un-prefixed `campaign.journal`, nothing named `shard-*`). That
+//! paths (`cache/objects`, `cache/units`, `cache/provenance`, one
+//! `cache/recipes` entry per suite operator computed on, an un-prefixed
+//! `campaign.journal`, nothing named `shard-*`). That
 //! layout is what `rsls-run`, `rsls-lab` and every CI script read.
 //!
 //! Its own test binary: the process-wide engine is configured once.
@@ -94,12 +95,28 @@ fn global_engine_and_single_owned_shard_write_the_same_layout() {
 
     let global_files = relative_files(&global_dir);
     assert_eq!(global_files, relative_files(&owned_dir));
-    for prefix in ["cache/objects/", "cache/units/", "cache/provenance/"] {
+    for prefix in [
+        "cache/objects/",
+        "cache/units/",
+        "cache/provenance/",
+        "cache/recipes/",
+    ] {
         assert!(
             global_files.iter().any(|f| f.starts_with(prefix)),
             "no file under {prefix}: {global_files:?}"
         );
     }
+    // fig3 runs on one suite operator (Andrews): one recipe entry, the
+    // same bytes whichever engine computed it.
+    let recipes: Vec<&String> = global_files
+        .iter()
+        .filter(|f| f.starts_with("cache/recipes/"))
+        .collect();
+    assert_eq!(recipes.len(), 1, "{global_files:?}");
+    assert_eq!(
+        std::fs::read(global_dir.join(recipes[0])).expect("recipe entry"),
+        std::fs::read(owned_dir.join(recipes[0])).expect("recipe entry")
+    );
     assert!(global_files.contains("campaign.journal"));
     assert!(
         !global_files.iter().any(|f| f.contains("shard-")),

@@ -10,9 +10,10 @@
 //! and iterations per scheme, normalized to the fault-free run.
 
 use rsls_core::interval::CheckpointInterval;
+use rsls_experiments::artifacts::suite;
 use rsls_experiments::output::{f2, Table};
 use rsls_experiments::runners::{
-    cr_interval_for, evenly_spaced_faults, lineup, run_fault_free, run_lineup, workload, SchemeRun,
+    cr_interval_for, evenly_spaced_faults, lineup, run_fault_free, run_lineup, SchemeRun,
 };
 use rsls_experiments::Scale;
 
@@ -26,16 +27,17 @@ fn main() {
     let scale = Scale::from_env();
     let ranks = scale.default_ranks();
 
-    let (a, b) = workload(matrix, scale);
+    let w = suite(matrix, scale);
+    let (a, _) = w.system();
     println!(
         "matrix {matrix}: {} rows, {:.1} nnz/row, {ranks} ranks, {k_faults} faults\n",
         a.nrows(),
         a.nnz_per_row()
     );
 
-    let ff = run_fault_free(&a, &b, ranks, scale);
+    let ff = run_fault_free(&w, ranks, scale);
     let interval = CheckpointInterval::EveryIterations(cr_interval_for(scale, ff.iterations));
-    let template = SchemeRun::fault_free(&a, &b, ranks)
+    let template = SchemeRun::fault_free(&w, ranks)
         .faults(evenly_spaced_faults(k_faults, ff.iterations, ranks, matrix))
         .tag("compare");
 

@@ -11,7 +11,8 @@
 //! ```
 
 use rsls_core::{DvfsPolicy, Scheme};
-use rsls_experiments::runners::{poisson_faults_for, run_fault_free, workload, SchemeRun};
+use rsls_experiments::artifacts::suite;
+use rsls_experiments::runners::{poisson_faults_for, run_fault_free, SchemeRun};
 use rsls_experiments::Scale;
 use rsls_models::general::OverheadModel;
 use rsls_models::{project_scheme, FittedParams, ProjectionConfig};
@@ -21,18 +22,18 @@ const LABELS: [&str; 4] = ["RD", "CR-D", "CR-M", "LI-DVFS"];
 
 fn main() {
     let ranks = 64;
-    let (a, b) = workload("crystm02", Scale::Quick);
+    let w = suite("crystm02", Scale::Quick);
     println!("measuring crystm02 analog on {ranks} virtual ranks...");
-    let ff = run_fault_free(&a, &b, ranks, Scale::Quick);
+    let ff = run_fault_free(&w, ranks, Scale::Quick);
     let (faults, mtbf) = poisson_faults_for(&ff, 4.0, ranks, "projection");
 
-    let li = SchemeRun::new(&a, &b, ranks, Scheme::li_local_cg())
+    let li = SchemeRun::on(&w, ranks, Scheme::li_local_cg())
         .dvfs(DvfsPolicy::ThrottleWaiters)
         .faults(faults.clone())
         .tag("proj")
         .mtbf_s(mtbf)
         .execute(Scale::Quick);
-    let crd = SchemeRun::new(&a, &b, ranks, Scheme::cr_disk())
+    let crd = SchemeRun::on(&w, ranks, Scheme::cr_disk())
         .faults(faults)
         .tag("proj")
         .mtbf_s(mtbf)

@@ -11,7 +11,8 @@
 //! ```
 
 use rsls_core::{DvfsPolicy, Scheme};
-use rsls_experiments::runners::{poisson_faults_for, run_fault_free, workload, SchemeRun};
+use rsls_experiments::artifacts::suite;
+use rsls_experiments::runners::{poisson_faults_for, run_fault_free, SchemeRun};
 use rsls_experiments::Scale;
 use rsls_models::{recommend, FittedParams, Objective, Situation};
 
@@ -22,10 +23,11 @@ fn main() {
     let matrix = std::env::args().nth(1).unwrap_or_else(|| "crystm02".into());
     let ranks = 64;
     let scale = Scale::from_env();
-    let (a, b) = workload(&matrix, scale);
+    let w = suite(&matrix, scale);
+    let (a, _) = w.system();
     println!("workload: {matrix} ({} rows), {ranks} ranks", a.nrows());
 
-    let ff = run_fault_free(&a, &b, ranks, scale);
+    let ff = run_fault_free(&w, ranks, scale);
     let (faults, mtbf) = poisson_faults_for(&ff, 4.0, ranks, "advisor");
     println!(
         "measured fault-free: {} iterations, {:.3} s; fault rate 1/{:.3} s",
@@ -33,13 +35,13 @@ fn main() {
     );
 
     // One measurement per family to fit the unit costs.
-    let fw_run = SchemeRun::new(&a, &b, ranks, Scheme::li_local_cg())
+    let fw_run = SchemeRun::on(&w, ranks, Scheme::li_local_cg())
         .dvfs(DvfsPolicy::ThrottleWaiters)
         .faults(faults.clone())
         .tag("advisor-fw")
         .mtbf_s(mtbf)
         .execute(scale);
-    let crd_run = SchemeRun::new(&a, &b, ranks, Scheme::cr_disk())
+    let crd_run = SchemeRun::on(&w, ranks, Scheme::cr_disk())
         .faults(faults)
         .tag("advisor-crd")
         .mtbf_s(mtbf)
