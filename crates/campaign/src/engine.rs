@@ -18,7 +18,8 @@ use crate::spec::UnitSpec;
 /// How the engine executes a batch of units.
 #[derive(Debug, Clone)]
 pub struct EngineOptions {
-    /// Worker threads (1 = run inline on the calling thread). Results
+    /// Units in flight (1 = run inline on the calling thread). Kernels
+    /// inside a unit borrow the cores no running unit occupies. Results
     /// are bit-identical for any job count: units are independent and
     /// outcomes are collected in spec order.
     pub jobs: usize,
@@ -157,7 +158,7 @@ impl CampaignSummary {
 
 /// Executes batches of [`UnitSpec`]s.
 ///
-/// The engine owns the cache, the journal, and a thread pool; the
+/// The engine owns the cache, the journal, and its unit workers; the
 /// *caller* owns the science — `run_units` takes a closure that maps a
 /// spec to a [`RunReport`], so the engine never needs to know how to
 /// find matrices or drive solvers (and `rsls-campaign` stays below
@@ -167,7 +168,6 @@ pub struct Engine {
     opts: EngineOptions,
     cache: Option<ResultCache>,
     journal: Option<Journal>,
-    pool: rayon::ThreadPool,
     stats: Stats,
     records: Mutex<Vec<UnitRecord>>,
     /// Content addresses currently executing, for in-flight request
@@ -247,15 +247,10 @@ impl Engine {
             )?),
             None => None,
         };
-        let pool = rayon::ThreadPoolBuilder::new()
-            .num_threads(opts.jobs.max(1))
-            .build()
-            .map_err(|e| io::Error::other(format!("thread pool: {e}")))?;
         Ok(Engine {
             opts,
             cache,
             journal,
-            pool,
             stats: Stats::default(),
             records: Mutex::new(Vec::new()),
             in_flight: Mutex::new(BTreeMap::new()),
@@ -305,10 +300,10 @@ impl Engine {
         F: Fn(&UnitSpec) -> RunReport + Sync,
     {
         let hashes: Vec<String> = units.iter().map(UnitSpec::content_hash).collect();
-        let outcomes = self.pool.install(|| {
-            rayon::run_indexed(units.len(), |i| {
-                self.run_one(&units[i], &hashes[i], &runner)
-            })
+        // `jobs` bounds the units in flight, not their kernels: a unit's
+        // SpMVs borrow the cores no running unit occupies.
+        let outcomes = rayon::run_indexed_with(self.opts.jobs.max(1), units.len(), |i| {
+            self.run_one(&units[i], &hashes[i], &runner)
         });
 
         // Recover from poisoning instead of panicking: the records list

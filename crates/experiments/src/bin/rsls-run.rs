@@ -5,7 +5,7 @@
 //! rsls-run --experiment fig5      run one experiment
 //! rsls-run --all                  run every experiment
 //! rsls-run --all --csv out/       additionally dump CSV files
-//! rsls-run --all --jobs 8        run campaign units on 8 workers
+//! rsls-run --all --jobs 8        run up to 8 campaign units at once
 //! rsls-run --all --resume         continue an interrupted campaign
 //! rsls-run --all --query "SELECT scheme, avg(energy) FROM runs GROUP BY scheme"
 //! rsls-run --query "SELECT * FROM schemes"   query an existing store, run nothing
@@ -15,8 +15,11 @@
 //! Every solver invocation goes through the campaign engine
 //! (`rsls-campaign`): completed runs are cached by content address under
 //! `--cache-dir` (default `results/cache`), so re-running an experiment
-//! re-reads its reports instead of re-solving, and `--jobs N` executes
-//! independent units in parallel without changing any result byte.
+//! re-reads its reports instead of re-solving, and `--jobs N` runs up to
+//! N independent units at once without changing any result byte. Jobs
+//! bound units, not kernels: a unit's SpMVs borrow the cores no running
+//! unit occupies, so `--jobs 1` already uses every core for large
+//! operators.
 //! Experiment dispatch goes through `rsls_experiments::ExperimentRegistry`
 //! — the same registry `rsls-serve` serves from.
 
@@ -41,6 +44,7 @@ fn usage() -> ! {
          \x20               [--jobs <n>] [--cache-dir <dir>] [--resume] [--no-cache]\n\
          \x20               [--chaos-seed <n>] [--query <sql>]\n\
          \x20               [--schemes <label,label,...>]\n\
+         --jobs <n>: units in flight (default 1); kernels borrow the cores they leave idle\n\
          experiments: {}\n\
          schemes: {}",
         ExperimentRegistry::builtin().ids().join(", "),

@@ -116,6 +116,11 @@ fn warm_processes_build_no_operator_and_the_recipe_memo_heals_itself() {
         cold_files,
         "a warm pass wrote to the store"
     );
+    assert_eq!(
+        rayon::pool_stats().helpers,
+        0,
+        "a warm pass started a kernel helper"
+    );
 
     // A torn entry is never a fingerprint: the operator is hashed again,
     // every unit still hits under its old spec hash, and the entry is

@@ -12,11 +12,12 @@ use crate::{LinalgError, Result};
 /// the environment"; [`par_spmv_threshold`] resolves that lazily.
 static PAR_SPMV_NNZ: AtomicUsize = AtomicUsize::new(0);
 
-/// Default for [`par_spmv_threshold`]: high enough that small campaign
-/// matrices (which already run many units in parallel) never pay scoped
-/// thread-spawn overhead per iteration, low enough that the large
-/// scaling-study matrices go parallel.
-pub const PAR_SPMV_NNZ_DEFAULT: usize = 400_000;
+/// Default for [`par_spmv_threshold`]: the measured crossover of the
+/// pooled kernels (DESIGN.md, "Sparse formats and kernel selection").
+/// The smallest two-window stencil measured, 30k stored entries, gains
+/// 1.35x from one borrowed helper; an operator of one σ-window or chunk
+/// (≤ 4096 rows) runs inline whatever the threshold.
+pub const PAR_SPMV_NNZ_DEFAULT: usize = 30_000;
 
 /// Rows per parallel chunk in [`CsrMatrix::spmv_auto`]. Large enough to
 /// amortize dispatch, small enough to load-balance irregular rows.
@@ -231,25 +232,31 @@ impl CsrMatrix {
 
     /// Serial sparse matrix–vector product `y = A x`.
     ///
-    /// `inline(never)` keeps exactly one compiled copy of this loop:
-    /// the parallel kernels delegate here when only one worker is
-    /// effective, and an inlined duplicate inside a delegating caller
-    /// can codegen a few percent differently — enough to read as a
-    /// phantom "parallel slowdown" in the kernel matrix.
-    ///
     /// # Panics
     /// Panics if `x.len() != ncols` or `y.len() != nrows`.
-    #[inline(never)]
     pub fn spmv(&self, x: &[f64], y: &mut [f64]) {
         assert_eq!(x.len(), self.ncols, "spmv: x length mismatch");
         assert_eq!(y.len(), self.nrows, "spmv: y length mismatch");
-        for r in 0..self.nrows {
+        self.spmv_rows(0, x, y);
+    }
+
+    /// Rows `first .. first + y.len()` of `A x` into `y`.
+    ///
+    /// `inline(never)` keeps exactly one compiled copy of this loop: the
+    /// serial kernel and every chunk of the chunked kernel (inline or on
+    /// a pool helper) run it, so a chunked call that finds no helper
+    /// free costs what the serial kernel costs. An inlined duplicate can
+    /// codegen differently — once measured as a 0.84x "parallel
+    /// speedup" on one thread.
+    #[inline(never)]
+    fn spmv_rows(&self, first: usize, x: &[f64], y: &mut [f64]) {
+        for (r, out) in (first..).zip(y.iter_mut()) {
             let mut acc = 0.0;
             let (lo, hi) = (self.row_ptr[r], self.row_ptr[r + 1]);
             for k in lo..hi {
                 acc += self.values[k] * x[self.col_idx[k]];
             }
-            y[r] = acc;
+            *out = acc;
         }
     }
 
@@ -290,39 +297,17 @@ impl CsrMatrix {
         assert_eq!(x.len(), self.ncols, "par_spmv_chunked: x length mismatch");
         assert_eq!(y.len(), self.nrows, "par_spmv_chunked: y length mismatch");
         assert!(chunk_rows > 0, "par_spmv_chunked: chunk_rows must be > 0");
-        // One effective worker cannot win anything from the chunked
-        // dispatch, but its differently-shaped inner loop can lose to
-        // the serial kernel's codegen (measured once as a 0.84x
-        // "parallel speedup" on one thread). Run the serial kernel
-        // itself instead.
-        if rayon::effective_num_threads() <= 1 {
-            return self.spmv(x, y);
-        }
-        let row_ptr = &self.row_ptr;
-        let col_idx = &self.col_idx;
-        let values = &self.values;
         y.par_chunks_mut(chunk_rows)
             .enumerate()
-            .for_each(|(ci, out)| {
-                let base = ci * chunk_rows;
-                for (i, slot) in out.iter_mut().enumerate() {
-                    let r = base + i;
-                    let mut acc = 0.0;
-                    for k in row_ptr[r]..row_ptr[r + 1] {
-                        acc += values[k] * x[col_idx[k]];
-                    }
-                    *slot = acc;
-                }
-            });
+            .for_each(|(ci, out)| self.spmv_rows(ci * chunk_rows, x, out));
     }
 
     /// Size-gated product `y = A x`: the chunked parallel kernel for
-    /// matrices with at least [`par_spmv_threshold`] stored entries
-    /// (when more than one thread is available), the serial kernel
-    /// otherwise. Both kernels are bit-identical, so the gate is purely
-    /// a performance decision.
+    /// matrices with at least [`par_spmv_threshold`] stored entries,
+    /// the serial kernel otherwise. Both kernels are bit-identical, so
+    /// the gate is purely a performance decision.
     pub fn spmv_auto(&self, x: &[f64], y: &mut [f64]) {
-        if self.nnz() >= par_spmv_threshold() && rayon::effective_num_threads() > 1 {
+        if self.nnz() >= par_spmv_threshold() {
             self.par_spmv_chunked(x, y, PAR_SPMV_CHUNK_ROWS);
         } else {
             self.spmv(x, y);

@@ -243,26 +243,17 @@ impl SellMatrix {
     pub fn par_spmv(&self, x: &[f64], y: &mut [f64]) {
         assert_eq!(x.len(), self.ncols, "sell par_spmv: x length mismatch");
         assert_eq!(y.len(), self.nrows, "sell par_spmv: y length mismatch");
-        let windows = self.nrows.div_ceil(self.sigma.max(1));
-        // With one effective worker the parallel dispatch is pure
-        // overhead; run the identical serial kernel instead.
-        if windows <= 1 || rayon::effective_num_threads() <= 1 {
-            for (w, out) in y.chunks_mut(self.sigma).enumerate() {
-                self.spmv_window(w, x, out);
-            }
-            return;
-        }
         y.par_chunks_mut(self.sigma)
             .enumerate()
             .for_each(|(w, out)| self.spmv_window(w, x, out));
     }
 
     /// Size-gated product `y = A x`: window-parallel for matrices with
-    /// at least [`par_spmv_threshold`] stored entries when more than one
-    /// effective worker is available, serial otherwise. Both kernels are
-    /// bit-identical, so the gate is purely a performance decision.
+    /// at least [`par_spmv_threshold`] stored entries, serial otherwise.
+    /// Both kernels are bit-identical, so the gate is purely a
+    /// performance decision.
     pub fn spmv_auto(&self, x: &[f64], y: &mut [f64]) {
-        if self.nnz >= par_spmv_threshold() && rayon::effective_num_threads() > 1 {
+        if self.nnz >= par_spmv_threshold() {
             self.par_spmv(x, y);
         } else {
             self.spmv(x, y);

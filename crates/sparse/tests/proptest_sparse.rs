@@ -1,5 +1,7 @@
 //! Property-based tests for the sparse substrate.
 
+use std::sync::{Mutex, MutexGuard, PoisonError};
+
 use proptest::prelude::*;
 use rsls_sparse::generators::{banded_spd, BandedConfig};
 use rsls_sparse::vector::{axpy, dot, norm2};
@@ -17,6 +19,23 @@ fn coo_strategy() -> impl Strategy<Value = CooMatrix> {
             coo
         })
     })
+}
+
+/// Held by each property that runs a parallel kernel, so every such
+/// call finds the kernel pool free and borrows a helper when the machine
+/// has a spare core: the properties then cover the pooled path, not
+/// only the inline one.
+static POOL: Mutex<()> = Mutex::new(());
+
+fn pool_to_myself() -> MutexGuard<'static, ()> {
+    POOL.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// Whether a kernel over `chunks` chunks borrowed a helper since the
+/// pool had lent `before`, or could not have (one chunk, one core).
+fn pooled_if_possible(before: u64, chunks: usize) -> bool {
+    let spare = std::thread::available_parallelism().map_or(1, |n| n.get()) >= 2;
+    rayon::pool_stats().lent > before || chunks < 2 || !spare
 }
 
 fn dense_matvec(a: &CsrMatrix, x: &[f64]) -> Vec<f64> {
@@ -118,14 +137,19 @@ proptest! {
         }).collect();
         let mut serial = vec![0.0; a.nrows()];
         a.spmv(&x, &mut serial);
+        let _pool = pool_to_myself();
         // Bit-identical, not approximately equal: each row is a serial
         // reduction regardless of which worker computes it, so `==` holds.
         let mut par = vec![f64::NAN; a.nrows()];
+        let lent = rayon::pool_stats().lent;
         a.par_spmv(&x, &mut par);
         prop_assert_eq!(&par, &serial);
+        prop_assert!(pooled_if_possible(lent, a.nrows()));
         let mut chunked = vec![f64::NAN; a.nrows()];
+        let lent = rayon::pool_stats().lent;
         a.par_spmv_chunked(&x, &mut chunked, chunk);
         prop_assert_eq!(&chunked, &serial);
+        prop_assert!(pooled_if_possible(lent, a.nrows().div_ceil(chunk)));
     }
 
     #[test]
@@ -151,6 +175,7 @@ proptest! {
         let mut sell_serial = vec![f64::NAN; a.nrows()];
         sell.spmv(&x, &mut sell_serial);
         prop_assert_eq!(&sell_serial, &serial);
+        let _pool = pool_to_myself();
         for threads in [1usize, 4] {
             let pool = rayon::ThreadPoolBuilder::new().num_threads(threads).build().unwrap();
             let mut par = vec![f64::NAN; a.nrows()];
