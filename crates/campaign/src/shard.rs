@@ -12,8 +12,8 @@
 //! * **Determinism.** The ring is a pure function of the shard count,
 //!   and the key hash is FNV-1a — the same key routes to the same shard
 //!   in every process, which is what makes a sharded store's layout
-//!   reproducible (and lets the soak test assert byte-identical stores
-//!   across runs).
+//!   reproducible (and lets the chaos-under-load test assert
+//!   byte-identical stores across runs).
 //! * **Stability.** Growing the ring from `n` to `n+1` shards moves
 //!   only the keys that land on the new shard's points (~1/(n+1) of
 //!   them); everything else keeps its namespace, so a resized

@@ -1,9 +1,8 @@
 //! A minimal blocking HTTP/1.1 client.
 //!
-//! Exists for the integration tests, the CI smoke checks and the
-//! `rsls-load` soak harness. One [`Conn`] is one TCP connection:
-//! requests go out keep-alive ([`Conn::request`], [`Conn::pipeline`])
-//! and responses are framed with the server's own
+//! Exists for the integration tests and the CI smoke checks. One
+//! [`Conn`] is one TCP connection: requests go out keep-alive
+//! ([`Conn::request`]) and responses are framed with the server's own
 //! [`http::parse_response`], so both ends agree byte-for-byte on
 //! message boundaries. Not a general-purpose client.
 //!
@@ -17,12 +16,10 @@
 //! (clamped to its own backoff cap so a test never sleeps for the
 //! server's full suggestion). Every re-attempt increments a
 //! process-wide counter exported as `rsls_serve_client_retries_total`.
-//! (The soak's reconnect/`503` loop is separate on purpose: it measures
-//! what it absorbs.)
 
 use std::collections::BTreeMap;
 use std::io::{self, BufReader, Write};
-use std::net::{Shutdown, TcpStream, ToSocketAddrs};
+use std::net::{TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
@@ -90,30 +87,19 @@ pub struct Conn {
 
 impl Conn {
     /// Opens a connection to `addr`. This is the only socket-creating
-    /// call in the serve and load crates and is registered as the
-    /// `client-reset` I/O site: when `chaos` arms
-    /// [`ChaosSite::ClientReset`], the freshly-opened connection is
-    /// torn down immediately so callers exercise their reconnect path
-    /// on schedule.
+    /// call in the serve crate. The client chaos sites fire around it,
+    /// in [`get_with_retry_chaotic`]'s attempts: `client-reset` connects
+    /// and abandons, `client-garble` discards a response that arrived,
+    /// `client-delay` stalls before connecting.
     #[expect(
         clippy::disallowed_methods,
         reason = "chaos: client-reset, client-garble, client-delay"
     )]
-    pub fn connect(addr: impl ToSocketAddrs, chaos: Option<&ChaosInjector>) -> io::Result<Conn> {
+    pub fn connect(addr: impl ToSocketAddrs) -> io::Result<Conn> {
         let stream = TcpStream::connect(addr)?;
         stream.set_nodelay(true)?;
         stream.set_read_timeout(Some(IO_TIMEOUT))?;
         stream.set_write_timeout(Some(IO_TIMEOUT))?;
-        if let Some(injector) = chaos {
-            let key = format!("connect:{}", stream.peer_addr()?);
-            if injector.fire(ChaosSite::ClientReset, &key) {
-                TcpStream::shutdown(&stream, Shutdown::Both)?;
-                return Err(io::Error::new(
-                    io::ErrorKind::ConnectionReset,
-                    "chaos: client reset on connect",
-                ));
-            }
-        }
         Ok(Conn {
             reader: BufReader::new(stream),
             requests: 0,
@@ -132,23 +118,6 @@ impl Conn {
         extra: &[(S, S)],
     ) -> io::Result<ClientResponse> {
         self.send(path, extra, true)
-    }
-
-    /// Writes all `reqs` back-to-back, then reads the responses in
-    /// order — exercising the server's pipelining path. The caller is
-    /// responsible for only pipelining request classes the server
-    /// answers without closing (a mid-pipeline close surfaces here as
-    /// an I/O error on the truncated tail).
-    pub fn pipeline(
-        &mut self,
-        reqs: &[(String, Vec<(String, String)>)],
-    ) -> io::Result<Vec<ClientResponse>> {
-        let mut wire = Vec::new();
-        for (path, extra) in reqs {
-            wire.extend_from_slice(&encode_request(path, extra, true));
-        }
-        self.reader.get_mut().write_all(&wire)?;
-        reqs.iter().map(|_| self.read_response()).collect()
     }
 
     /// One GET, asking the server to keep the connection or close it.
@@ -233,7 +202,7 @@ pub fn get(
     path: &str,
     headers: &[(&str, &str)],
 ) -> io::Result<ClientResponse> {
-    Conn::connect(addr, None)?.send(path, headers, false)
+    Conn::connect(addr)?.send(path, headers, false)
 }
 
 /// [`get`] under a [`RetryPolicy`]: transport errors and `503`s are
@@ -276,11 +245,9 @@ pub fn get_with_retry_chaotic(
             Ok(resp) if resp.status == 503 => {
                 // Overload: come back when the server says, within our
                 // own cap.
-                let suggested = resp
-                    .header("retry-after")
-                    .and_then(|v| v.trim().parse::<u64>().ok())
-                    .map(|secs| Duration::from_millis((secs * 1000).min(policy.backoff_cap_ms)));
-                suggested
+                let cap = Duration::from_millis(policy.backoff_cap_ms);
+                resp.retry_after_s()
+                    .map(|secs| Duration::from_secs(secs).min(cap))
                     .unwrap_or_default()
                     .max(policy.backoff(attempt + 1))
             }
@@ -309,7 +276,7 @@ fn attempt_once(
         if chaos.fire(ChaosSite::ClientReset, path) {
             // Connect and abandon: the server sees a probe, the client
             // sees a reset before any response bytes arrived.
-            let _ = Conn::connect(addr, None);
+            let _ = Conn::connect(addr);
             return Err(io::Error::new(
                 io::ErrorKind::ConnectionReset,
                 "chaos: connection reset before the response",
@@ -400,7 +367,7 @@ mod tests {
     #[test]
     fn one_shot_get_and_kept_alive_request_agree() {
         with_server(|addr| {
-            let mut conn = Conn::connect(addr, None).expect("connect");
+            let mut conn = Conn::connect(addr).expect("connect");
             for path in ["/healthz", "/experiments", "/nope"] {
                 let one_shot = get(addr, path, &[]).expect("one-shot");
                 let kept = conn.request::<&str>(path, &[]).expect("kept-alive");
@@ -426,7 +393,7 @@ mod tests {
     #[test]
     fn get_sends_connection_close_and_the_server_closes() {
         with_server(|addr| {
-            let mut conn = Conn::connect(addr, None).expect("connect");
+            let mut conn = Conn::connect(addr).expect("connect");
             let resp = conn.send::<&str>("/healthz", &[], false).expect("response");
             assert_eq!(resp.status, 200);
             assert!(resp.wants_close());

@@ -473,10 +473,17 @@ pub fn parse_response(
         }
     }
     let mut body = Vec::new();
-    match headers.get("content-length").map(|v| v.parse::<usize>()) {
+    match headers.get("content-length").map(|v| v.parse::<u64>()) {
         Some(Ok(len)) => {
-            body.resize(len, 0);
-            stream.read_exact(&mut body)?;
+            // The peer's length bounds the read, never an allocation:
+            // the body grows only with bytes that actually arrive.
+            stream.take(len).read_to_end(&mut body)?;
+            if (body.len() as u64) < len {
+                return Err(io::Error::new(
+                    io::ErrorKind::UnexpectedEof,
+                    "connection closed inside response body",
+                ));
+            }
         }
         _ => {
             stream.read_to_end(&mut body)?;
@@ -565,6 +572,13 @@ mod tests {
         assert_eq!(headers.get("etag").map(String::as_str), Some("\"e\""));
         assert_eq!(headers.get("connection").map(String::as_str), Some("close"));
         assert_eq!(body, br#"{"ok":true}"#);
+    }
+
+    #[test]
+    fn response_content_length_bounds_the_read_not_the_allocation() {
+        let wire = b"HTTP/1.1 200 OK\r\nContent-Length: 18446744073709551615\r\n\r\nok";
+        let err = parse_response(&mut BufReader::new(&wire[..])).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof);
     }
 
     #[test]

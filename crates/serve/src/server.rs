@@ -10,8 +10,8 @@
 //! connection so **pipelined requests are answered strictly in order**.
 //! Connections are kept alive across requests (HTTP/1.1 semantics; any
 //! error status or an explicit `Connection: close` closes them), which
-//! is what lets a soak drive 10⁵+ requests over a few dozen persistent
-//! sockets.
+//! is what lets one client drive thousands of requests over a single
+//! persistent socket.
 //!
 //! Compute still never happens on the event loop: experiment and
 //! warehouse work is submitted to the bounded per-shard work queues

@@ -712,15 +712,26 @@ fn retrying_client_absorbs_injected_connection_faults() {
 
 #[test]
 fn retrying_client_honors_retry_after_on_503() {
+    // The second value is u64::MAX seconds: clamped like any other, not
+    // multiplied into an overflow.
+    for retry_after in ["7", "18446744073709551615"] {
+        retry_after_is_waited_out_within_the_cap(retry_after);
+    }
+}
+
+fn retry_after_is_waited_out_within_the_cap(retry_after: &str) {
     // A hand-rolled two-response server: first connection gets a 503
     // with Retry-After, the second gets a 200. No experiment source —
     // this isolates the client's overload behavior.
     use std::io::Write;
     let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind");
     let addr = listener.local_addr().expect("addr");
+    let shed = format!(
+        "HTTP/1.1 503 Service Unavailable\r\nRetry-After: {retry_after}\r\nContent-Length: 0\r\nConnection: close\r\n\r\n"
+    );
     let server = std::thread::spawn(move || {
         let responses: [&[u8]; 2] = [
-            b"HTTP/1.1 503 Service Unavailable\r\nRetry-After: 7\r\nContent-Length: 0\r\nConnection: close\r\n\r\n",
+            shed.as_bytes(),
             b"HTTP/1.1 200 OK\r\nContent-Length: 2\r\nConnection: close\r\n\r\nok",
         ];
         for response in responses {
@@ -745,8 +756,8 @@ fn retrying_client_honors_retry_after_on_503() {
     let policy = RetryPolicy {
         attempts: 3,
         backoff_ms: 1,
-        // The server suggests 7s; the client must wait, but clamped to
-        // its own cap so overload handling cannot stall a test suite.
+        // The server suggests seconds; the client must wait, but clamped
+        // to its own cap so overload handling cannot stall a test suite.
         backoff_cap_ms: 60,
         deadline: Duration::from_secs(10),
     };

@@ -326,7 +326,7 @@ fn library_crates_carry_the_scoping_attributes() {
 #[test]
 fn io_clippy_toml_is_the_root_config_plus_the_io_bans() {
     let io = repo().join("crates/io.clippy.toml");
-    for name in ["campaign", "core", "load", "serve"] {
+    for name in ["campaign", "core", "serve"] {
         let link = repo().join(format!("crates/{name}/clippy.toml"));
         assert_eq!(
             std::fs::read_link(&link).unwrap(),
@@ -392,7 +392,7 @@ fn every_chaos_site_is_named_by_a_chaos_reason() {
 }
 
 /// R6 across crates: cargo already rejects a root depending on `serve`
-/// or `load` (a cycle). What it cannot see is a file inside `serve`:
+/// (a cycle). What it cannot see is a file inside `serve`:
 /// `compute.rs` reaches nothing of its own crate.
 #[test]
 fn serve_compute_names_nothing_of_its_own_crate() {
