@@ -17,9 +17,9 @@
 use rsls_cluster::{Cluster, MachineConfig};
 use rsls_faults::{inject, FaultClass, FaultEffect, FaultEvent, FaultSchedule};
 use rsls_power::{CoreState, EnergyMeter, PowerModel, PowerModelConfig};
-use rsls_solvers::{Cg, ResidualHistory};
+use rsls_solvers::ResidualHistory;
 use rsls_sparse::artifacts::MatrixKey;
-use rsls_sparse::{CsrMatrix, Partition};
+use rsls_sparse::{CsrMatrix, Partition, SpmvOperator};
 
 use crate::checkpoint::{CheckpointStore, CompressionModel, DiskStore, MemoryStore};
 use crate::construction::{self, ConstructionMethod, Workspace};
@@ -28,6 +28,7 @@ use crate::scheme::{
     CheckpointPlan, CheckpointStorage, FaultResponse, Fill, Interpolant, Payload, RecoveryPlan,
     Scheme, OUTAGE_RESTORE_DECOMPRESSES,
 };
+use crate::trajectory::{self, Trajectory, TrajectoryMemo};
 use crate::DvfsPolicy;
 
 /// Configuration of one resilient run.
@@ -163,7 +164,7 @@ struct Sim<'a> {
     costs: IterCosts,
     cluster: Cluster,
     meter: EnergyMeter,
-    cg: Cg<'a>,
+    cg: Trajectory<'a>,
     x0: Vec<f64>,
     /// Frequency every core runs at (the pinned one under a power cap).
     f_run: f64,
@@ -180,10 +181,11 @@ struct Sim<'a> {
     breakdown: PhaseBreakdown,
     /// Virtual time up to which power has been metered.
     seg_start: f64,
-    /// Reconstruction scratch + artifact-cache key, allocated/hashed
-    /// lazily on the first fault so fault-free runs pay nothing.
+    /// Reconstruction scratch, allocated lazily on the first fault so
+    /// fault-free runs pay nothing.
     ws: Workspace,
-    matrix_key: Option<MatrixKey>,
+    /// The matrix's content key, hashed once per run.
+    matrix_key: MatrixKey,
     checkpoints_taken: usize,
     checkpoint_bytes_written: u64,
     construction_fallbacks: usize,
@@ -212,13 +214,11 @@ impl Sim<'_> {
         self.breakdown.repair_s += self.close_phase(CoreState::Compute);
     }
 
-    /// Corrupts what the fault takes out: the rank's block of the iterate
-    /// or, for a system-wide outage, all of it.
+    /// Corrupts what a node fault takes out: the rank's block of the
+    /// iterate. (A system-wide outage rolls back, which overwrites all
+    /// of it.)
     fn lose_data(&mut self, ev: &FaultEvent, iter: usize) {
-        let lost = match ev.class {
-            FaultClass::Swo => 0..self.cg.x().len(),
-            _ => self.part.range(ev.rank),
-        };
+        let lost = self.part.range(ev.rank);
         inject(
             self.cg.x_slice_mut(lost),
             FaultEffect::for_class(ev.class),
@@ -364,7 +364,7 @@ impl Sim<'_> {
         let (p, k) = (self.cfg.num_ranks, ranks.len());
         self.close_phase(CoreState::Compute);
         let t0 = self.seg_start;
-        let key = Some(*self.matrix_key.get_or_insert_with(|| MatrixKey::of(self.a)));
+        let key = Some(self.matrix_key);
         // The adaptive inner tolerance keys off the pre-fault progress: the
         // recurrence residual still reflects the state before corruption.
         let outer_relres = self.cg.relative_residual();
@@ -431,7 +431,21 @@ impl Sim<'_> {
 
 /// Executes one resilient run. Deterministic: identical inputs produce a
 /// bit-identical [`RunReport`].
+///
+/// The CG trajectory goes through the process-wide
+/// [`trajectory::global`] memo: stretches another run already stepped
+/// are replayed, which changes how long the run takes, never its report.
 pub fn run(a: &CsrMatrix, b: &[f64], cfg: &RunConfig) -> RunReport {
+    run_with_memo(trajectory::global(), a, b, cfg)
+}
+
+/// [`run`] through `memo` instead of the process-wide memo.
+pub fn run_with_memo(
+    memo: &TrajectoryMemo,
+    a: &CsrMatrix,
+    b: &[f64],
+    cfg: &RunConfig,
+) -> RunReport {
     assert_eq!(a.nrows(), a.ncols(), "driver requires a square system");
     assert_eq!(b.len(), a.nrows(), "rhs length mismatch");
     assert!(cfg.num_ranks >= 1);
@@ -457,6 +471,16 @@ pub fn run(a: &CsrMatrix, b: &[f64], cfg: &RunConfig) -> RunReport {
 
     let x0 = cfg.initial_guess.clone().unwrap_or_else(|| vec![0.0; n]);
     assert_eq!(x0.len(), n, "initial guess length mismatch");
+    // One content hash per run: the SpMV binding, the reconstruction
+    // artifacts and the trajectory memo all key on it.
+    let matrix_key = MatrixKey::of(a);
+    let cg = Trajectory::new(
+        memo,
+        matrix_key,
+        SpmvOperator::select_keyed(a, matrix_key),
+        b,
+        &x0,
+    );
 
     // Compression shrinks the stored bytes but charges per-rank CPU time.
     // CR-LC's quantizer and ABFT-CR's triple-vector state override the
@@ -498,7 +522,7 @@ pub fn run(a: &CsrMatrix, b: &[f64], cfg: &RunConfig) -> RunReport {
         plan,
         costs,
         cluster,
-        cg: Cg::new(a, b, x0.clone()),
+        cg,
         x0,
         f_run,
         f_wait: cfg.dvfs.waiter_frequency(model.freq_table()).min(f_run),
@@ -511,7 +535,7 @@ pub fn run(a: &CsrMatrix, b: &[f64], cfg: &RunConfig) -> RunReport {
         breakdown: PhaseBreakdown::default(),
         seg_start: 0.0,
         ws: Workspace::new(),
-        matrix_key: None,
+        matrix_key,
         checkpoints_taken: 0,
         checkpoint_bytes_written: 0,
         construction_fallbacks: 0,
@@ -551,7 +575,9 @@ pub fn run(a: &CsrMatrix, b: &[f64], cfg: &RunConfig) -> RunReport {
             match (plan.response, ev.class) {
                 (FaultResponse::Ignore, _) => {}
                 (FaultResponse::Rollback, _) | (_, FaultClass::Swo) => {
-                    sim.lose_data(&ev, iter);
+                    // A rollback overwrites all of x, so the data the
+                    // fault destroys is never read and need not be
+                    // materialized to be lost.
                     sim.rollback(ev.class);
                 }
                 (FaultResponse::MaskByReplica, _) => {

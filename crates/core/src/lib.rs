@@ -74,6 +74,7 @@ pub mod hash;
 pub mod interval;
 pub mod report;
 pub mod scheme;
+pub mod trajectory;
 
 pub use checkpoint::{
     install_chaos, CheckpointChaos, CompressionModel, KrylovCheckpoint, LossyCompressionModel,

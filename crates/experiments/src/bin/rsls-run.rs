@@ -304,6 +304,11 @@ fn main() {
 
     if !outcomes.is_empty() {
         print!("{}", campaign::engine().summary_table());
+        let t = rsls_core::trajectory::stats();
+        println!(
+            "trajectories: {} CG steps computed, {} replayed; {} segments, {} snapshot bytes, {} evictions",
+            t.steps_computed, t.steps_replayed, t.segments, t.snapshot_bytes, t.evictions
+        );
     }
     if let Some(chaos) = &chaos {
         println!(

@@ -1,6 +1,6 @@
 //! Step-wise Conjugate Gradient.
 
-use rsls_sparse::vector::{axpy, axpy_dot, dot, norm2, xpby};
+use rsls_sparse::vector::{cg_update, dot, norm2, xpby};
 use rsls_sparse::{CsrMatrix, SpmvOperator};
 
 /// CG termination parameters.
@@ -85,17 +85,28 @@ impl<'a> Cg<'a> {
     /// # Panics
     /// Panics on dimension mismatches or a non-square matrix.
     pub fn new(a: &'a CsrMatrix, b: &'a [f64], x0: Vec<f64>) -> Self {
+        // Bind the operator to the format the deterministic heuristic
+        // selects; every kernel behind `apply` is bit-identical to the
+        // CSR reference, so trajectories (including the replayed ABFT
+        // ones) do not depend on the choice.
+        Cg::with_operator(SpmvOperator::select(a), b, x0)
+    }
+
+    /// Initializes CG from `x0` on an operator the caller already bound
+    /// (a caller holding the matrix's `MatrixKey` binds it with
+    /// [`SpmvOperator::select_keyed`] and skips the content hash).
+    ///
+    /// # Panics
+    /// Panics on dimension mismatches or a non-square matrix.
+    pub fn with_operator(op: SpmvOperator<'a>, b: &'a [f64], x0: Vec<f64>) -> Self {
+        let a = op.csr();
         assert_eq!(a.nrows(), a.ncols(), "CG requires a square matrix");
         assert_eq!(b.len(), a.nrows(), "rhs length mismatch");
         assert_eq!(x0.len(), a.nrows(), "initial guess length mismatch");
         let n = a.nrows();
         let b_norm = norm2(b).max(f64::MIN_POSITIVE);
-        // Bind the operator to the format the deterministic heuristic
-        // selects; every kernel behind `apply` is bit-identical to the
-        // CSR reference, so trajectories (including the replayed ABFT
-        // ones) do not depend on the choice.
         let mut cg = Cg {
-            op: SpmvOperator::select(a),
+            op,
             b,
             x: x0,
             r: vec![0.0; n],
@@ -127,10 +138,9 @@ impl<'a> Cg<'a> {
             return self.relative_residual();
         }
         let alpha = self.rr / pap;
-        axpy(alpha, &self.p, &mut self.x);
-        // Fused residual update + squared norm: one pass over r instead
-        // of two, bit-identical to axpy followed by dot(r, r).
-        let rr_new = axpy_dot(-alpha, &self.ap, &mut self.r);
+        // Iterate update, residual update and squared norm in one pass,
+        // bit-identical to axpy(x) followed by axpy(r) and dot(r, r).
+        let rr_new = cg_update(alpha, &self.p, &self.ap, &mut self.x, &mut self.r);
         let beta = rr_new / self.rr;
         xpby(&self.r, beta, &mut self.p);
         self.rr = rr_new;

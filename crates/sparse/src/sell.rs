@@ -433,14 +433,24 @@ pub struct SpmvOperator<'a> {
 impl<'a> SpmvOperator<'a> {
     /// Binds `a` to the format the selection heuristic picks for it.
     pub fn select(a: &'a CsrMatrix) -> SpmvOperator<'a> {
+        SpmvOperator::bind(a, || crate::artifacts::MatrixKey::of(a))
+    }
+
+    /// [`SpmvOperator::select`] for a caller that already holds `a`'s
+    /// content key: the same binding without hashing the matrix again.
+    pub fn select_keyed(a: &'a CsrMatrix, key: crate::artifacts::MatrixKey) -> SpmvOperator<'a> {
+        SpmvOperator::bind(a, || key)
+    }
+
+    fn bind(
+        a: &'a CsrMatrix,
+        key: impl FnOnce() -> crate::artifacts::MatrixKey,
+    ) -> SpmvOperator<'a> {
         let sell = match select_format(a) {
             Format::Csr => None,
-            Format::Sell => Some(crate::artifacts::global().sell(
-                crate::artifacts::MatrixKey::of(a),
-                a,
-                SELL_DEFAULT_C,
-                SELL_DEFAULT_SIGMA,
-            )),
+            Format::Sell => {
+                Some(crate::artifacts::global().sell(key(), a, SELL_DEFAULT_C, SELL_DEFAULT_SIGMA))
+            }
         };
         SpmvOperator { csr: a, sell }
     }
